@@ -48,6 +48,7 @@ __all__ = [
     "reactive_count",
     "resistor_count",
     "impedance",
+    "impedance_coeffs",
     "apply_transform",
     "enumerate_topologies",
     "enumerate_labeled",
@@ -175,6 +176,54 @@ def _check_value(lf: Leaf):
         raise ValueError("element values must be strictly positive")
 
 
+def _poly_mul(a: list, b: list) -> list:
+    out = [0 * a[0]] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+def impedance_coeffs(net: SPNet, values: Sequence) -> Tuple[list, list]:
+    """Unreduced (num, den) coefficient lists of Z(s), ascending degree.
+
+    ``values`` are the leaf values in ``leaves(net)`` order, all of one
+    field type: Fraction or QuadraticRational, mpf, or float.  Series
+    composition gives (n1 d2 + n2 d1, d1 d2), parallel composition
+    (n1 n2, n1 d2 + n2 d1); nothing is reduced or normalized.
+    """
+    it = iter(values)
+
+    def build(n: SPNet) -> Tuple[list, list]:
+        if isinstance(n, Leaf):
+            v = next(it)
+            # units and zeros in v's own type: a bare 1 would turn into a
+            # float in a later monic division of Fractions
+            one, zero = v / v, 0 * v
+            if n.kind == "R":
+                return [v], [one]
+            if n.kind == "L":
+                return [zero, v], [one]
+            return [one], [zero, v]
+        num, den = build(n.children[0])
+        for child in n.children[1:]:
+            n2, d2 = build(child)
+            cross = _poly_add(_poly_mul(num, d2), _poly_mul(n2, den))
+            if isinstance(n, Series):
+                num, den = cross, _poly_mul(den, d2)
+            else:
+                num, den = _poly_mul(num, n2), cross
+        return num, den
+
+    return build(net)
+
+
 def impedance(net: SPNet) -> RationalFn:
     """Driving-point impedance Z(s) as a reduced rational function.
 
@@ -186,28 +235,11 @@ def impedance(net: SPNet) -> RationalFn:
     lfs = leaves(net)
     for lf in lfs:
         _check_value(lf)
-    numeric = any(not is_exact_scalar(lf.value) for lf in lfs)
-
-    def z_of(n: SPNet) -> RationalFn:
-        if isinstance(n, Leaf):
-            v = to_mpf(n.value) if numeric else n.value
-            one = v / v
-            if n.kind == "R":
-                return RationalFn(Poly.constant(v), Poly.constant(one))
-            if n.kind == "L":
-                return RationalFn(Poly([0 * v, v]), Poly.constant(one))
-            return RationalFn(Poly.constant(one), Poly([0 * v, v]))
-        if isinstance(n, Series):
-            acc = z_of(n.children[0])
-            for child in n.children[1:]:
-                acc = acc + z_of(child)
-            return acc
-        acc = z_of(n.children[0]).reciprocal()
-        for child in n.children[1:]:
-            acc = acc + z_of(child).reciprocal()
-        return acc.reciprocal()
-
-    return z_of(net)
+    values = [lf.value for lf in lfs]
+    if any(not is_exact_scalar(v) for v in values):
+        values = [to_mpf(v) for v in values]
+    num, den = impedance_coeffs(net, values)
+    return RationalFn(Poly(num), Poly(den))
 
 
 # ---------------------------------------------------------------------------

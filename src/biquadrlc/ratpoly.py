@@ -389,6 +389,12 @@ class Poly:
     # -- division (field coefficients)
 
     def divmod(self, other: "Poly") -> Tuple["Poly", "Poly"]:
+        """Quotient and remainder.
+
+        Works over coefficient rings as well as fields provided every leading
+        coefficient step divides exactly (true in the fraction-free
+        elimination that ``divexact`` backs).
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
@@ -401,10 +407,12 @@ class Poly:
             c = rem[other.degree + k]
             if _is_zero(c):
                 continue
-            q = c / dlead
+            q = _exact_scalar_div(c, dlead)
             quo[k] = q
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.coeffs[:-1]):
                 rem[j + k] = rem[j + k] - q * b
+            # eliminated by construction; c - q*dlead is not 0 under rounding
+            rem[other.degree + k] = 0 * c
         return Poly(quo), Poly(rem)
 
     def __floordiv__(self, other):
@@ -414,33 +422,11 @@ class Poly:
         return self.divmod(other)[1]
 
     def divexact(self, other: "Poly") -> "Poly":
-        """Exact quotient; raises if the division leaves a remainder.
-
-        Works over coefficient rings as well as fields provided every leading
-        coefficient step divides exactly (true in the fraction-free
-        elimination this backs).
-        """
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return Poly.zero()
-        if self.degree < other.degree:
+        """Exact quotient; raises if the division leaves a remainder."""
+        quo, rem = self.divmod(other)
+        if not rem.is_zero:
             raise ValueError("inexact polynomial division")
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        quo = [Fraction(0)] * (dq + 1)
-        dlead = other.leading
-        for k in range(dq, -1, -1):
-            c = rem[other.degree + k]
-            if _is_zero(c):
-                continue
-            q = _exact_scalar_div(c, dlead)
-            quo[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[j + k] = rem[j + k] - q * b
-        if any(not _is_zero(c) for c in rem):
-            raise ValueError("inexact polynomial division")
-        return Poly(quo)
+        return quo
 
     def monic(self) -> "Poly":
         if self.is_zero:

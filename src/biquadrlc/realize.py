@@ -785,9 +785,9 @@ def classify(
     elif catalog_hit is not None:
         klass = RealizationClass.SEVEN_ELEMENT_CATALOG
         config, transform = catalog_hit
-        bt = b if transform is None else transform_params(b, transform)
-        net_t = synth_config(config, bt, precision_bits=precision_bits)
         with mp.workprec(precision_bits):
+            bt = b if transform is None else transform_params(b, transform)
+            net_t = synth_config(config, bt, precision_bits=precision_bits)
             network = net_t if transform is None else apply_transform(net_t, transform)
             target_rf = to_rational_fn(b)
         ok, residual = verify_numeric(

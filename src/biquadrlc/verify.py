@@ -10,7 +10,8 @@ cannot cancel.
 
 Fitting is damped least squares on log-element values (positivity for free),
 multistarted with a deterministic seed; a failed fit means "not found within
-the budget", never "not realizable".
+the budget", never "not realizable".  Templates are evaluated in float
+through the same impedance builder that ``network.impedance`` uses.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from scipy.optimize import least_squares
 from .network import (
     Leaf,
     SPNet,
-    Series,
     enumerate_labeled,
     leaves,
     impedance,
+    impedance_coeffs,
     map_leaves,
     parse_filters,
     to_netlist_json,
 )
-from .ratpoly import Poly, RationalFn, is_exact_scalar, to_mpf
+from .ratpoly import Poly, QuadraticRational, RationalFn, is_exact_scalar, to_mpf
 
 __all__ = [
     "verify_exact",
@@ -52,11 +53,17 @@ def _pad(coeffs, n):
     return list(coeffs) + [0] * (n - len(coeffs))
 
 
+def _exact_field(x):
+    """Exact scalar in a field: rationals as Fraction (so ints never divide
+    to float), quadratic-extension values as they are."""
+    return x if isinstance(x, QuadraticRational) else Fraction(x)
+
+
 def coefficient_residual(a: Poly, b: Poly, numeric: bool):
     """Max relative coefficient error between two polynomials.
 
-    Exact inputs give an exact Fraction (0 iff equal); numeric inputs give
-    an mpf at the current working precision.
+    Exact inputs give an exact Fraction or QuadraticRational (0 iff equal);
+    numeric inputs give an mpf at the current working precision.
     """
     n = max(len(a.coeffs), len(b.coeffs), 1)
     if numeric:
@@ -70,7 +77,7 @@ def coefficient_residual(a: Poly, b: Poly, numeric: bool):
         return worst
     worst = Fraction(0)
     for x, y in zip(_pad(a.coeffs, n), _pad(b.coeffs, n)):
-        x, y = Fraction(x), Fraction(y)
+        x, y = _exact_field(x), _exact_field(y)
         denom = max(abs(x), abs(y), ZERO_COEFF_FLOOR)
         worst = max(worst, abs(x - y) / denom)
     return worst
@@ -119,45 +126,6 @@ def verify_numeric(
         return residual <= to_mpf(tol), residual
 
 
-# ---------------------------------------------------------------------------
-# float-precision impedance for fitting
-
-
-def _float_impedance(net: SPNet, values: List[float], pos: List[int]):
-    """Unreduced (num, den) float64 coefficient arrays, ascending degree."""
-    if isinstance(net, Leaf):
-        v = values[pos[0]]
-        pos[0] += 1
-        if net.kind == "R":
-            return np.array([v]), np.array([1.0])
-        if net.kind == "L":
-            return np.array([0.0, v]), np.array([1.0])
-        return np.array([1.0]), np.array([0.0, v])
-    parts = []
-    for child in net.children:
-        parts.append(_float_impedance(child, values, pos))
-    if isinstance(net, Series):
-        num, den = parts[0]
-        for n2, d2 in parts[1:]:
-            num = _polyadd(np.convolve(num, d2), np.convolve(n2, den))
-            den = np.convolve(den, d2)
-        return num, den
-    num, den = parts[0]
-    for n2, d2 in parts[1:]:
-        new_num = np.convolve(num, n2)
-        new_den = _polyadd(np.convolve(num, d2), np.convolve(n2, den))
-        num, den = new_num, new_den
-    return num, den
-
-
-def _polyadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] += b
-    return out
-
-
 @dataclass
 class FitResult:
     success: bool
@@ -178,6 +146,11 @@ def _slot_names(template: SPNet) -> List[str]:
 def _instantiate(template: SPNet, values: Iterable) -> SPNet:
     it = iter(values)
     return map_leaves(template, lambda lf: Leaf(lf.kind, next(it)))
+
+
+def _theta_values(theta: np.ndarray) -> np.ndarray:
+    """Element values of log-values theta, clipped so exp cannot overflow."""
+    return np.exp(np.clip(theta, -200.0, 200.0))
 
 
 def fit_topology(
@@ -203,8 +176,7 @@ def fit_topology(
     tden = np.array([float(c) for c in target.den.coeffs])
 
     def residual_vec(theta):
-        vals = list(np.exp(np.clip(theta, -200.0, 200.0)))
-        num, den = _float_impedance(template, vals, [0])
+        num, den = impedance_coeffs(template, _theta_values(theta).tolist())
         lhs = np.convolve(num, tden)
         rhs = np.convolve(tnum, den)
         m = max(len(lhs), len(rhs))
@@ -240,7 +212,7 @@ def fit_topology(
             break
     if best_theta is None:
         return FitResult(False, {}, float("inf"), evals)
-    values = [float(v) for v in np.exp(best_theta)]
+    values = _theta_values(best_theta).tolist()
     named = dict(zip(_slot_names(template), values))
     if not all(np.isfinite(v) and v > 0 for v in values):
         return FitResult(False, named, float("inf"), evals)

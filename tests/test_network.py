@@ -27,6 +27,8 @@ from biquadrlc.network import (
     has_mergeable_siblings,
     has_pure_reactive_series_arm,
     impedance,
+    impedance_coeffs,
+    leaves,
     parallel,
     reactive_count,
     series,
@@ -106,6 +108,64 @@ def test_impedance_requires_positive_values():
         impedance(Leaf("R", F(0)))
     with pytest.raises(ValueError):
         impedance(Leaf("R", None))
+
+
+def _random_net(rng, n):
+    """Random series-parallel network of n elements with rational values."""
+    if n == 1:
+        return Leaf(rng.choice("RLC"), F(rng.randint(1, 20), rng.randint(1, 20)))
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(3, n - 1))))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    kids = [_random_net(rng, k) for k in sizes]
+    return series(*kids) if rng.random() < 0.5 else parallel(*kids)
+
+
+def test_impedance_matches_sympy_together_on_random_networks():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+
+    def sym_z(net):
+        if isinstance(net, Leaf):
+            v = sympy.Rational(net.value.numerator, net.value.denominator)
+            return {"R": v, "L": v * s, "C": 1 / (v * s)}[net.kind]
+        if isinstance(net, Series):
+            return sympy.Add(*[sym_z(c) for c in net.children])
+        return 1 / sympy.Add(*[1 / sym_z(c) for c in net.children])
+
+    def ascending(poly):
+        return [F(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+    rng = random.Random(2024)
+    for n in range(1, 8):
+        for _ in range(6):
+            net = _random_net(rng, n)
+            num, den = sympy.fraction(sympy.cancel(sympy.together(sym_z(net))))
+            num, den = sympy.Poly(num, s, domain="QQ"), sympy.Poly(den, s, domain="QQ")
+            lead = den.LC()
+            expected = RationalFn(
+                Poly(ascending(num.quo_ground(lead))), Poly(ascending(den.monic()))
+            )
+            z = impedance(net)
+            assert z.num.coeffs == expected.num.coeffs, net
+            assert z.den.coeffs == expected.den.coeffs, net
+
+
+def test_float_impedance_coeffs_match_exact():
+    # the fitter evaluates templates in float through the same builder; on
+    # float-representable values its unreduced coefficients must agree with
+    # the exact ones to rounding
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for _ in range(10):
+            net = _random_net(rng, n)
+            floats = [rng.uniform(1e-3, 1e3) for _ in leaves(net)]
+            exact = impedance_coeffs(net, [F(v) for v in floats])
+            inexact = impedance_coeffs(net, floats)
+            for xs, ys in zip(exact, inexact):
+                assert len(xs) == len(ys)
+                for x, y in zip(xs, ys):
+                    assert isinstance(y, float)
+                    assert abs(F(y) - x) <= F(1, 10**12) * abs(x), net
 
 
 # ---------------------------------------------------------------------------

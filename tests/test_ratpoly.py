@@ -75,6 +75,17 @@ def test_divmod_roundtrip():
     assert r.degree < b.degree
 
 
+def test_divmod_mpf_remainder_drops_divisor_degree():
+    # at 53 bits c - (c/49)*49 rounds to about 1e-16, not 0; the eliminated
+    # coefficients must still vanish or Euclidean chains never shrink
+    with mpmath.workprec(53):
+        a = Poly([mpmath.mpf(1)] * 4)
+        b = Poly([mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(49)])
+        q, r = a.divmod(b)
+        assert r.degree < 2
+        assert q.degree == 1
+
+
 # ---------------------------------------------------------------------------
 # gcd
 

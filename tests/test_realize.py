@@ -310,6 +310,24 @@ def test_classify_manages_its_own_precision():
     assert float(rep.residual) <= 1e-20
 
 
+@pytest.mark.parametrize("which", ["n4a", "n5a"])
+def test_classify_transformed_hit_synthesizes_at_working_precision(which):
+    # eta = 1/eta* reaches the catalog only through inv; the transformed
+    # parameters must keep all 256 bits, not be rounded at the ambient 53
+    interval = n4a_root_interval() if which == "n4a" else n5a_root_interval()
+    with mp.workprec(256):
+        p = 1 / _mid_mpf(interval)
+    assert mp.prec == 53
+    rep = classify(CanonicalBiquad(mpf(1), mpf(1), p), precision_bits=256)
+    assert rep.klass is RealizationClass.SEVEN_ELEMENT_CATALOG
+    assert (rep.config, rep.transform) == (which, "inv")
+    assert float(rep.residual) <= 1e-25
+
+    lo, hi = interval
+    exact = classify(CanonicalBiquad(F(1), F(1), 2 / (lo + hi)))
+    assert (exact.klass, exact.config, exact.transform) == (rep.klass, which, "inv")
+
+
 def test_fig3a_subnetwork_impedances_match_analysis_forms():
     # at (k,z,p) = (1,1,5) everything lives in Q(sqrt5): p1 = -10 + 5 sqrt5;
     # the one-reactive half must equal (ms+q)/(s+p1) and the three-reactive

@@ -1,12 +1,15 @@
 """Tests for the verification oracles and the fitting harness."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
 from biquadrlc.network import Leaf, build_config, parallel, series
 from biquadrlc.ratpoly import Poly, RationalFn
+from biquadrlc.realize import synth_fig3a
 from biquadrlc.verify import (
     falsify_small,
     fit_topology,
@@ -76,6 +79,13 @@ def test_verify_numeric_handles_unreduced_numeric_forms():
         assert ok, residual
 
 
+def test_verify_numeric_exact_quadratic_extension_values():
+    # fig3a at (1, 1, 5) has element values in Q(sqrt 20); the exact
+    # short-cut must compare them in their own field
+    b = CanonicalBiquad(F(1), F(1), F(5))
+    assert verify_numeric(synth_fig3a(b, exact=True), to_rational_fn(b)) == (True, 0)
+
+
 def test_fit_series_rl():
     res = fit_topology(series(Leaf("R"), Leaf("L")), RF((1, 1), (1,)), seed=3)
     assert res.success
@@ -112,6 +122,17 @@ def test_verify_numeric_against_general_biquad_target():
     )
     ok, residual = verify_numeric(net, target)
     assert ok and residual == 0
+
+
+def test_fit_final_values_use_the_residual_clip():
+    # this start drives theta past the +-200 clip of the residual; the
+    # final values must come from the same clipped step, without overflow
+    target_12 = RF((1, 2, 1), (4, 4, 1))
+    tpl = series(Leaf("R"), parallel(Leaf("R"), Leaf("L"), series(Leaf("R"), Leaf("L"))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = fit_topology(tpl, target_12, budget=4000, starts=24, seed=7000076, tol=F(1, 10**8))
+    assert all(0 < v < float("inf") for v in res.values.values())
 
 
 def test_falsify_small_respects_filters_and_reports():
