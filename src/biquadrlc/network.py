@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ratpoly import (
@@ -238,6 +239,9 @@ def impedance(net: SPNet) -> RationalFn:
     values = [lf.value for lf in lfs]
     if any(not is_exact_scalar(v) for v in values):
         values = [to_mpf(v) for v in values]
+    else:
+        # ints as Fraction: int / int is a float in the builder's v / v unit
+        values = [Fraction(v) if isinstance(v, int) else v for v in values]
     num, den = impedance_coeffs(net, values)
     return RationalFn(Poly(num), Poly(den))
 

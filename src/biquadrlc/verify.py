@@ -10,8 +10,10 @@ cannot cancel.
 
 Fitting is damped least squares on log-element values (positivity for free),
 multistarted with a deterministic seed; a failed fit means "not found within
-the budget", never "not realizable".  Templates are evaluated in float
-through the same impedance builder that ``network.impedance`` uses.
+the budget", never "not realizable".  Each template is compiled once into a
+monomial table by running the impedance builder that ``network.impedance``
+uses on symbolic leaf values; the fit evaluates its residual and exact
+Jacobian from that table.
 """
 
 from __future__ import annotations
@@ -128,6 +130,10 @@ def verify_numeric(
 
 @dataclass
 class FitResult:
+    """Outcome of ``fit_topology``.  ``iterations`` counts every evaluation
+    over all starts: residual evaluations (nfev) plus Jacobian evaluations
+    (njev)."""
+
     success: bool
     values: Dict[str, float]
     residual: float
@@ -148,9 +154,124 @@ def _instantiate(template: SPNet, values: Iterable) -> SPNet:
     return map_leaves(template, lambda lf: Leaf(lf.kind, next(it)))
 
 
+THETA_CLIP = 200.0  # |log value| bound, so one element value cannot overflow
+
+
 def _theta_values(theta: np.ndarray) -> np.ndarray:
     """Element values of log-values theta, clipped so exp cannot overflow."""
-    return np.exp(np.clip(theta, -200.0, 200.0))
+    return np.exp(np.clip(theta, -THETA_CLIP, THETA_CLIP))
+
+
+class _Multilinear:
+    """Integer polynomial in the leaf values, multilinear because every leaf
+    of a series-parallel tree sits in one subtree: a dict from leaf bitmask
+    to count.  It supports what ``impedance_coeffs`` applies to a leaf value:
+    ``+``, ``*`` (of disjoint subtrees), ``0 * v`` and ``v / v``."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[int, int]):
+        self.terms = terms
+
+    def __add__(self, other: "_Multilinear") -> "_Multilinear":
+        terms = dict(self.terms)
+        for mask, count in other.terms.items():
+            terms[mask] = terms.get(mask, 0) + count
+        return _Multilinear(terms)
+
+    def __mul__(self, other: "_Multilinear") -> "_Multilinear":
+        terms: Dict[int, int] = {}
+        for a, x in self.terms.items():
+            for b, y in other.terms.items():
+                terms[a | b] = terms.get(a | b, 0) + x * y
+        return _Multilinear(terms)
+
+    def __rmul__(self, k: int) -> "_Multilinear":
+        if k != 0:
+            return NotImplemented
+        return _Multilinear({})
+
+    def __truediv__(self, other: "_Multilinear") -> "_Multilinear":
+        if other is not self:
+            return NotImplemented
+        return _Multilinear({0: 1})
+
+
+class _CompiledTemplate:
+    """Fit residual of a template against a float target, with its exact
+    Jacobian, on log element values theta.
+
+    ``impedance_coeffs`` runs once on ``_Multilinear`` leaves, giving every
+    coefficient of num and den as a sum of leaf-value monomials.  The table
+    holds the monomials' exponent matrix E (monomials x leaves, 0/1) and one
+    linear map from monomial values to the cross-multiplied num * tden
+    (first ``size`` rows) and tnum * den (last ``size`` rows); the integer
+    monomial weights are folded into the map.  With mono = exp(E @
+    clip(theta)), the residual is (lhs - rhs) / scale for scale the largest
+    |coefficient| of either side, and d mono / d theta_i = mono * E[:, i]
+    (zero for a clipped theta_i).
+    """
+
+    def __init__(self, template: SPNet, tnum: np.ndarray, tden: np.ndarray):
+        n = len(leaves(template))
+        num, den = impedance_coeffs(template, [_Multilinear({1 << i: 1}) for i in range(n)])
+        masks = sorted({mask for c in num + den for mask in c.terms})
+        column = {mask: j for j, mask in enumerate(masks)}
+        self.exponents = np.array([[(mask >> i) & 1 for i in range(n)] for mask in masks], dtype=float)
+        self.size = max(len(num) + len(tden), len(den) + len(tnum)) - 1
+
+        def cross(poly, t):
+            """Map from monomial values to the coefficients of poly * t."""
+            out = np.zeros((self.size, len(masks)))
+            for i, c in enumerate(poly):
+                for mask, count in c.terms.items():
+                    out[i:i + len(t), column[mask]] += count * t
+            return out
+
+        self.sides_map = np.vstack([cross(num, tden), cross(den, tnum)])
+        self.diff_map = self.sides_map[: self.size] - self.sides_map[self.size:]
+        self._key = None
+
+    def _evaluate(self, theta: np.ndarray) -> None:
+        """Monomials and both sides at theta; fun and jac share one call."""
+        key = theta.tobytes()
+        if key == self._key:
+            return
+        self._key = key
+        clipped = np.clip(theta, -THETA_CLIP, THETA_CLIP)
+        self._free = clipped == theta
+        # exp overflows to inf on far-out starts, and inf * 0 in the map
+        # gives nan; both end in the finiteness check, which is the report
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._mono = np.exp(self.exponents @ clipped)
+            sides = self.sides_map @ self._mono
+            # argmax takes the first maximum: lhs sets the scale on a tie
+            k = int(np.abs(sides).argmax())
+            self._scale = max(abs(sides[k]), 1e-300)
+            self._out = (sides[: self.size] - sides[self.size:]) / self._scale
+        self._finite = bool(np.isfinite(self._out).all())
+        if not self._finite:
+            return
+        # d scale / d mono: the signed map row of the coefficient that sets
+        # the scale, or zero at the 1e-300 floor
+        if self._scale == abs(sides[k]):
+            self._scale_row = np.sign(sides[k]) * self.sides_map[k]
+        else:
+            self._scale_row = np.zeros(len(self._mono))
+
+    def residual(self, theta: np.ndarray) -> np.ndarray:
+        self._evaluate(theta)
+        if not self._finite:
+            return np.full(self.size, 1e6)
+        return self._out.copy()
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        self._evaluate(theta)
+        if not self._finite:
+            return np.zeros((self.size, len(self._free)))
+        dmono = self._mono[:, None] * (self.exponents * self._free)
+        dscale = self._scale_row @ dmono
+        return (self.diff_map @ dmono - self._out[:, None] * dscale) / self._scale
 
 
 def fit_topology(
@@ -164,46 +285,40 @@ def fit_topology(
 ) -> FitResult:
     """Fit positive element values so the template realizes the target.
 
-    Damped least squares on log-values; ``starts`` deterministic random
-    multistarts share the evaluation ``budget``.  Success is certified by
-    verify_numeric at ``tol``, so a success here always re-verifies.
+    Damped least squares on log-values with the compiled template's exact
+    Jacobian; ``starts`` deterministic random multistarts share the
+    evaluation ``budget``.  Success is certified by verify_numeric at
+    ``tol``, so a success here always re-verifies.
     """
-    slot_leaves = leaves(template)
-    n = len(slot_leaves)
+    n = len(leaves(template))
     if n < 1:
         raise ValueError("template has no element slots")
     tnum = np.array([float(c) for c in target.num.coeffs])
     tden = np.array([float(c) for c in target.den.coeffs])
-
-    def residual_vec(theta):
-        num, den = impedance_coeffs(template, _theta_values(theta).tolist())
-        lhs = np.convolve(num, tden)
-        rhs = np.convolve(tnum, den)
-        m = max(len(lhs), len(rhs))
-        lhs = np.pad(lhs, (0, m - len(lhs)))
-        rhs = np.pad(rhs, (0, m - len(rhs)))
-        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
-        out = (lhs - rhs) / scale
-        if not np.all(np.isfinite(out)):
-            return np.full(m, 1e6)
-        return out
+    compiled = _CompiledTemplate(template, tnum, tden)
 
     rng = np.random.default_rng(seed)
     per_start = max(budget // max(starts, 1), 40)
     best_theta = None
     best_cost = np.inf
     evals = 0
-    m = len(residual_vec(np.zeros(n)))
-    method = "lm" if m >= n else "trf"
+    method = "lm" if compiled.size >= n else "trf"
     for _ in range(starts):
         x0 = rng.normal(0.0, 2.0, n)
         try:
             res = least_squares(
-                residual_vec, x0, method=method, max_nfev=per_start, xtol=1e-15, ftol=1e-15, gtol=1e-15
+                compiled.residual,
+                x0,
+                jac=compiled.jacobian,
+                method=method,
+                max_nfev=per_start,
+                xtol=1e-15,
+                ftol=1e-15,
+                gtol=1e-15,
             )
         except Exception:
             continue
-        evals += res.nfev
+        evals += res.nfev + (res.njev or 0)
         cost = float(np.max(np.abs(res.fun)))
         if cost < best_cost:
             best_cost = cost

@@ -151,9 +151,9 @@ def test_impedance_matches_sympy_together_on_random_networks():
 
 
 def test_float_impedance_coeffs_match_exact():
-    # the fitter evaluates templates in float through the same builder; on
-    # float-representable values its unreduced coefficients must agree with
-    # the exact ones to rounding
+    # on float-representable values the float builder's unreduced
+    # coefficients agree with the exact ones to rounding (the fitter's
+    # compiled residual is checked against this float path)
     rng = random.Random(7)
     for n in range(1, 8):
         for _ in range(10):
@@ -166,6 +166,16 @@ def test_float_impedance_coeffs_match_exact():
                 for x, y in zip(xs, ys):
                     assert isinstance(y, float)
                     assert abs(F(y) - x) <= F(1, 10**12) * abs(x), net
+
+
+def test_impedance_of_int_values_is_exact():
+    # plain ints are exact scalars; their unit v / v must not turn into 1.0
+    z = impedance(series(Leaf("R", 5), Leaf("L", 2)))
+    assert z.num == Poly([F(5), F(2)]) and z.den == Poly([F(1)])
+    z = impedance(parallel(Leaf("R", 5), Leaf("L", 2)))
+    assert z.num == Poly([F(0), F(5)]) and z.den == Poly([F(5, 2), 1])
+    for c in z.num.coeffs + z.den.coeffs:
+        assert isinstance(c, Fraction)
 
 
 # ---------------------------------------------------------------------------

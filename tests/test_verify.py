@@ -3,14 +3,27 @@
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
+from scipy.optimize._numdiff import approx_derivative
+
+from biquadrlc import verify
 
 from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
-from biquadrlc.network import Leaf, build_config, parallel, series
+from biquadrlc.network import (
+    Leaf,
+    build_config,
+    enumerate_labeled,
+    impedance_coeffs,
+    leaves,
+    parallel,
+    series,
+)
 from biquadrlc.ratpoly import Poly, RationalFn
 from biquadrlc.realize import synth_fig3a
 from biquadrlc.verify import (
+    _CompiledTemplate,
     falsify_small,
     fit_topology,
     verify_exact,
@@ -133,6 +146,76 @@ def test_fit_final_values_use_the_residual_clip():
         warnings.simplefilter("error", RuntimeWarning)
         res = fit_topology(tpl, target_12, budget=4000, starts=24, seed=7000076, tol=F(1, 10**8))
     assert all(0 < v < float("inf") for v in res.values.values())
+
+
+TNUM_12, TDEN_12 = np.array([1.0, 2.0, 1.0]), np.array([4.0, 4.0, 1.0])
+
+
+def _labeled_templates(n_max):
+    for n in range(1, n_max + 1):
+        yield from enumerate_labeled(n)
+
+
+def test_compiled_jacobian_matches_finite_differences():
+    rng = np.random.default_rng(11)
+    for tpl in _labeled_templates(4):
+        compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+        for _ in range(2):
+            theta = rng.normal(0.0, 2.0, len(leaves(tpl)))
+            jac = compiled.jacobian(theta)
+            fd = approx_derivative(compiled.residual, theta, method="3-point")
+            assert np.abs(jac - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1e-300), tpl
+
+
+def test_compiled_residual_matches_float_builder():
+    # the residual as it was formed before compilation: float impedance
+    # coefficients, cross-multiplied by convolution, scaled by max |coeff|
+    rng = np.random.default_rng(12)
+    for tpl in _labeled_templates(4):
+        compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+        theta = rng.normal(0.0, 2.0, len(leaves(tpl)))
+        num, den = impedance_coeffs(tpl, np.exp(theta).tolist())
+        lhs, rhs = np.convolve(num, TDEN_12), np.convolve(TNUM_12, den)
+        m = max(len(lhs), len(rhs))
+        lhs, rhs = np.pad(lhs, (0, m - len(lhs))), np.pad(rhs, (0, m - len(rhs)))
+        expected = (lhs - rhs) / max(np.abs(lhs).max(), np.abs(rhs).max())
+        assert compiled.size == m
+        assert np.abs(compiled.residual(theta) - expected).max() <= 1e-12, tpl
+
+
+def test_compiled_template_clips_theta_without_warnings():
+    tpl = series(Leaf("R"), parallel(Leaf("R"), Leaf("L"), series(Leaf("R"), Leaf("L"))))
+    compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+    theta = np.array([250.0, -0.3, 0.7, -320.0, 1.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res, jac = compiled.residual(theta), compiled.jacobian(theta)
+        assert np.all(np.isfinite(res)) and np.all(np.isfinite(jac))
+        assert np.all(jac[:, [0, 3]] == 0) and np.any(jac[:, [1, 2, 4]] != 0)
+        # four values at the clip: the degree-4 monomial exp(800) overflows,
+        # which reads as the constant 1e6 residual with a zero Jacobian
+        wide = _CompiledTemplate(
+            parallel(Leaf("R"), Leaf("R"), Leaf("L"), Leaf("L")), TNUM_12, TDEN_12
+        )
+        far = np.full(4, 250.0)
+        assert np.all(wide.residual(far) == 1e6)
+        assert np.all(wide.jacobian(far) == 0)
+
+
+def test_fit_counts_residual_and_jacobian_evaluations(monkeypatch):
+    seen = []
+
+    def recording(*args, **kwargs):
+        res = least_squares(*args, **kwargs)
+        seen.append((res.nfev, res.njev))
+        return res
+
+    least_squares = verify.least_squares
+    monkeypatch.setattr(verify, "least_squares", recording)
+    tpl = series(Leaf("R"), parallel(Leaf("L"), series(Leaf("R"), Leaf("C"))))
+    res = fit_topology(tpl, RF((1, 2, 1), (9, 6, 1)), seed=0)
+    assert seen and all(njev for _, njev in seen)
+    assert res.iterations == sum(nfev + njev for nfev, njev in seen)
 
 
 def test_falsify_small_respects_filters_and_reports():
