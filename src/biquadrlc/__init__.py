@@ -5,6 +5,10 @@ The package decides which element count realizes such an impedance (four,
 five, or one of three cataloged seven-element configurations), synthesizes
 element values where a closed form exists, and verifies every synthesis by
 impedance expansion, exactly or at arbitrary precision.
+
+Importing the package loads mpmath only.  The fitting names (``FitResult``,
+``fit_topology``, ``falsify_small``) live in ``verify``, the one module that
+needs numpy and scipy; they are served from it on first access.
 """
 
 from .biquad import (
@@ -17,6 +21,7 @@ from .biquad import (
     to_rational_fn,
     transform_params,
 )
+from .check import verify_exact, verify_numeric
 from .network import (
     Leaf,
     Parallel,
@@ -64,7 +69,6 @@ from .realize import (
     synth_n4a,
     synth_n5a,
 )
-from .verify import FitResult, falsify_small, fit_topology, verify_exact, verify_numeric
 
 __version__ = "0.1.0"
 
@@ -125,3 +129,14 @@ __all__ = [
     "FitResult",
     "__version__",
 ]
+
+
+_FITTING = ("FitResult", "fit_topology", "falsify_small")
+
+
+def __getattr__(name):
+    if name in _FITTING:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

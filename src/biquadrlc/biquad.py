@@ -36,6 +36,7 @@ __all__ = [
     "GeneralBiquad",
     "PoleSquaredForm",
     "canonical_to_general",
+    "pole_squared_to_general",
     "is_positive_real",
     "canonical_positive_real",
     "transform_params",
@@ -129,6 +130,18 @@ def canonical_to_general(b: CanonicalBiquad, x) -> GeneralBiquad:
     )
 
 
+def pole_squared_to_general(f: PoleSquaredForm) -> GeneralBiquad:
+    """Expand (alpha s^2 + beta s + gamma)/(s+p)^2 into the general form."""
+    return GeneralBiquad(
+        A=f.alpha,
+        B=f.beta,
+        C=f.gamma,
+        D=one_like(f.p),
+        E=2 * f.p,
+        F=f.p * f.p,
+    )
+
+
 def is_positive_real(g: GeneralBiquad) -> bool:
     """Exact biquadratic positive-real test (sqrt(AF)-sqrt(CD))^2 <= BE.
 
@@ -161,7 +174,7 @@ def transform_params(b: CanonicalBiquad, t: str) -> CanonicalBiquad:
 def to_rational_fn(target: Target) -> RationalFn:
     """Reduced rational function for any of the three target forms."""
     if isinstance(target, CanonicalBiquad):
-        one = _one_like(target.k)
+        one = one_like(target.k)
         num = Poly([target.z, one]) ** 2 * target.k
         den = Poly([target.p, one]) ** 2
         return RationalFn(num, den)
@@ -170,14 +183,18 @@ def to_rational_fn(target: Target) -> RationalFn:
             Poly([target.C, target.B, target.A]), Poly([target.F, target.E, target.D])
         )
     if isinstance(target, PoleSquaredForm):
-        one = _one_like(target.p)
+        one = one_like(target.p)
         num = Poly([target.gamma, target.beta, target.alpha])
         den = Poly([target.p, one]) ** 2
         return RationalFn(num, den)
     raise TypeError("unsupported target %r" % (target,))
 
 
-def _one_like(x):
+def one_like(x):
+    """Multiplicative unit of x's ring: a constant Poly for a Poly, exact 1
+    for an exact scalar, x / x (an mpf at x's precision) otherwise."""
+    if isinstance(x, Poly):
+        return Poly.constant(Fraction(1))
     if is_exact_scalar(x):
         return Fraction(1)
     return x / x

@@ -3,7 +3,12 @@
 Every operation is exposed as a subcommand with machine-readable JSON output
 (``--format spice`` switches netlist-producing commands to a SPICE-like
 listing).  Exit codes: 0 success; 1 for NotPositiveReal / UnknownWithinScope
-outcomes and verification failures; 2 for invalid input.
+outcomes and verification failures; 2 for invalid input; 3 when the program
+fails its own checks, for example when a synthesized network does not
+re-verify at the working precision.
+
+Only ``falsify`` loads numpy and scipy (through ``verify``); every other
+command runs on mpmath alone.
 
 Numbers are parsed exactly whenever possible ("3/2", "0.25", "1e-6" all give
 exact rationals); outputs carry exact rational strings where available and
@@ -27,9 +32,11 @@ from .biquad import (
     PoleSquaredForm,
     canonical_positive_real,
     is_positive_real,
+    pole_squared_to_general,
     target_from_json,
     to_rational_fn,
 )
+from .check import verify_numeric
 from .network import (
     apply_transform,
     enumerate_labeled,
@@ -46,11 +53,11 @@ from .realize import (
     classify,
     synth_config,
 )
-from .verify import falsify_small, verify_numeric
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
+EXIT_INTERNAL = 3
 
 
 class CliError(Exception):
@@ -302,15 +309,7 @@ def _cmd_pr_check(args) -> int:
     elif isinstance(target, GeneralBiquad):
         ok = is_positive_real(target)
     elif isinstance(target, PoleSquaredForm):
-        g = GeneralBiquad(
-            target.alpha,
-            target.beta,
-            target.gamma,
-            1,
-            2 * target.p,
-            target.p * target.p,
-        )
-        ok = is_positive_real(g)
+        ok = is_positive_real(pole_squared_to_general(target))
     else:
         raise CliError("pr-check expects a biquadratic target, not a raw rational fn")
     _emit({"positive_real": bool(ok)}, args)
@@ -318,6 +317,8 @@ def _cmd_pr_check(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
+    from .verify import falsify_small  # the one command that needs numpy and scipy
+
     target = _target_rational(_load_json_arg(args.target))
     if args.nmax > 5:
         raise CliError("--nmax is limited to 5")
@@ -337,6 +338,14 @@ def _cmd_falsify(args) -> int:
 # parser
 
 
+def _default_tol(precision_bits: int) -> Fraction:
+    """Verification tolerance when --tol is not given: 1e-20, raised to
+    2^(16 - precision_bits) where that is larger (below 83 bits), so that it
+    never asks for less than 2^16 units in the last place of the working
+    precision."""
+    return max(Fraction(1, 10**20), Fraction(1, 2 ** (precision_bits - 16)))
+
+
 def _add_global_options(parser, suppress: bool):
     default = lambda v: argparse.SUPPRESS if suppress else v
     parser.add_argument(
@@ -348,8 +357,9 @@ def _add_global_options(parser, suppress: bool):
     parser.add_argument(
         "--tol",
         type=str,
-        default=default("1e-20"),
-        help="verification tolerance (max relative coefficient error)",
+        default=default(None),
+        help="verification tolerance (max relative coefficient error); "
+        "default 1e-20, or 2^(16 - precision bits) where that is larger",
     )
     parser.add_argument(
         "--format", choices=("json", "spice", "text"), default=default("json")
@@ -437,7 +447,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         with mp.workprec(args.precision_bits):
-            args.tol = _parse_scalar(args.tol)
+            if args.tol is None:
+                args.tol = _default_tol(args.precision_bits)
+            else:
+                args.tol = _parse_scalar(args.tol)
             if not args.tol > 0:
                 raise CliError("--tol must be positive")
             return args.func(args)
@@ -450,6 +463,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INVALID
+    except RuntimeError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -52,7 +52,8 @@ from typing import Dict, List, Optional, Tuple
 import mpmath
 from mpmath import mp, mpf
 
-from .biquad import CanonicalBiquad, to_rational_fn, transform_params
+from .biquad import CanonicalBiquad, one_like, to_rational_fn, transform_params
+from .check import verify_numeric
 from .network import SPNet, apply_transform, build_config, to_netlist_json
 from .ratpoly import (
     Poly,
@@ -65,7 +66,6 @@ from .ratpoly import (
     sturm_count,
     to_mpf,
 )
-from .verify import verify_numeric
 
 __all__ = [
     "RealizationClass",
@@ -330,7 +330,7 @@ def aux_p1_systems() -> Dict[str, dict]:
     realizability conclusion is drawn from them)."""
 
     def sys_octic(z, p):
-        f = Poly([-(2 * p * p - 4 * z * p + z * z), 2 * p, _one_of(p)])
+        f = Poly([-(2 * p * p - 4 * z * p + z * z), 2 * p, one_like(p)])
         g = Poly([2 * p**3 * (p - 2 * z), -4 * p**3, p * p - 4 * z * p + z * z])
         return f, g
 
@@ -421,15 +421,6 @@ def aux_p1_systems() -> Dict[str, dict]:
         "sextic": {"system": sys_sextic, "expected": exp_sextic},
         "quartic_squared": {"system": sys_quartic, "expected": exp_quartic},
     }
-
-
-def _one_of(x):
-    """Multiplicative unit matching x's ring (scalar 1 or constant Poly)."""
-    if isinstance(x, Poly):
-        return Poly.constant(Fraction(1))
-    if is_exact_scalar(x):
-        return Fraction(1)
-    return x / x
 
 
 def n4a_condition_poly() -> Poly:

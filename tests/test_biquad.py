@@ -1,5 +1,6 @@
 """Tests for the target-impedance types and the positive-real tests."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -12,11 +13,13 @@ from biquadrlc.biquad import (
     canonical_positive_real,
     canonical_to_general,
     is_positive_real,
+    pole_squared_to_general,
     target_from_json,
     target_to_json,
     to_rational_fn,
     transform_params,
 )
+from biquadrlc.cli import main
 from biquadrlc.network import apply_transform, impedance
 from biquadrlc.ratpoly import Poly, QuadraticRational, RationalFn
 
@@ -162,6 +165,19 @@ def test_pole_squared_allows_zero_coefficients():
     assert to_rational_fn(f) == RationalFn(P(2, 1), P(1, 2, 1))
     with pytest.raises(ValueError):
         PoleSquaredForm(F(0), F(0), F(0), F(1))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, 2, 1, 1), (1, 0, 1, 1), (0, 1, 2, 1), (1, 0, 9, 1), (5, 1, 1, F(3, 2)), (2, F(1, 10), 0, 7)],
+)
+def test_pole_squared_to_general_matches_cli_pr_check(coeffs, capsys):
+    f = PoleSquaredForm(*map(F, coeffs))
+    g = pole_squared_to_general(f)
+    assert to_rational_fn(g) == to_rational_fn(f)
+    code = main(["pr-check", "--target", '{"alpha": "%s", "beta": "%s", "gamma": "%s", "p": "%s"}' % coeffs])
+    assert json.loads(capsys.readouterr().out)["positive_real"] is is_positive_real(g)
+    assert code == (0 if is_positive_real(g) else 1)
 
 
 def test_target_json_roundtrip():

@@ -1,10 +1,14 @@
 """CLI tests (in-process via main())."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from biquadrlc.cli import main
+from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
+from biquadrlc.check import verify_numeric
+from biquadrlc.cli import _default_tol, main
+from biquadrlc.network import from_netlist_json
 
 
 def run(capsys, *argv):
@@ -232,3 +236,29 @@ def test_invalid_inputs_exit_2(capsys):
     assert main(["roots", "--poly", "[]", "--lo", "0", "--hi", "1"]) == 2
     bad_netlist = json.dumps({"type": "element", "kind": "R", "value": "-3"})
     assert main(["impedance", bad_netlist]) == 2
+
+
+@pytest.mark.parametrize("p", ["5", "1/5"])
+@pytest.mark.parametrize("command", ["classify", "synth"])
+def test_precision_64_synthesis_self_verifies(capsys, command, p):
+    # 64 bits is the documented minimum; the default tolerance follows it
+    code, data = run_json(capsys, "--precision-bits", "64", command, "--k", "1", "--z", "1", "--p", p)
+    assert code == 0
+    net = from_netlist_json(data["network" if command == "classify" else "netlist"])
+    target = to_rational_fn(CanonicalBiquad(Fraction(1), Fraction(1), Fraction(p)))
+    ok, residual = verify_numeric(net, target, tol=_default_tol(64), precision_bits=64)
+    assert ok and residual > 0
+
+
+def test_default_tol_follows_precision():
+    assert _default_tol(64) == Fraction(1, 2**48)
+    for bits in (83, 128, 256, 1024):
+        assert _default_tol(bits) == Fraction(1, 10**20)
+
+
+def test_failed_self_verification_exits_3(capsys):
+    argv = ["--precision-bits", "64", "--tol", "1e-20", "synth", "--k", "1", "--z", "1", "--p", "5"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "failed verification" in json.loads(captured.err)["error"]
