@@ -804,9 +804,14 @@ CONFIGS: Dict[str, ConfigSpec] = _make_configs()
 _CONFIG_ALIASES = {"n4a": "fig4a", "n5a": "fig5a"}
 
 
-def _resolve_config(config_id: str) -> ConfigSpec:
+def canonical_config_id(config_id: str) -> str:
+    """The catalog key of a configuration id: lower case, aliases resolved."""
     key = config_id.lower()
-    key = _CONFIG_ALIASES.get(key, key)
+    return _CONFIG_ALIASES.get(key, key)
+
+
+def _resolve_config(config_id: str) -> ConfigSpec:
+    key = canonical_config_id(config_id)
     if key not in CONFIGS:
         raise KeyError("unknown configuration id %r" % (config_id,))
     return CONFIGS[key]

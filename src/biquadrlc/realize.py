@@ -54,7 +54,7 @@ from mpmath import mp, mpf
 
 from .biquad import CanonicalBiquad, one_like, to_rational_fn, transform_params
 from .check import verify_numeric
-from .network import SPNet, apply_transform, build_config, to_netlist_json
+from .network import SPNet, apply_transform, build_config, canonical_config_id, to_netlist_json
 from .ratpoly import (
     Poly,
     QuadraticRational,
@@ -216,15 +216,16 @@ def _pr_records(z, p):
 
 
 def four_element_condition(z, p) -> Tuple[bool, List[ConditionRecord]]:
-    """p = 3z or p = z/3."""
+    """p = 3z or p = z/3, exactly for exact eta, else within ``_eq_zero``'s band."""
     eta = _eta(z, p)
     hi = eta - 3
     lo = 3 * eta - 1
+    is_zero = (lambda v: v == 0) if is_exact_scalar(eta) else _eq_zero
     recs = [
-        _record("four_element[eta=3]", hi, _eq_zero(hi)),
-        _record("four_element[eta=1/3]", lo, _eq_zero(lo)),
+        _record("four_element[eta=3]", hi, is_zero(hi)),
+        _record("four_element[eta=1/3]", lo, is_zero(lo)),
     ]
-    return _eq_zero(hi) or _eq_zero(lo), recs
+    return recs[0].passed or recs[1].passed, recs
 
 
 def five_element_condition(z, p) -> Tuple[bool, List[ConditionRecord]]:
@@ -542,14 +543,23 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256, exact: bool = Fal
             raise NotRealizableError(
                 "fig3a condition fails for z=%s, p=%s" % (b.z, b.p)
             )
+        # near p = 3z, p1 and then R2 and C1 come from differences of nearly
+        # equal terms, which lose about twice the bits of |p/z - 3|: the mpf
+        # path works with that many more bits, then rounds
+        lost = 2 * max(0, -mpmath.mag(to_mpf(_eta(b.z, b.p) - 3)))
 
-    def finish(k, z, p, p1) -> SPNet:
+    def values_at(k, z, p, sq) -> dict:
+        roots = [(p * (p - z) + s * p * sq) / (3 * z - p) for s in (1, -1)]
+        positive = [r for r in roots if r > 0]
+        if len(positive) != 1:
+            raise RuntimeError("expected exactly one positive p1 root, found %d" % len(positive))
+        p1 = positive[0]
         alpha = k * (p - z) * (2 * p + p1) * (p * p + z * p - 2 * z * p1) / (2 * p**4)
         beta = 2 * k * (p - z) * (-z * p1 * p1 + p * (p - z) * p1 + z * p * p) / p**3
         gamma = k * p1 * (p - z) * (p * p + z * p - 2 * z * p1) / (2 * p * p)
         q = k * z * z * p1 / (p * p)
         m = k - alpha
-        values = {
+        return {
             "R1": q / p1,
             "R2": m * q / (q - m * p1),
             "C1": (q - m * p1) / (q * q),
@@ -558,16 +568,6 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256, exact: bool = Fal
             "L22": alpha * beta / gamma,
             "C21": 1 / beta,
         }
-        _positive_or_bug(values, "fig3a synthesis")
-        return build_config("fig3a", values)
-
-    def unique_positive(roots):
-        positive = [r for r in roots if r > 0]
-        if len(positive) != 1:
-            raise RuntimeError(
-                "expected exactly one positive p1 root, found %d" % len(positive)
-            )
-        return positive[0]
 
     if exact:
         if not all(isinstance(v, (int, Fraction)) for v in (b.k, b.z, b.p)):
@@ -581,13 +581,15 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256, exact: bool = Fal
             sq = QuadraticRational(0, 1, disc)
         else:
             sq = root_of_disc
-        roots = [(p * (p - z) + s * p * sq) / (3 * z - p) for s in (1, -1)]
-        return finish(k, z, p, unique_positive(roots))
-    with mp.workprec(precision_bits):
-        k, z, p = (to_mpf(v) for v in (b.k, b.z, b.p))
-        sq = mpmath.sqrt(2 * (p * p - 4 * p * z + 5 * z * z))
-        roots = [(p * (p - z) + s * p * sq) / (3 * z - p) for s in (1, -1)]
-        return finish(k, z, p, unique_positive(roots))
+        values = values_at(k, z, p, sq)
+    else:
+        with mp.workprec(precision_bits + lost + 16):
+            k, z, p = (to_mpf(v) for v in (b.k, b.z, b.p))
+            values = values_at(k, z, p, mpmath.sqrt(2 * (p * p - 4 * p * z + 5 * z * z)))
+        with mp.workprec(precision_bits):
+            values = {name: +v for name, v in values.items()}
+    _positive_or_bug(values, "fig3a synthesis")
+    return build_config("fig3a", values)
 
 
 def _newton_polish(poly: Poly, x0, iters: int = 60):
@@ -692,17 +694,11 @@ def synth_n5a(b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
         return _build_n_values(k, z, p, p1, "fig5a")
 
 
-_SYNTH = {
-    "fig3a": synth_fig3a,
-    "n4a": synth_n4a,
-    "fig4a": synth_n4a,
-    "n5a": synth_n5a,
-    "fig5a": synth_n5a,
-}
+_SYNTH = {"fig3a": synth_fig3a, "fig4a": synth_n4a, "fig5a": synth_n5a}
 
 
 def synth_config(config_id: str, b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
-    key = config_id.lower()
+    key = canonical_config_id(config_id)
     if key not in _SYNTH:
         raise KeyError("no synthesizer for configuration %r" % (config_id,))
     return _SYNTH[key](b, precision_bits=precision_bits)

@@ -6,8 +6,8 @@ Fitting is damped least squares on log-element values (positivity for free),
 multistarted with a deterministic seed; a failed fit means "not found within
 the budget", never "not realizable".  Each template is compiled once into a
 monomial table by running the impedance builder that ``network.impedance``
-uses on symbolic leaf values; the fit evaluates its residual and exact
-Jacobian from that table.
+uses on symbolic leaf values; MINPACK ``lmder``, through ``leastsq``, takes
+the residual and exact Jacobian straight from that table.
 
 Only this module loads numpy and scipy.  Nothing else in the package
 imports it at load time: the package root serves the fitting names on first
@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 from mpmath import mpf
-from scipy.optimize import least_squares
+from scipy.optimize import OptimizeResult, leastsq
 
 from .check import coefficient_residual, verify_exact, verify_numeric
 from .network import (
@@ -128,7 +128,7 @@ class _CompiledTemplate:
     monomial weights are folded into the map.  With mono = exp(E @
     clip(theta)), the residual is (lhs - rhs) / scale for scale the largest
     |coefficient| of either side, and d mono / d theta_i = mono * E[:, i]
-    (zero for a clipped theta_i).
+    (zero for a clipped theta_i).  Zero rows pad ``size`` up to n for MINPACK.
     """
 
     def __init__(self, template: SPNet, tnum: np.ndarray, tden: np.ndarray):
@@ -137,7 +137,7 @@ class _CompiledTemplate:
         masks = sorted({mask for c in num + den for mask in c.terms})
         column = {mask: j for j, mask in enumerate(masks)}
         self.exponents = np.array([[(mask >> i) & 1 for i in range(n)] for mask in masks], dtype=float)
-        self.size = max(len(num) + len(tden), len(den) + len(tnum)) - 1
+        self.size = max(len(num) + len(tden) - 1, len(den) + len(tnum) - 1, n)
 
         def cross(poly, t):
             """Map from monomial values to the coefficients of poly * t."""
@@ -193,6 +193,17 @@ class _CompiledTemplate:
         return (self.diff_map @ dmono - self._out[:, None] * dscale) / self._scale
 
 
+def least_squares(fun, x0, jac, max_nfev, xtol, ftol, gtol) -> OptimizeResult:
+    """MINPACK ``lmder`` with the exact Jacobian ``jac``: the call that scipy's
+    ``least_squares(method="lm", x_scale="jac")`` makes, without its wrapping
+    of every evaluation.  ``full_output`` returns quietly at ``max_nfev``; the
+    covariance it adds is unused and overflows on nearly singular fits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, _, info, _, _ = leastsq(fun, x0, Dfun=jac, full_output=True, maxfev=max_nfev,
+                                   xtol=xtol, ftol=ftol, gtol=gtol, factor=100, diag=None)
+    return OptimizeResult(x=x, fun=info["fvec"], nfev=info["nfev"], njev=info["njev"])
+
+
 def fit_topology(
     template: SPNet,
     target: RationalFn,
@@ -204,10 +215,10 @@ def fit_topology(
 ) -> FitResult:
     """Fit positive element values so the template realizes the target.
 
-    Damped least squares on log-values with the compiled template's exact
-    Jacobian; ``starts`` deterministic random multistarts share the
-    evaluation ``budget``.  Success is certified by verify_numeric at
-    ``tol``, so a success here always re-verifies.
+    Levenberg-Marquardt on log-values (MINPACK ``lmder``) with the compiled
+    template's exact Jacobian; ``starts`` deterministic random multistarts
+    share the evaluation ``budget``.  Success is certified by verify_numeric
+    at ``tol``, so a success here always re-verifies.
     """
     n = len(leaves(template))
     if n < 1:
@@ -221,23 +232,11 @@ def fit_topology(
     best_theta = None
     best_cost = np.inf
     evals = 0
-    method = "lm" if compiled.size >= n else "trf"
     for _ in range(starts):
         x0 = rng.normal(0.0, 2.0, n)
-        try:
-            res = least_squares(
-                compiled.residual,
-                x0,
-                jac=compiled.jacobian,
-                method=method,
-                max_nfev=per_start,
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-            )
-        except Exception:
-            continue
-        evals += res.nfev + (res.njev or 0)
+        res = least_squares(compiled.residual, x0, jac=compiled.jacobian, max_nfev=per_start,
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        evals += res.nfev + res.njev
         cost = float(np.max(np.abs(res.fun)))
         if cost < best_cost:
             best_cost = cost

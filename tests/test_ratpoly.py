@@ -200,6 +200,45 @@ def test_resultant_matches_sympy_oracle():
         assert abs(sympy.Rational(mine.numerator, mine.denominator)) == abs(theirs)
 
 
+def _random_int_poly(rng, max_degree):
+    coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, max_degree))]
+    return Poly([F(c) for c in coeffs] + [F(rng.choice([-3, -2, -1, 1, 2, 3]))])
+
+
+def test_resultant_matches_sympy_on_random_integer_polynomials():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    x = sympy.Symbol("x")
+    rng = random.Random(31)
+    for _ in range(60):
+        a, b = _random_int_poly(rng, 6), _random_int_poly(rng, 6)
+        fa, fb = (sympy.Poly([int(c) for c in reversed(p.coeffs)], x) for p in (a, b))
+        mine = resultant(a, b)
+        theirs = sympy.resultant(fa, fb)
+        # sympy's sign can be that of res(b, a) = (-1)^(deg a deg b) res(a, b)
+        assert mine == theirs or (a.degree * b.degree % 2 and mine == -theirs)
+        assert mine == sylvester(fa.as_expr(), fb.as_expr(), x).det()
+
+
+def test_sturm_count_matches_sympy_count_roots():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(37)
+    for _ in range(60):
+        p = _random_int_poly(rng, 6)
+        if rng.random() < 0.5:
+            p = p * _random_int_poly(rng, 2) ** 2  # a repeated factor
+        lo = F(rng.randint(-12, 0), rng.randint(1, 3))
+        hi = F(rng.randint(1, 12), rng.randint(1, 3))
+        fp = sympy.Poly([int(c) for c in reversed(p.coeffs)], x)
+        # count_roots counts distinct roots in [lo, hi]; sturm_count in (lo, hi]
+        expected = fp.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                                  sympy.Rational(hi.numerator, hi.denominator))
+        expected -= p.eval(lo) == 0
+        assert sturm_count(p, lo, hi) == expected, (p, lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # sturm / isolation
 

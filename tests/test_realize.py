@@ -38,6 +38,7 @@ from biquadrlc.realize import (
     n5a_condition_poly,
     n5a_p1_system,
     n5a_root_interval,
+    synth_config,
     synth_fig3a,
     synth_n4a,
     synth_n5a,
@@ -71,6 +72,24 @@ def test_classify_examples():
     assert rep.config == "fig3a" and rep.transform is None
     assert rep.network is not None
     assert float(rep.residual) <= 1e-20
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_classify_decides_exact_four_element_loci_exactly(bits):
+    # exact targets just off p = 3z and p = z/3, inside the 1e-20 band; the
+    # fig3a values there come from nearly cancelling terms, so this also
+    # checks the synthesis at low working precision
+    tol = max(F(1, 10**20), F(2) ** (16 - bits))
+    for p in (3 + F(1, 10**25), F(1, 3) - F(1, 10**35)):
+        rep = classify(B(F(7, 25), F(19, 5), F(19, 5) * p), precision_bits=bits, tol=tol)
+        assert rep.klass is RealizationClass.SEVEN_ELEMENT_CATALOG, p
+        assert rep.config == "fig3a"
+        ok, _ = verify_numeric(rep.network, to_rational_fn(rep.target), tol=tol, precision_bits=bits)
+        assert ok
+    # the band still applies to inexact targets
+    with mp.workprec(256):
+        near = CanonicalBiquad(mpf(1), mpf(1), 3 + mpf("1e-25"))
+        assert classify(near).klass is RealizationClass.FOUR_ELEMENT
 
 
 def test_classify_reports_condition_values():
@@ -267,6 +286,19 @@ def test_synthesis_at_isolated_root(which):
         assert not has_pure_reactive_series_arm(net)
         ok, residual = verify_numeric(net, to_rational_fn(b), tol=F(1, 10**20))
         assert ok, residual
+
+
+@pytest.mark.parametrize("which", ["n4a", "n5a"])
+def test_synth_config_accepts_every_spelling(which):
+    # n4a/n5a are the catalog's fig4a/fig5a, in any case
+    interval = n4a_root_interval() if which == "n4a" else n5a_root_interval()
+    with mp.workprec(256):
+        b = CanonicalBiquad(mpf(1), mpf(1), _mid_mpf(interval))
+        spellings = (which, which.upper(), which.replace("n", "fig"), which.replace("n", "FIG"))
+        nets = [synth_config(c, b) for c in spellings]
+    assert all(net == nets[0] for net in nets)
+    with pytest.raises(KeyError):
+        synth_config("fig7a", b)
 
 
 @pytest.mark.parametrize("which", ["n4a", "n5a"])

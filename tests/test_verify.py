@@ -18,6 +18,7 @@ from biquadrlc.network import (
     impedance_coeffs,
     leaves,
     parallel,
+    parse_filters,
     series,
 )
 from biquadrlc.ratpoly import Poly, RationalFn
@@ -179,7 +180,9 @@ def test_compiled_residual_matches_float_builder():
         m = max(len(lhs), len(rhs))
         lhs, rhs = np.pad(lhs, (0, m - len(lhs))), np.pad(rhs, (0, m - len(rhs)))
         expected = (lhs - rhs) / max(np.abs(lhs).max(), np.abs(rhs).max())
-        assert compiled.size == m
+        # zero rows pad the residual to one row per element
+        assert compiled.size == max(m, len(theta))
+        expected = np.pad(expected, (0, compiled.size - m))
         assert np.abs(compiled.residual(theta) - expected).max() <= 1e-12, tpl
 
 
@@ -216,6 +219,80 @@ def test_fit_counts_residual_and_jacobian_evaluations(monkeypatch):
     res = fit_topology(tpl, RF((1, 2, 1), (9, 6, 1)), seed=0)
     assert seen and all(njev for _, njev in seen)
     assert res.iterations == sum(nfev + njev for nfev, njev in seen)
+
+
+LM_TOLERANCES = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
+
+
+def test_least_squares_matches_scipy_lm(monkeypatch):
+    # the fitter's lmder call must be the one least_squares(method="lm")
+    # makes with the Jacobian scaling x_scale="jac": same arguments, and
+    # so the same iterates and counts.  MINPACK's result is compared only
+    # where the Jacobian has full rank: templates with two like elements in
+    # series or parallel (the mergeable filter) have rank-deficient
+    # Jacobians, on which scipy's lmder is not reproducible from one call to
+    # the next with identical callback values
+    from scipy.optimize import _minpack
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    lmder = _minpack._lmder
+    calls = []
+
+    def recording(fun, jac, x0, *rest):
+        calls.append((x0.tobytes(),) + rest)
+        return lmder(fun, jac, x0, *rest)
+
+    monkeypatch.setattr(_minpack, "_lmder", recording)
+    (_, full_rank), = parse_filters(("mergeable",))
+    rng = np.random.default_rng(13)
+    for tpl in _labeled_templates(3):
+        compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+        for _ in range(2):
+            x0 = rng.normal(0.0, 2.0, len(leaves(tpl)))
+            calls.clear()
+            mine = verify.least_squares(
+                compiled.residual, x0, jac=compiled.jacobian, max_nfev=166, **LM_TOLERANCES
+            )
+            theirs = scipy_least_squares(
+                compiled.residual,
+                x0,
+                jac=compiled.jacobian,
+                method="lm",
+                x_scale="jac",
+                max_nfev=166,
+                **LM_TOLERANCES,
+            )
+            assert len(calls) == 2 and calls[0] == calls[1], tpl
+            if not full_rank(tpl):
+                continue
+            assert np.array_equal(mine.x, theirs.x), tpl
+            assert np.array_equal(mine.fun, theirs.fun), tpl
+            assert (mine.nfev, mine.njev) == (theirs.nfev, theirs.njev), tpl
+
+
+def test_least_squares_returns_quietly_at_max_nfev():
+    tpl = series(Leaf("R"), parallel(Leaf("L"), series(Leaf("R"), Leaf("C"))))
+    compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = verify.least_squares(
+            compiled.residual, np.zeros(4), jac=compiled.jacobian, max_nfev=5, **LM_TOLERANCES
+        )
+    assert res.nfev == 5 and np.all(np.isfinite(res.x))
+
+
+def test_least_squares_nearly_singular_fit_without_warnings():
+    # L in series with L leaves R nearly singular at the end of this start,
+    # and the covariance leastsq forms from R overflows
+    tpl = series(Leaf("L"), parallel(Leaf("C"), series(Leaf("L"), Leaf("L"))))
+    compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+    x0 = np.array([4.3959535249554795, -0.052437645904107856, 0.7424995359827122, -0.6326354866328311])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = verify.least_squares(
+            compiled.residual, x0, jac=compiled.jacobian, max_nfev=166, **LM_TOLERANCES
+        )
+    assert np.all(np.isfinite(res.fun))
 
 
 def test_falsify_small_respects_filters_and_reports():
