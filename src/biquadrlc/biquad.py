@@ -25,10 +25,12 @@ from typing import Tuple, Union
 
 from .ratpoly import (
     Poly,
+    QuadraticRational,
     RationalFn,
     is_exact_scalar,
     scalar_from_str,
     scalar_to_str,
+    to_mpf,
 )
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "pole_squared_to_general",
     "is_positive_real",
     "canonical_positive_real",
+    "pole_zero_ratio",
     "transform_params",
     "to_rational_fn",
     "target_from_json",
@@ -154,9 +157,27 @@ def is_positive_real(g: GeneralBiquad) -> bool:
     return lhs * lhs <= 4 * (g.A * g.F) * (g.C * g.D)
 
 
+# eta^2 - 6 eta + 1 in eta = p/z; the canonical form is positive real
+# exactly where it is <= 0
+PR_POLY = Poly([Fraction(1), Fraction(-6), Fraction(1)])
+
+
 def canonical_positive_real(b: CanonicalBiquad) -> bool:
-    """Positive-realness of the canonical form: p^2 - 6zp + z^2 <= 0."""
-    return b.p * b.p - 6 * b.z * b.p + b.z * b.z <= 0
+    """Positive-realness of the canonical form: p^2 - 6zp + z^2 <= 0,
+    decided as PR_POLY(p/z) <= 0."""
+    return PR_POLY.eval(pole_zero_ratio(b.z, b.p)) <= 0
+
+
+def pole_zero_ratio(z, p):
+    """eta = p/z, exact when both are exact, else an mpf at working precision.
+
+    Every realizability condition of the canonical form is a condition on eta.
+    """
+    if is_exact_scalar(z) and is_exact_scalar(p):
+        if isinstance(p, QuadraticRational) or isinstance(z, QuadraticRational):
+            return p / z
+        return Fraction(p) / Fraction(z)
+    return to_mpf(p) / to_mpf(z)
 
 
 def transform_params(b: CanonicalBiquad, t: str) -> CanonicalBiquad:

@@ -10,8 +10,10 @@ re-verify at the working precision.
 Only ``falsify`` loads numpy and scipy (through ``verify``); every other
 command runs on mpmath alone.
 
-Numbers are parsed exactly whenever possible ("3/2", "0.25", "1e-6" all give
-exact rationals); outputs carry exact rational strings where available and
+Every number read from an option, a netlist, a target or a ``--poly`` array
+goes through ``ratpoly.scalar_from_str``: "3/2", "0.25" and "1e-6" are exact
+rationals, and a non-finite or unparseable number ("inf", "nan", "1/0",
+"abc") exits 2.  Outputs carry exact rational strings where available and
 50-digit decimal strings plus the working precision otherwise.
 """
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,7 +47,14 @@ from .network import (
     to_netlist_json,
     to_spice,
 )
-from .ratpoly import Poly, RationalFn, isolate_root, scalar_to_str, sturm_count
+from .ratpoly import (
+    Poly,
+    RationalFn,
+    isolate_root,
+    scalar_from_str,
+    scalar_to_str,
+    sturm_count,
+)
 from .realize import (
     NotRealizableError,
     RealizationClass,
@@ -64,23 +72,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INVALID):
         super().__init__(message)
         self.code = code
-
-
-def _parse_scalar(text: str):
-    """Exact rational if possible ('3/2', '0.25', '1e-9'), else mpf."""
-    text = text.strip()
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError):
-        pass
-    try:
-        return mpf(text)
-    except Exception:
-        raise CliError("cannot parse number %r" % text)
 
 
 def _load_json_arg(text: str):
@@ -132,7 +123,7 @@ def _emit_netlist(net, args, extra=None) -> None:
 def _canonical_target(args) -> CanonicalBiquad:
     try:
         return CanonicalBiquad(
-            _parse_scalar(args.k), _parse_scalar(args.z), _parse_scalar(args.p)
+            scalar_from_str(args.k), scalar_from_str(args.z), scalar_from_str(args.p)
         )
     except ValueError as exc:
         raise CliError(str(exc))
@@ -277,18 +268,13 @@ def _cmd_roots(args) -> int:
     if not isinstance(data, list):
         raise CliError("--poly expects a JSON array of coefficients")
     poly = Poly.from_json(data)
-    if not poly.is_exact():
-        raise CliError("root counting requires exact rational coefficients")
-    lo, hi = _parse_scalar(args.lo), _parse_scalar(args.hi)
-    if not isinstance(lo, Fraction) or not isinstance(hi, Fraction):
-        raise CliError("bounds must be exact rationals")
+    lo, hi, width = (scalar_from_str(v) for v in (args.lo, args.hi, args.width))
     try:
         count = sturm_count(poly, lo, hi)
     except ValueError as exc:
         raise CliError(str(exc))
     payload = {"count": count}
     if count == 1:
-        width = _parse_scalar(args.width)
         ilo, ihi = isolate_root(poly, lo, hi, width)
         payload["interval"] = [scalar_to_str(ilo), scalar_to_str(ihi)]
         mid = (ilo + ihi) / 2
@@ -450,7 +436,7 @@ def main(argv=None) -> int:
             if args.tol is None:
                 args.tol = _default_tol(args.precision_bits)
             else:
-                args.tol = _parse_scalar(args.tol)
+                args.tol = scalar_from_str(args.tol)
             if not args.tol > 0:
                 raise CliError("--tol must be positive")
             return args.func(args)

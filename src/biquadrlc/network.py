@@ -299,11 +299,6 @@ def apply_transform(net: SPNet, op: str) -> SPNet:
 # enumeration
 
 
-def _multisets(items: Sequence, k: int):
-    """Multisets of size k over an ordered item list."""
-    return itertools.combinations_with_replacement(items, k)
-
-
 def _partitions(n: int, max_part: int = None):
     """Integer partitions of n, parts descending."""
     if max_part is None:
@@ -337,7 +332,7 @@ class _TopologyCache:
                 groups: List[List[Tuple[SPNet, ...]]] = []
                 for size, count in _group_counts(part):
                     opts = self.get(size, child_kind)
-                    groups.append([combo for combo in _multisets(opts, count)])
+                    groups.append(list(itertools.combinations_with_replacement(opts, count)))
                 for pick in itertools.product(*groups):
                     kids = tuple(itertools.chain.from_iterable(pick))
                     out.append(canonical(root(kids)))

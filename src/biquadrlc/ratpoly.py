@@ -19,12 +19,13 @@ Conventions:
 * the resultant uses the Sylvester matrix with the rows of the *first*
   polynomial on top (resultant comparisons elsewhere in the package are
   made up to overall sign, since sign conventions vary across definitions);
-* polynomials serialize as JSON arrays of rational strings, ascending degree.
+* polynomials serialize as JSON arrays of rational strings, ascending degree;
+* :func:`scalar_from_str` is the one string-to-scalar parser: every number
+  read from a command line or from JSON is the exact Fraction it spells.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -217,9 +218,6 @@ def to_mpf(x) -> mpf:
     raise TypeError("cannot convert %r to mpf" % (x,))
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
 def scalar_to_str(x) -> str:
     """Stable string form: 'n/d' for exact rationals, decimal otherwise."""
     if isinstance(x, int):
@@ -235,12 +233,16 @@ def scalar_to_str(x) -> str:
     raise TypeError("cannot serialize %r" % (x,))
 
 
-def scalar_from_str(s: str):
-    """Parse 'n/d' or an integer as Fraction, anything else as mpf."""
-    s = s.strip()
-    if _RATIONAL_RE.match(s):
+def scalar_from_str(s: str) -> Fraction:
+    """The exact Fraction that s spells: an integer, 'n/d', a decimal or an
+    exponent form ('-7', '3/2', '0.25', '1.25e-3').
+
+    Anything else, including 'inf', 'nan' and '1/0', raises ValueError.
+    """
+    try:
         return Fraction(s)
-    return mpf(s)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("cannot parse number %r" % (s,)) from None
 
 
 def _is_zero(c) -> bool:
@@ -301,9 +303,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
     def is_exact(self) -> bool:
         return all(is_exact_scalar(c) for c in self.coeffs)
 
@@ -357,12 +356,6 @@ class Poly:
             base = base * base
             n >>= 1
         return out
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
 
     def __call__(self, x):
         return self.eval(x)
@@ -451,15 +444,9 @@ class Poly:
 
     @classmethod
     def from_json(cls, data: Sequence[Union[str, int, float]]) -> "Poly":
-        out = []
-        for item in data:
-            if isinstance(item, str):
-                out.append(scalar_from_str(item))
-            elif isinstance(item, int):
-                out.append(Fraction(item))
-            else:
-                out.append(mpf(item))
-        return cls(out)
+        """Exact coefficients; numbers and strings alike go through
+        :func:`scalar_from_str`."""
+        return cls(scalar_from_str(str(item)) for item in data)
 
     def __repr__(self):
         if self.is_zero:
@@ -665,14 +652,6 @@ class RationalFn:
     @classmethod
     def constant(cls, c) -> "RationalFn":
         return cls(Poly.constant(c), Poly.constant(Fraction(1)))
-
-    @classmethod
-    def x(cls) -> "RationalFn":
-        return cls(Poly.x(), Poly.constant(Fraction(1)))
-
-    @property
-    def degree_pair(self) -> Tuple[int, int]:
-        return self.num.degree, self.den.degree
 
     def is_exact(self) -> bool:
         return self.num.is_exact() and self.den.is_exact()

@@ -36,9 +36,14 @@ The three synthesizers return fully valued seven-element networks:
   beta = 2k p1 z^2 (p+p1)^2/((p+2p1)^2 p) and R1 = m, C1 = 1/(mq),
   L1 = m/(p1+p).
 
-Equality conditions on irrational loci are meant to be fed with midpoints of
-isolating intervals (see n4a_root_interval / n5a_root_interval); raw scalars
-are tested with |value| <= 1e-20 after normalizing z to 1.
+Every condition is a polynomial in eta = p/z (z normalized to 1).  An
+equality is decided exactly (value == 0) wherever an exact input can satisfy
+it: Fraction inputs on the rational loci (p = 3z, p = z/3 and the lemma
+conditions) and QuadraticRational inputs on every locus.  The band
+|value| <= 1e-20 decides the rest: Fraction inputs on the irrational loci
+(eta = 2 + sqrt2, 1/(2 + sqrt2), the n4a and n5a roots), so that
+isolating-interval midpoints (see n4a_root_interval / n5a_root_interval) and
+long decimal literals can be fed back in, and every mpf input.
 """
 
 from __future__ import annotations
@@ -47,12 +52,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import mpmath
 from mpmath import mp, mpf
 
-from .biquad import CanonicalBiquad, one_like, to_rational_fn, transform_params
+from .biquad import PR_POLY, CanonicalBiquad, pole_zero_ratio, to_rational_fn, transform_params
 from .check import verify_numeric
 from .network import SPNet, apply_transform, build_config, canonical_config_id, to_netlist_json
 from .ratpoly import (
@@ -84,13 +89,9 @@ __all__ = [
     "lemma_three_element",
     "lemma_four_element",
     "lemma_five_element_two_reactive",
-    "auxiliary_condition_polynomials",
     "fig3a_p1_quadratic",
     "n4a_p1_system",
     "n5a_p1_system",
-    "aux_p1_systems",
-    "n4a_condition_poly",
-    "n5a_condition_poly",
     "n4a_root_interval",
     "n5a_root_interval",
     "count_roots_below_sqrt5_bound",
@@ -100,7 +101,6 @@ __all__ = [
 EQUALITY_TOL = Fraction(1, 10**20)
 
 # condition polynomials in eta = p/z (z normalized to 1), ascending degree
-PR_POLY = Poly([Fraction(1), Fraction(-6), Fraction(1)])  # eta^2 - 6 eta + 1
 FIG3A_QUARTIC = Poly([Fraction(5), Fraction(-14), Fraction(6), Fraction(-6), Fraction(1)])
 N4A_QUARTIC = Poly([Fraction(1), Fraction(-10), Fraction(31), Fraction(-40), Fraction(16)])
 N5A_DEGREE10 = Poly(
@@ -177,24 +177,18 @@ class RealizationReport:
 # scalar predicates
 
 
-def _eta(z, p):
-    """p/z, exact when both are exact."""
-    if is_exact_scalar(z) and is_exact_scalar(p):
-        if isinstance(p, QuadraticRational) or isinstance(z, QuadraticRational):
-            return p / z
-        return Fraction(p) / Fraction(z)
-    return to_mpf(p) / to_mpf(z)
+def _eq_zero(value, rational_locus: bool = True) -> bool:
+    """Whether a condition value is 0: exactly where an exact input can lie
+    on the locus, else within |value| <= 1e-20.
 
-
-def _eq_zero(value) -> bool:
-    """|value| <= 1e-20, exactly for exact scalars.
-
-    Equality loci are measure-zero; accepting near-zero values lets callers
-    supply isolating-interval midpoints (or long decimal literals) for the
-    irrational condition roots.
+    A QuadraticRational value, or an exact value on a locus with rational
+    points, is decided with ``== 0``.  A rational value on an irrational
+    locus (``rational_locus=False``) can never be 0 there, so it gets the
+    band, which lets callers supply isolating-interval midpoints or long
+    decimal literals for the irrational roots; so does every mpf value.
     """
-    if isinstance(value, QuadraticRational):
-        return abs(value) <= EQUALITY_TOL
+    if isinstance(value, QuadraticRational) or (rational_locus and is_exact_scalar(value)):
+        return value == 0
     if is_exact_scalar(value):
         return abs(Fraction(value)) <= EQUALITY_TOL
     return abs(value) <= to_mpf(EQUALITY_TOL)
@@ -209,7 +203,7 @@ def _record(name, value, passed) -> ConditionRecord:
 
 
 def _pr_records(z, p):
-    eta = _eta(z, p)
+    eta = pole_zero_ratio(z, p)
     val = PR_POLY.eval(eta)
     passed = val <= 0
     return passed, [_record("positive_real[eta^2-6eta+1<=0]", val, passed)]
@@ -217,33 +211,32 @@ def _pr_records(z, p):
 
 def four_element_condition(z, p) -> Tuple[bool, List[ConditionRecord]]:
     """p = 3z or p = z/3, exactly for exact eta, else within ``_eq_zero``'s band."""
-    eta = _eta(z, p)
+    eta = pole_zero_ratio(z, p)
     hi = eta - 3
     lo = 3 * eta - 1
-    is_zero = (lambda v: v == 0) if is_exact_scalar(eta) else _eq_zero
     recs = [
-        _record("four_element[eta=3]", hi, is_zero(hi)),
-        _record("four_element[eta=1/3]", lo, is_zero(lo)),
+        _record("four_element[eta=3]", hi, _eq_zero(hi)),
+        _record("four_element[eta=1/3]", lo, _eq_zero(lo)),
     ]
     return recs[0].passed or recs[1].passed, recs
 
 
 def five_element_condition(z, p) -> Tuple[bool, List[ConditionRecord]]:
     """p/z in (1/3, 3), or p = (2+sqrt2)z, or p = z/(2+sqrt2)."""
-    eta = _eta(z, p)
+    eta = pole_zero_ratio(z, p)
     in_interval = (3 * eta - 1 > 0) and (eta - 3 < 0)
     hi = FIVE_SURROGATE_HI.eval(eta)
     lo = FIVE_SURROGATE_LO.eval(eta)
     recs = [
         _record("five_element[1/3<eta<3]", eta, in_interval),
-        _record("five_element[eta=2+sqrt2]", hi, _eq_zero(hi) and eta > 1),
-        _record("five_element[eta=1/(2+sqrt2)]", lo, _eq_zero(lo) and eta < 1),
+        _record("five_element[eta=2+sqrt2]", hi, _eq_zero(hi, False) and eta > 1),
+        _record("five_element[eta=1/(2+sqrt2)]", lo, _eq_zero(lo, False) and eta < 1),
     ]
     return any(r.passed for r in recs), recs
 
 
 def _fig3a_records(z, p):
-    eta = _eta(z, p)
+    eta = pole_zero_ratio(z, p)
     sign_val = (eta - 1) * (eta - 3)
     quartic_val = FIG3A_QUARTIC.eval(eta)
     ok = sign_val > 0 and quartic_val < 0
@@ -260,12 +253,13 @@ def check_fig3a_condition(z, p) -> bool:
 
 
 def _root_locus_records(tag, poly, z, p):
-    eta = _eta(z, p)
+    eta = pole_zero_ratio(z, p)
     poly_val = poly.eval(eta)
     bound_val = SQRT5_BOUND_POLY.eval(eta)
-    ok = _eq_zero(poly_val) and bound_val < 0
+    on_locus = _eq_zero(poly_val, False)
+    ok = on_locus and bound_val < 0
     recs = [
-        _record("%s[condition_poly(eta)=0]" % tag, poly_val, _eq_zero(poly_val)),
+        _record("%s[condition_poly(eta)=0]" % tag, poly_val, on_locus),
         _record("%s[eta<1/(2+sqrt5)]" % tag, bound_val, bound_val < 0),
     ]
     return ok, recs
@@ -323,143 +317,6 @@ def n5a_p1_system(z, p) -> Tuple[Poly, Poly]:
         ]
     )
     return f, g
-
-
-def aux_p1_systems() -> Dict[str, dict]:
-    """Other p1 eliminations from the same catalog analysis, paired with
-    their expected resultant factorizations (cross-check oracles only; no
-    realizability conclusion is drawn from them)."""
-
-    def sys_octic(z, p):
-        f = Poly([-(2 * p * p - 4 * z * p + z * z), 2 * p, one_like(p)])
-        g = Poly([2 * p**3 * (p - 2 * z), -4 * p**3, p * p - 4 * z * p + z * z])
-        return f, g
-
-    def exp_octic(z, p):
-        return (
-            8 * p**8
-            + 48 * z * p**7
-            - 312 * z**2 * p**6
-            + 624 * z**3 * p**5
-            - 617 * z**4 * p**4
-            + 336 * z**5 * p**3
-            - 102 * z**6 * p**2
-            + 16 * z**7 * p
-            - z**8
-        )
-
-    def sys_sextic(z, p):
-        f = Poly(
-            [
-                -p * p * (p * p - 2 * z * p + 2 * z * z),
-                -p * (p * p - 2 * z * p + 3 * z * z),
-                (p - z) * (p + z),
-            ]
-        )
-        g = Poly([z * z * p, -(p * p - 2 * z * p - z * z), 2 * z])
-        return f, g
-
-    def exp_sextic(z, p):
-        return -(p**4) * (
-            p**6
-            - 8 * z * p**5
-            + 20 * z**2 * p**4
-            - 28 * z**3 * p**3
-            + 21 * z**4 * p**2
-            - 12 * z**5 * p
-            + 2 * z**6
-        )
-
-    def sys_quartic(z, p):
-        f = Poly(
-            [
-                -2 * p**3 * (p - 2 * z),
-                -2 * p * (2 * p * p - 4 * z * p + z * z),
-                z * (4 * p - z),
-                2 * p,
-            ]
-        )
-        g = Poly(
-            [
-                2 * z * z * p**3,
-                -2 * p**3 * (p - 2 * z),
-                -2 * p * (p * p - 4 * z * p + z * z),
-                z * (4 * p - z),
-            ]
-        )
-        return f, g
-
-    def exp_quartic(z, p):
-        base = 2 * p**4 - 12 * z * p**3 + 18 * z**2 * p**2 - 8 * z**3 * p + z**4
-        return -4 * p**6 * z**4 * base * base
-
-    def exp_n4a(z, p):
-        quartic = (
-            16 * p**4 - 40 * z * p**3 + 31 * z**2 * p**2 - 10 * z**3 * p + z**4
-        )
-        return z * z * (p + z) * (p - z) ** 3 * quartic
-
-    def exp_n5a(z, p):
-        deg10 = (
-            p**10
-            - 16 * z * p**9
-            + 118 * z**2 * p**8
-            - 476 * z**3 * p**7
-            + 1066 * z**4 * p**6
-            - 1372 * z**5 * p**5
-            + 1064 * z**6 * p**4
-            - 524 * z**7 * p**3
-            + 161 * z**8 * p**2
-            - 28 * z**9 * p
-            + 2 * z**10
-        )
-        return -4 * z**3 * p**10 * (4 * p - z) * deg10
-
-    return {
-        "n4a": {"system": n4a_p1_system, "expected": exp_n4a},
-        "n5a": {"system": n5a_p1_system, "expected": exp_n5a},
-        "octic": {"system": sys_octic, "expected": exp_octic},
-        "sextic": {"system": sys_sextic, "expected": exp_sextic},
-        "quartic_squared": {"system": sys_quartic, "expected": exp_quartic},
-    }
-
-
-def n4a_condition_poly() -> Poly:
-    return N4A_QUARTIC
-
-
-def n5a_condition_poly() -> Poly:
-    return N5A_DEGREE10
-
-
-def auxiliary_condition_polynomials() -> Dict[str, Poly]:
-    """Named condition polynomials (z normalized to 1) for root isolation
-    and resultant cross-checks.  The entries beyond the three synthesis
-    conditions come from eliminations whose lemmas conclude elsewhere; no
-    realizability decision is drawn from them here."""
-    octic = Poly(
-        [Fraction(c) for c in (-1, 16, -102, 336, -617, 624, -312, 48, 8)]
-    )
-    sextic = Poly([Fraction(c) for c in (2, -12, 21, -28, 20, -8, 1)])
-    quartic2 = Poly([Fraction(c) for c in (1, -8, 18, -12, 2)])
-    # (5z-3p) p1^2 + (p-3z) p^2 at z = 1, as a p1-polynomial over Q[p]
-    p1_quad = Poly(
-        [
-            Poly([Fraction(0), Fraction(0), Fraction(-3), Fraction(1)]),
-            Poly.zero(),
-            Poly([Fraction(5), Fraction(-3)]),
-        ]
-    )
-    return {
-        "fig3a_quartic": FIG3A_QUARTIC,
-        "n4a_quartic": N4A_QUARTIC,
-        "n5a_degree10": N5A_DEGREE10,
-        "pr_boundary": PR_POLY,
-        "octic_resultant_factor": octic,
-        "sextic_resultant_factor": sextic,
-        "quartic_resultant_factor": quartic2,
-        "p1_quadratic_5z_3p": p1_quad,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +403,7 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256, exact: bool = Fal
         # near p = 3z, p1 and then R2 and C1 come from differences of nearly
         # equal terms, which lose about twice the bits of |p/z - 3|: the mpf
         # path works with that many more bits, then rounds
-        lost = 2 * max(0, -mpmath.mag(to_mpf(_eta(b.z, b.p) - 3)))
+        lost = 2 * max(0, -mpmath.mag(to_mpf(pole_zero_ratio(b.z, b.p) - 3)))
 
     def values_at(k, z, p, sq) -> dict:
         roots = [(p * (p - z) + s * p * sq) / (3 * z - p) for s in (1, -1)]
@@ -654,21 +511,19 @@ def synth_n4a(b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
 
 
 def _build_n_values(k, z, p, p1, config_id: str) -> SPNet:
-    alpha = k * (p1 + 2 * z - p)
-    beta = k * (2 * z * p1 + z * z - p1 * p)
-    gamma = k * p1 * (z - p) * (z + p)
     m = k
-    d = 2 * alpha * p + alpha * p1 - beta
     if config_id == "fig4a":
-        first = {"R1": m, "L1": m / (p + p1), "C1": (p + p1) / (m * p * p1)}
+        alpha = k * (p1 + 2 * z - p)
+        beta = k * (2 * z * p1 + z * z - p1 * p)
+        gamma = k * p1 * (z - p) * (z + p)
+        values = {"R1": m, "L1": m / (p + p1), "C1": (p + p1) / (m * p * p1)}
     else:
         q = p1 * p / (p1 + p)
         gamma = k * p1 * z * z
         alpha = k * p1 * z * z / (p * (p + 2 * p1))
         beta = 2 * k * p1 * z * z * (p + p1) ** 2 / ((p + 2 * p1) ** 2 * p)
-        d = 2 * alpha * p + alpha * p1 - beta
-        first = {"R1": m, "C1": 1 / (m * q), "L1": m / (p1 + p)}
-    values = dict(first)
+        values = {"R1": m, "C1": 1 / (m * q), "L1": m / (p1 + p)}
+    d = 2 * alpha * p + alpha * p1 - beta
     values.update(
         {
             "C21": 1 / alpha,

@@ -25,15 +25,14 @@ from biquadrlc.network import (
 )
 from biquadrlc.ratpoly import Poly, QuadraticRational, RationalFn, resultant
 from biquadrlc.realize import (
+    N4A_QUARTIC,
+    N5A_DEGREE10,
     RealizationClass,
-    aux_p1_systems,
     check_fig3a_condition,
     classify,
     count_roots_below_sqrt5_bound,
-    n4a_condition_poly,
     n4a_p1_system,
     n4a_root_interval,
-    n5a_condition_poly,
     n5a_root_interval,
     synth_fig3a,
     synth_n4a,
@@ -41,6 +40,7 @@ from biquadrlc.realize import (
     five_element_condition,
 )
 from biquadrlc.verify import falsify_small, verify_numeric
+from eliminations import ELIMINATIONS
 
 F = Fraction
 
@@ -122,8 +122,8 @@ def test_criterion_03_fig3a_random_synthesis():
 
 def test_criterion_04_root_count_claims():
     t0 = time.perf_counter()
-    assert count_roots_below_sqrt5_bound(n4a_condition_poly()) == 1
-    assert count_roots_below_sqrt5_bound(n5a_condition_poly()) == 1
+    assert count_roots_below_sqrt5_bound(N4A_QUARTIC) == 1
+    assert count_roots_below_sqrt5_bound(N5A_DEGREE10) == 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(4, "both condition polynomials have exactly one root in (0, 1/(2+sqrt5))", elapsed)
@@ -137,7 +137,7 @@ def test_criterion_05_resultant_identity():
     poly_z = Poly([Poly.zero(), Poly.constant(F(1))])
     f, g = n4a_p1_system(poly_z, poly_p)
     res = resultant(f, g)
-    expected = aux_p1_systems()["n4a"]["expected"](poly_z, poly_p)
+    expected = ELIMINATIONS["n4a"].expected(poly_z, poly_p)
     assert res == expected or res == -expected
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

@@ -9,6 +9,7 @@ from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
 from biquadrlc.check import verify_numeric
 from biquadrlc.cli import _default_tol, main
 from biquadrlc.network import from_netlist_json
+from biquadrlc.realize import N4A_QUARTIC
 
 
 def run(capsys, *argv):
@@ -121,7 +122,7 @@ def test_transform_dual_twice_is_identity(capsys):
 
 
 def test_roots_count_and_isolation(capsys):
-    poly = json.dumps(["1", "-10", "31", "-40", "16"])
+    poly = json.dumps(N4A_QUARTIC.to_json())
     code, data = run_json(
         capsys, "roots", "--poly", poly, "--lo", "0.15", "--hi", "0.2", "--width", "1e-12"
     )
@@ -262,3 +263,55 @@ def test_failed_self_verification_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "failed verification" in json.loads(captured.err)["error"]
+
+
+def _leaf(value):
+    return json.dumps({"type": "element", "kind": "R", "value": value})
+
+
+# every numeric entry point, with {} where the number goes; an R = inf leaf
+# under "verify-netlist-value" must not verify
+NUMERIC_ENTRY_POINTS = {
+    "k": ["classify", "--k={}", "--z=1", "--p=5"],
+    "z": ["synth", "--k=1", "--z={}", "--p=5"],
+    "p": ["classify", "--k=1", "--z=1", "--p={}"],
+    "tol": ["--tol={}", "classify", "--k=1", "--z=1", "--p=5"],
+    "roots-lo": ["roots", '--poly=["-1","0","4"]', "--lo={}", "--hi=0.2"],
+    "roots-hi": ["roots", '--poly=["-1","0","4"]', "--lo=0.15", "--hi={}"],
+    "roots-width": ["roots", '--poly=["-1","0","4"]', "--lo=0", "--hi=1", "--width={}"],
+    "roots-poly": ["roots", '--poly=["-1","{}","1"]', "--lo=0", "--hi=1"],
+    "netlist-value": ["impedance", _leaf("{}")],
+    "verify-netlist-value": ["verify", _leaf("{}"), '--target={"num":["1"],"den":["1"]}'],
+    "target-canonical": ["verify", _leaf("1"), '--target={"k":"{}","z":"1","p":"5"}'],
+    "target-general": ["pr-check", '--target={"A":"1","B":"{}","C":"1","D":"1","E":"1","F":"1"}'],
+    "target-pole-squared": ["pr-check", '--target={"alpha":"1","beta":"1","gamma":"{}","p":"2"}'],
+    "target-num": ["verify", _leaf("1"), '--target={"num":["{}"],"den":["1"]}'],
+    "target-den": ["falsify", '--target={"num":["1"],"den":["{}"]}', "--nmax=1"],
+}
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity", "1/0", "abc"])
+@pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
+def test_unparseable_numbers_exit_2(capsys, entry, text):
+    # an exception escaping main() would fail the test with its traceback
+    argv = [arg.replace("{}", text) for arg in NUMERIC_ENTRY_POINTS[entry]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+    assert "Traceback" not in captured.err
+
+
+def test_numeric_entry_points_accept_their_valid_forms(capsys):
+    # the templates above are well formed: a valid number in each slot does
+    # not exit 2
+    for entry, template in sorted(NUMERIC_ENTRY_POINTS.items()):
+        argv = [arg.replace("{}", "0.1" if entry == "roots-lo" else "0.25") for arg in template]
+        assert main(argv) in (0, 1), entry
+        capsys.readouterr()
+
+
+def test_decimal_netlist_values_are_exact(capsys):
+    code, data = run_json(capsys, "impedance", _leaf("0.5"))
+    assert code == 0
+    assert data == {"num": ["1/2"], "den": ["1"]}

@@ -1,14 +1,23 @@
 """The package and the CLI load mpmath only; numpy and scipy come with the
 fitter in ``verify``.  Checked in a fresh interpreter, by the modules it has
-loaded, so the test does not depend on timings."""
+loaded, so the test does not depend on timings.
 
+Also: every library name the benchmark binds exists, so a rename that would
+crash ``perfbench`` fails here first."""
+
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 PROBE = """
 import contextlib, io, json, sys
@@ -46,3 +55,20 @@ def test_package_and_cli_load_without_numpy_and_scipy():
     assert report["after_commands"] == []
     assert report["served"] == {"fit_topology": True, "falsify_small": True, "FitResult": True}
     assert report["unbound"] == []
+
+
+def test_names_the_benchmark_binds_exist():
+    if not TRACER.exists():
+        pytest.skip("no perfbench checkout")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(module, name) for module, fns in tracer.TRACED.items() for name in fns]
+    # called directly by the workloads, besides the traced ones
+    names += [("realize", "_common_root"), ("realize", "n4a_p1_system"), ("realize", "n5a_p1_system")]
+    missing = [
+        "%s.%s" % (module, name)
+        for module, name in names
+        if not callable(getattr(importlib.import_module("biquadrlc." + module), name, None))
+    ]
+    assert missing == []

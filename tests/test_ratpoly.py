@@ -20,6 +20,8 @@ from biquadrlc.ratpoly import (
     squarefree_part,
     sturm_count,
 )
+from biquadrlc.realize import FIG3A_QUARTIC, N4A_QUARTIC
+from eliminations import ELIMINATIONS
 
 F = Fraction
 
@@ -55,7 +57,7 @@ def test_zero_polynomial_canonical_encoding():
 
 
 def test_eval_horner_matches_expanded_sum():
-    p = P(5, -14, 6, -6, 1)  # 5 - 14x + 6x^2 - 6x^3 + x^4
+    p = FIG3A_QUARTIC  # 5 - 14x + 6x^2 - 6x^3 + x^4
     x = F(5)
     expanded = sum(c * x**i for i, c in enumerate(p.coeffs))
     assert p.eval(x) == expanded == F(-40)
@@ -281,14 +283,7 @@ def test_sturm_repeated_roots_counted_once():
 
 
 def test_sturm_matches_brute_force_on_condition_polynomials():
-    catalog = [
-        P(1, -10, 31, -40, 16),
-        P(2, -28, 161, -524, 1064, -1372, 1066, -476, 118, -16, 1),
-        P(5, -14, 6, -6, 1),
-        P(-1, 16, -102, 336, -617, 624, -312, 48, 8),
-        P(2, -12, 21, -28, 20, -8, 1),
-        P(1, -8, 18, -12, 2),
-    ]
+    catalog = [FIG3A_QUARTIC] + [e.factor for e in ELIMINATIONS.values()]
     for p in catalog:
         for lo, hi in ((F(0), F(1)), (F(-1), F(6))):
             assert sturm_count(p, lo, hi) == _brute_force_distinct_roots(p, lo, hi)
@@ -310,7 +305,7 @@ def test_sturm_matches_sympy_root_counts():
 
 
 def test_isolate_root_quartic_from_sign_change_bracket():
-    p = P(1, -10, 31, -40, 16)
+    p = N4A_QUARTIC
     # bisection oracle inputs: sign change across (0.15, 0.2)
     assert p.eval(F(15, 100)) > 0 and p.eval(F(2, 10)) < 0
     lo, hi = isolate_root(p, F(15, 100), F(2, 10), F(1, 10**30))
@@ -447,5 +442,15 @@ def test_scalar_string_roundtrip():
     assert scalar_to_str(F(3, 2)) == "3/2"
     assert scalar_from_str("3/2") == F(3, 2)
     assert scalar_from_str("-7") == F(-7)
-    x = scalar_from_str("1.25e-3")
-    assert abs(x - mpmath.mpf("0.00125")) < 1e-18
+    assert scalar_from_str("1.25e-3") == F(1, 800)
+    assert scalar_from_str(" 0.5 ") == F(1, 2)
+    for text in ("inf", "-inf", "nan", "Infinity", "1/0", "abc", "", "0x10"):
+        with pytest.raises(ValueError):
+            scalar_from_str(text)
+
+
+def test_poly_from_json_is_exact():
+    assert Poly.from_json(["0.5", 2, 0.25, "1e-3"]) == Poly([F(1, 2), F(2), F(1, 4), F(1, 1000)])
+    for bad in (["inf"], [float("nan")], [None], [[1]], [True]):
+        with pytest.raises(ValueError):
+            Poly.from_json(bad)

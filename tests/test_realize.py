@@ -16,26 +16,32 @@ from biquadrlc.network import (
     reactive_count,
     violates_cutset_rule,
 )
-from biquadrlc.ratpoly import Poly, resultant
+from biquadrlc.ratpoly import (
+    Poly,
+    QuadraticRational,
+    gcd,
+    resultant,
+    scalar_to_str,
+    squarefree_part,
+)
 from biquadrlc.realize import (
     EQUALITY_TOL,
+    N4A_QUARTIC,
+    N5A_DEGREE10,
     NotRealizableError,
     RealizationClass,
-    auxiliary_condition_polynomials,
-    aux_p1_systems,
     check_fig3a_condition,
     check_n4a_condition,
     check_n5a_condition,
     classify,
     count_roots_below_sqrt5_bound,
     fig3a_p1_quadratic,
+    five_element_condition,
     lemma_five_element_two_reactive,
     lemma_four_element,
     lemma_three_element,
-    n4a_condition_poly,
     n4a_p1_system,
     n4a_root_interval,
-    n5a_condition_poly,
     n5a_p1_system,
     n5a_root_interval,
     synth_config,
@@ -44,6 +50,7 @@ from biquadrlc.realize import (
     synth_n5a,
 )
 from biquadrlc.verify import verify_exact, verify_numeric
+from eliminations import ELIMINATIONS
 
 F = Fraction
 
@@ -90,6 +97,32 @@ def test_classify_decides_exact_four_element_loci_exactly(bits):
     with mp.workprec(256):
         near = CanonicalBiquad(mpf(1), mpf(1), 3 + mpf("1e-25"))
         assert classify(near).klass is RealizationClass.FOUR_ELEMENT
+
+
+def test_classify_decides_quadratic_rational_eta_exactly():
+    # 2 + sqrt2 + 10^-25 and 1/(2 + sqrt2) - 10^-25 lie inside the 1e-20 band
+    # of the five-element points but off them, so fig3a applies
+    for eta, transform in (
+        (QuadraticRational(2 + F(1, 10**25), 1, 2), None),
+        (QuadraticRational(1 - F(1, 10**25), F(-1, 2), 2), "inv"),
+    ):
+        b = CanonicalBiquad(F(1), F(1), eta)
+        rep = classify(b)
+        assert rep.klass is RealizationClass.SEVEN_ELEMENT_CATALOG, eta
+        assert (rep.config, rep.transform) == ("fig3a", transform)
+        ok, _ = verify_numeric(rep.network, to_rational_fn(b))
+        assert ok
+    # exactly on the points they are five-element
+    for eta in (QuadraticRational(2, 1, 2), QuadraticRational(1, F(-1, 2), 2)):
+        assert classify(CanonicalBiquad(F(1), F(1), eta)).klass is RealizationClass.FIVE_ELEMENT
+    # rationals keep the band on irrational loci: a 30-digit decimal of
+    # 2 + sqrt2 is five-element, and an n4a interval midpoint is on n4a
+    with mp.workprec(256):
+        digits = F(mpmath.nstr(2 + mpmath.sqrt(2), 30))
+    assert five_element_condition(F(1), digits)[0]
+    lo, hi = n4a_root_interval()
+    assert check_n4a_condition(F(1), (lo + hi) / 2) is True
+    assert check_n4a_condition(F(1), QuadraticRational((lo + hi) / 2)) is False
 
 
 def test_classify_reports_condition_values():
@@ -245,25 +278,25 @@ def test_synth_fig3a_random_samples_both_branches():
 
 
 def test_root_counts_in_sqrt5_bounded_interval():
-    assert count_roots_below_sqrt5_bound(n4a_condition_poly()) == 1
-    assert count_roots_below_sqrt5_bound(n5a_condition_poly()) == 1
+    assert count_roots_below_sqrt5_bound(N4A_QUARTIC) == 1
+    assert count_roots_below_sqrt5_bound(N5A_DEGREE10) == 1
 
 
 def test_n4a_condition_sign_change_bracket():
     # quartic16 is +0.0706 at 0.15 and -0.0544 at 0.2
-    q = n4a_condition_poly()
+    q = N4A_QUARTIC
     assert q.eval(F(15, 100)) == F(706, 10**4)
     assert q.eval(F(2, 10)) == F(-544, 10**4)
 
 
 def test_n4a_condition_exact_rational_is_false():
     # quartic16(1/3) = -14/81 != 0
-    assert n4a_condition_poly().eval(F(1, 3)) == F(-14, 81)
+    assert N4A_QUARTIC.eval(F(1, 3)) == F(-14, 81)
     assert check_n4a_condition(F(1), F(1, 3)) is False
 
 
 def test_n5a_condition_exact_rational_is_false():
-    assert n5a_condition_poly().eval(F(1, 10)) != 0
+    assert N5A_DEGREE10.eval(F(1, 10)) != 0
     assert check_n5a_condition(F(1), F(1, 10)) is False
 
 
@@ -365,7 +398,7 @@ def test_fig3a_subnetwork_impedances_match_analysis_forms():
     # the one-reactive half must equal (ms+q)/(s+p1) and the three-reactive
     # half s(alpha s^2 + beta s + gamma)/((s+p1)(s+p)^2)
     from biquadrlc.network import build_config, impedance
-    from biquadrlc.ratpoly import QuadraticRational, RationalFn
+    from biquadrlc.ratpoly import RationalFn
 
     k, z, p = F(1), F(1), F(5)
     p1 = QuadraticRational(-10, 5, 5)
@@ -454,7 +487,7 @@ def test_n4a_resultant_identity_bivariate():
     z, p = _nested_pz()
     f, g = n4a_p1_system(z, p)
     res = resultant(f, g)
-    expected = aux_p1_systems()["n4a"]["expected"](z, p)
+    expected = ELIMINATIONS["n4a"].expected(z, p)
     assert res == expected or res == -expected
 
 
@@ -466,22 +499,22 @@ def test_n5a_resultant_identity_univariate():
     f, g = n5a_p1_system(one, p)
     res = resultant(f, g)
     lc = g.leading
-    expected = aux_p1_systems()["n5a"]["expected"](Poly.constant(one), p)
+    expected = ELIMINATIONS["n5a"].expected(Poly.constant(one), p)
     assert res * lc == expected or res * lc == -expected
 
 
 def test_aux_resultants_at_exact_points():
     rng = random.Random(17)
     formal_factor = {"n5a": lambda z, p: 2 * z * (4 * p - z)}
-    for name, data in aux_p1_systems().items():
+    for name, elim in ELIMINATIONS.items():
         for _ in range(6):
             z = F(rng.randint(1, 9), rng.randint(1, 5))
             p = F(rng.randint(1, 9), rng.randint(1, 5))
-            f, g = data["system"](z, p)
+            f, g = elim.system(z, p)
             if f.degree < 1 or g.degree < 1:
                 continue
             res = resultant(f, g) * formal_factor.get(name, lambda z, p: F(1))(z, p)
-            expected = data["expected"](z, p)
+            expected = elim.expected(z, p)
             assert res == expected or res == -expected, (name, z, p)
 
 
@@ -516,6 +549,20 @@ def test_lemma_three_element_examples():
     assert lemma_three_element(PS(0, 1, 2, 1)) == (True, 4)
     assert lemma_three_element(PS(1, 1, 1, 1)) == (False, None)
     assert lemma_three_element(PS(0, 3, 0, 2)) == (True, 1)
+
+
+def test_lemmas_decide_exact_inputs_exactly():
+    # alpha p^2 - beta p + gamma = 10^-25 is not 0: no common factor with (s+1)^2
+    assert lemma_three_element(PoleSquaredForm(F(1, 10**25), F(1), F(1), F(1))) == (False, None)
+    # alpha p^2 - gamma = -10^-25 is not 0, and no other condition holds
+    near = PS(1, 3, 1 + F(1, 10**25), 1)
+    assert lemma_four_element(near) == (False, None)
+    # the band still applies to inexact inputs
+    with mp.workprec(256):
+        inexact = PoleSquaredForm(mpf(1), mpf(3), 1 + mpf("1e-25"), mpf(1))
+        assert lemma_four_element(inexact) == (True, 3)
+        inexact = PoleSquaredForm(mpf("1e-25"), mpf(1), mpf(1), mpf(1))
+        assert lemma_three_element(inexact) == (True, 5)
 
 
 def test_lemma_four_element_examples():
@@ -576,20 +623,23 @@ def test_lemma_scaling_invariance():
 
 
 def test_auxiliary_polynomials():
-    aux = auxiliary_condition_polynomials()
-    assert aux["octic_resultant_factor"].degree == 8
-    assert aux["octic_resultant_factor"].leading == 8
-    assert aux["quartic_resultant_factor"].eval(F(1)) == 1
-    # transcription identities
-    assert aux["n4a_quartic"] == Poly([F(1), F(-10), F(31), F(-40), F(16)])
-    assert aux["sextic_resultant_factor"] == Poly(
-        [F(2), F(-12), F(21), F(-28), F(20), F(-8), F(1)]
-    )
-    quad = aux["p1_quadratic_5z_3p"]
-    assert quad.degree == 2
-    # p1^2 coefficient is 5 - 3p; constant term is (p-3)p^2
-    assert quad.coeffs[2] == Poly([F(5), F(-3)])
-    assert quad.coeffs[0] == Poly([F(0), F(0), F(-3), F(1)])
+    # every resultant factor but the octic is squarefree, so its power is its
+    # multiplicity; the octic is (eta - 1)^2 times a squarefree sextic
+    for name, elim in ELIMINATIONS.items():
+        if name == "octic":
+            assert gcd(elim.factor, elim.factor.derivative()) == Poly([F(-1), F(1)])
+        else:
+            assert squarefree_part(elim.factor) == elim.factor.monic(), name
+    # classify decides n4a and n5a on the factors of those resultants, on the
+    # parameters and on their transform images
+    eta = F(1, 10)
+    values = {c.name: c.value for c in classify(B(1, 1, eta)).conditions}
+    for name in ("n4a", "n5a"):
+        factor = ELIMINATIONS[name].factor
+        assert values["%s[condition_poly(eta)=0]" % name] == scalar_to_str(factor.eval(eta))
+        assert values["%s[condition_poly(eta)=0][inv]" % name] == scalar_to_str(
+            factor.eval(1 / eta)
+        )
 
 
 def test_equality_tolerance_on_floats():
