@@ -247,6 +247,8 @@ def target_to_json(target: Target) -> dict:
 def target_from_json(data: dict) -> Union[Target, RationalFn]:
     """Parse a target: canonical {k,z,p}, general {A..F}, pole-squared
     {alpha,beta,gamma,p}, or a raw rational function {num,den}."""
+    if not isinstance(data, dict):
+        raise ValueError("a target must be a JSON object")
     keys = set(data)
     parse = lambda name: scalar_from_str(str(data[name]))
     if keys >= {"k", "z", "p"}:

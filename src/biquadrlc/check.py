@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Tuple
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .network import SPNet, impedance, leaves
 from .ratpoly import Poly, QuadraticRational, RationalFn, is_exact_scalar, to_mpf
@@ -44,19 +44,12 @@ def coefficient_residual(a: Poly, b: Poly, numeric: bool):
     numeric inputs give an mpf at the current working precision.
     """
     n = max(len(a.coeffs), len(b.coeffs), 1)
-    if numeric:
-        ac = [to_mpf(c) for c in _pad(a.coeffs, n)]
-        bc = [to_mpf(c) for c in _pad(b.coeffs, n)]
-        floor = mpf(10) ** -30
-        worst = mpf(0)
-        for x, y in zip(ac, bc):
-            denom = max(abs(x), abs(y), floor)
-            worst = max(worst, abs(x - y) / denom)
-        return worst
-    worst = Fraction(0)
+    field = to_mpf if numeric else _exact_field
+    floor = field(ZERO_COEFF_FLOOR)
+    worst = field(0)
     for x, y in zip(_pad(a.coeffs, n), _pad(b.coeffs, n)):
-        x, y = _exact_field(x), _exact_field(y)
-        denom = max(abs(x), abs(y), ZERO_COEFF_FLOOR)
+        x, y = field(x), field(y)
+        denom = max(abs(x), abs(y), floor)
         worst = max(worst, abs(x - y) / denom)
     return worst
 

@@ -59,7 +59,7 @@ from .realize import (
     NotRealizableError,
     RealizationClass,
     classify,
-    synth_config,
+    synthesize,
 )
 
 EXIT_OK = 0
@@ -91,11 +91,16 @@ def _load_json_arg(text: str):
         raise CliError("invalid JSON in %s: %s" % (text, exc))
 
 
-def _target_rational(data) -> RationalFn:
+def _load_target(arg):
+    data = _load_json_arg(arg)
     try:
-        target = target_from_json(data)
+        return target_from_json(data)
     except (ValueError, KeyError) as exc:
         raise CliError("invalid target: %s" % exc)
+
+
+def _target_rational(arg) -> RationalFn:
+    target = _load_target(arg)
     if isinstance(target, RationalFn):
         return target
     return to_rational_fn(target)
@@ -121,12 +126,7 @@ def _emit_netlist(net, args, extra=None) -> None:
 
 
 def _canonical_target(args) -> CanonicalBiquad:
-    try:
-        return CanonicalBiquad(
-            scalar_from_str(args.k), scalar_from_str(args.z), scalar_from_str(args.p)
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return CanonicalBiquad(*(scalar_from_str(v) for v in (args.k, args.z, args.p)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +159,13 @@ def _cmd_synth(args) -> int:
     b = _canonical_target(args)
     if args.config:
         try:
-            net = synth_config(args.config, b, precision_bits=args.precision_bits)
-        except KeyError as exc:
-            raise CliError(str(exc))
+            net, residual = synthesize(
+                b, args.config, precision_bits=args.precision_bits, tol=args.tol
+            )
         except NotRealizableError as exc:
             _emit({"error": str(exc)}, args)
             return EXIT_NEGATIVE
         config, transform = args.config, None
-        ok, residual = verify_numeric(
-            net, to_rational_fn(b), tol=args.tol, precision_bits=args.precision_bits
-        )
-        if not ok:
-            _emit({"error": "verification failed", "residual": scalar_to_str(residual)}, args)
-            return EXIT_NEGATIVE
     else:
         report = classify(b, precision_bits=args.precision_bits, tol=args.tol)
         if report.network is None:
@@ -228,7 +222,7 @@ def _load_netlist(arg):
 
 def _cmd_verify(args) -> int:
     net = _load_netlist(args.netlist)
-    target = _target_rational(_load_json_arg(args.target))
+    target = _target_rational(args.target)
     ok, residual = verify_numeric(
         net, target, tol=args.tol, precision_bits=args.precision_bits
     )
@@ -237,28 +231,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    payload = {"n": args.n}
     if args.filters is None:
-        try:
-            shapes = enumerate_topologies(args.n)
-        except ValueError as exc:
-            raise CliError(str(exc))
-        payload = {
-            "n": args.n,
-            "count": len(shapes),
-            "topologies": [to_netlist_json(s) for s in shapes],
-        }
+        shapes = enumerate_topologies(args.n)
     else:
-        specs = [f for f in args.filters.split(",") if f]
-        try:
-            shapes = enumerate_labeled(args.n, specs)
-        except ValueError as exc:
-            raise CliError(str(exc))
-        payload = {
-            "n": args.n,
-            "filters": specs,
-            "count": len(shapes),
-            "topologies": [to_netlist_json(s) for s in shapes],
-        }
+        payload["filters"] = [f for f in args.filters.split(",") if f]
+        shapes = enumerate_labeled(args.n, payload["filters"])
+    payload["count"] = len(shapes)
+    payload["topologies"] = [to_netlist_json(s) for s in shapes]
     _emit(payload, args)
     return EXIT_OK
 
@@ -269,10 +249,7 @@ def _cmd_roots(args) -> int:
         raise CliError("--poly expects a JSON array of coefficients")
     poly = Poly.from_json(data)
     lo, hi, width = (scalar_from_str(v) for v in (args.lo, args.hi, args.width))
-    try:
-        count = sturm_count(poly, lo, hi)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    count = sturm_count(poly, lo, hi)
     payload = {"count": count}
     if count == 1:
         ilo, ihi = isolate_root(poly, lo, hi, width)
@@ -285,11 +262,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_pr_check(args) -> int:
-    data = _load_json_arg(args.target)
-    try:
-        target = target_from_json(data)
-    except (ValueError, KeyError) as exc:
-        raise CliError("invalid target: %s" % exc)
+    target = _load_target(args.target)
     if isinstance(target, CanonicalBiquad):
         ok = canonical_positive_real(target)
     elif isinstance(target, GeneralBiquad):
@@ -305,7 +278,7 @@ def _cmd_pr_check(args) -> int:
 def _cmd_falsify(args) -> int:
     from .verify import falsify_small  # the one command that needs numpy and scipy
 
-    target = _target_rational(_load_json_arg(args.target))
+    target = _target_rational(args.target)
     if args.nmax > 5:
         raise CliError("--nmax is limited to 5")
     report = falsify_small(

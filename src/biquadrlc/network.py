@@ -16,7 +16,10 @@ adds admittances), the three network transforms
 
 exhaustive topology/labeling enumeration with the structural filters used by
 the realizability arguments (cut-set rule, no pure-reactive series arm), and
-a catalog of the named configurations used by the seven-element syntheses.
+the catalog of named configurations used by the seven-element syntheses.
+The catalog writes each configuration once, as a nested shape from which its
+slots, valued network and template are built, beside its closed-form
+impedance transcribed independently from the paper.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ __all__ = [
     "has_pure_reactive_series_arm",
     "has_mergeable_siblings",
     "parse_filters",
-    "CONFIGS",
     "config_ids",
     "config_slots",
     "build_config",
@@ -498,303 +500,158 @@ def enumerate_labeled(n: int, filters: Iterable[str] = ()) -> List[SPNet]:
 # ---------------------------------------------------------------------------
 # configuration catalog
 
+# One shape per configuration: "+" is series, "|" is parallel, and each leaf
+# is a slot name whose first letter is the element kind.
+_SHAPES: Dict[str, tuple] = {
+    # one-reactive three-element subnetworks
+    "fig7a": ("|", "R1", ("+", "R2", "C1")),
+    "fig7b": ("|", "R1", ("+", "R2", "L1")),
+    # two-reactive three-element subnetworks
+    "fig8a": ("|", "R1", "L1", "C1"),
+    "fig8b": ("|", "R1", ("+", "L1", "C1")),
+    "fig8c": ("|", "L1", ("+", "R1", "C1")),
+    "fig8d": ("|", "C1", ("+", "R1", "L1")),
+    # three-reactive four-element subnetworks
+    "fig9a": ("|", "R21", "C21", ("+", "L21", "C22")),
+    "fig9b": ("|", "R21", "L21", ("+", "L22", "C21")),
+    "fig9c": ("|", "C21", "L21", ("+", "R21", "C22")),
+    "fig9d": ("|", "C21", "L21", ("+", "L22", "R21")),
+    "fig9e": ("|", "C21", ("+", "R21", ("|", "L21", "C22"))),
+    "fig9f": ("|", "C21", ("+", "L21", ("|", "R21", "C22"))),
+    "fig9g": ("|", "L21", ("+", "R21", ("|", "L22", "C21"))),
+    "fig9h": ("|", "L21", ("+", "C21", ("|", "R21", "L22"))),
+}
 
-@dataclass(frozen=True)
-class ConfigSpec:
-    name: str
-    slots: Tuple[Tuple[str, str], ...]  # (slot name, kind), catalog order
-    build: Callable[[Optional[dict]], SPNet]
-    formula: Callable[[dict], RationalFn]
-    description: str
+# seven-element assemblies: a three-element and a four-element subnetwork in
+# series
+_ASSEMBLIES = {
+    "fig3a": ("fig7a", "fig9g"),
+    "fig4a": ("fig8b", "fig9e"),
+    "fig5a": ("fig8c", "fig9e"),
+}
+_SHAPES.update({name: ("+", _SHAPES[a], _SHAPES[b]) for name, (a, b) in _ASSEMBLIES.items()})
 
 
 def _rf(num_coeffs, den_coeffs) -> RationalFn:
     return RationalFn(Poly(num_coeffs), Poly(den_coeffs))
 
 
-def _make_configs() -> Dict[str, ConfigSpec]:
-    configs: Dict[str, ConfigSpec] = {}
-
-    def add(name, slots, build, formula, description):
-        configs[name] = ConfigSpec(name, tuple(slots), build, formula, description)
-
-    # one-reactive three-element subnetworks
-    add(
-        "fig7a",
-        (("R1", "R"), ("R2", "R"), ("C1", "C")),
-        lambda v: parallel(
-            Leaf("R", v and v["R1"]),
-            series(Leaf("R", v and v["R2"]), Leaf("C", v and v["C1"])),
-        ),
-        lambda v: _rf(
-            [v["R1"], v["R1"] * v["R2"] * v["C1"]],
-            [1, (v["R1"] + v["R2"]) * v["C1"]],
-        ),
-        "R1 in parallel with (R2 series C1); biproper first-degree impedance",
-    )
-    add(
-        "fig7b",
-        (("R1", "R"), ("R2", "R"), ("L1", "L")),
-        lambda v: parallel(
-            Leaf("R", v and v["R1"]),
-            series(Leaf("R", v and v["R2"]), Leaf("L", v and v["L1"])),
-        ),
-        lambda v: _rf(
-            [v["R1"] * v["R2"], v["R1"] * v["L1"]],
-            [v["R1"] + v["R2"], v["L1"]],
-        ),
-        "frequency inverse of fig7a (L replaces C)",
-    )
-
-    # two-reactive three-element subnetworks
-    add(
-        "fig8a",
-        (("R1", "R"), ("L1", "L"), ("C1", "C")),
-        lambda v: parallel(
-            Leaf("R", v and v["R1"]), Leaf("L", v and v["L1"]), Leaf("C", v and v["C1"])
-        ),
-        lambda v: _rf(
-            [0, v["R1"] * v["L1"]],
-            [v["R1"], v["L1"], v["R1"] * v["L1"] * v["C1"]],
-        ),
-        "R, L, C all in parallel",
-    )
-    add(
-        "fig8b",
-        (("R1", "R"), ("L1", "L"), ("C1", "C")),
-        lambda v: parallel(
-            Leaf("R", v and v["R1"]),
-            series(Leaf("L", v and v["L1"]), Leaf("C", v and v["C1"])),
-        ),
-        lambda v: _rf(
-            [v["R1"], 0, v["R1"] * v["L1"] * v["C1"]],
-            [1, v["R1"] * v["C1"], v["L1"] * v["C1"]],
-        ),
-        "R in parallel with series LC",
-    )
-    add(
-        "fig8c",
-        (("R1", "R"), ("L1", "L"), ("C1", "C")),
-        lambda v: parallel(
-            Leaf("L", v and v["L1"]),
-            series(Leaf("R", v and v["R1"]), Leaf("C", v and v["C1"])),
-        ),
-        lambda v: _rf(
-            [0, v["L1"], v["R1"] * v["L1"] * v["C1"]],
-            [1, v["R1"] * v["C1"], v["L1"] * v["C1"]],
-        ),
-        "L in parallel with series RC",
-    )
-    add(
-        "fig8d",
-        (("R1", "R"), ("L1", "L"), ("C1", "C")),
-        lambda v: parallel(
-            Leaf("C", v and v["C1"]),
-            series(Leaf("R", v and v["R1"]), Leaf("L", v and v["L1"])),
-        ),
-        lambda v: _rf(
-            [v["R1"], v["L1"]],
-            [1, v["R1"] * v["C1"], v["L1"] * v["C1"]],
-        ),
-        "frequency inverse of fig8c (C in parallel with series RL)",
-    )
-
-    # three-reactive four-element subnetworks
-    add(
-        "fig9a",
-        (("R21", "R"), ("C21", "C"), ("L21", "L"), ("C22", "C")),
-        lambda v: parallel(
-            Leaf("R", v and v["R21"]),
-            Leaf("C", v and v["C21"]),
-            series(Leaf("L", v and v["L21"]), Leaf("C", v and v["C22"])),
-        ),
-        lambda v: _rf(
-            [v["R21"], 0, v["R21"] * v["L21"] * v["C22"]],
-            [
-                1,
-                v["R21"] * (v["C21"] + v["C22"]),
-                v["L21"] * v["C22"],
-                v["R21"] * v["L21"] * v["C21"] * v["C22"],
-            ],
-        ),
-        "R, C in parallel with series LC",
-    )
-    add(
-        "fig9b",
-        (("R21", "R"), ("L21", "L"), ("L22", "L"), ("C21", "C")),
-        lambda v: parallel(
-            Leaf("R", v and v["R21"]),
-            Leaf("L", v and v["L21"]),
-            series(Leaf("L", v and v["L22"]), Leaf("C", v and v["C21"])),
-        ),
-        lambda v: _rf(
-            [0, v["R21"] * v["L21"], 0, v["R21"] * v["L21"] * v["L22"] * v["C21"]],
-            [
-                v["R21"],
-                v["L21"],
-                v["R21"] * v["C21"] * (v["L21"] + v["L22"]),
-                v["L21"] * v["L22"] * v["C21"],
-            ],
-        ),
-        "R, L in parallel with series LC",
-    )
-    add(
-        "fig9c",
-        (("R21", "R"), ("C21", "C"), ("L21", "L"), ("C22", "C")),
-        lambda v: parallel(
-            Leaf("C", v and v["C21"]),
-            Leaf("L", v and v["L21"]),
-            series(Leaf("R", v and v["R21"]), Leaf("C", v and v["C22"])),
-        ),
-        lambda v: _rf(
-            [0, v["L21"], v["R21"] * v["L21"] * v["C22"]],
-            [
-                1,
-                v["R21"] * v["C22"],
-                v["L21"] * (v["C21"] + v["C22"]),
-                v["R21"] * v["L21"] * v["C21"] * v["C22"],
-            ],
-        ),
-        "C, L in parallel with series RC",
-    )
-    add(
-        "fig9d",
-        (("R21", "R"), ("C21", "C"), ("L21", "L"), ("L22", "L")),
-        lambda v: parallel(
-            Leaf("C", v and v["C21"]),
-            Leaf("L", v and v["L21"]),
-            series(Leaf("L", v and v["L22"]), Leaf("R", v and v["R21"])),
-        ),
-        lambda v: _rf(
-            [0, v["R21"] * v["L21"], v["L21"] * v["L22"]],
-            [
-                v["R21"],
-                v["L21"] + v["L22"],
-                v["R21"] * v["L21"] * v["C21"],
-                v["L21"] * v["L22"] * v["C21"],
-            ],
-        ),
-        "C, L in parallel with series LR",
-    )
-    add(
-        "fig9e",
-        (("R21", "R"), ("L21", "L"), ("C21", "C"), ("C22", "C")),
-        lambda v: parallel(
-            Leaf("C", v and v["C21"]),
-            series(
-                Leaf("R", v and v["R21"]),
-                parallel(Leaf("L", v and v["L21"]), Leaf("C", v and v["C22"])),
-            ),
-        ),
-        lambda v: _rf(
-            [v["R21"], v["L21"], v["R21"] * v["L21"] * v["C22"]],
-            [
-                1,
-                v["R21"] * v["C21"],
-                v["L21"] * (v["C21"] + v["C22"]),
-                v["R21"] * v["L21"] * v["C21"] * v["C22"],
-            ],
-        ),
-        "C in parallel with (R series (L parallel C))",
-    )
-    add(
-        "fig9f",
-        (("R21", "R"), ("L21", "L"), ("C21", "C"), ("C22", "C")),
-        lambda v: parallel(
-            Leaf("C", v and v["C21"]),
-            series(
-                Leaf("L", v and v["L21"]),
-                parallel(Leaf("R", v and v["R21"]), Leaf("C", v and v["C22"])),
-            ),
-        ),
-        lambda v: _rf(
-            [v["R21"], v["L21"], v["R21"] * v["L21"] * v["C22"]],
-            [
-                1,
-                v["R21"] * (v["C21"] + v["C22"]),
-                v["L21"] * v["C21"],
-                v["R21"] * v["L21"] * v["C21"] * v["C22"],
-            ],
-        ),
-        "C in parallel with (L series (R parallel C))",
-    )
-    add(
-        "fig9g",
-        (("R21", "R"), ("L21", "L"), ("L22", "L"), ("C21", "C")),
-        lambda v: parallel(
-            Leaf("L", v and v["L21"]),
-            series(
-                Leaf("R", v and v["R21"]),
-                parallel(Leaf("L", v and v["L22"]), Leaf("C", v and v["C21"])),
-            ),
-        ),
-        lambda v: _rf(
-            [
-                0,
-                v["R21"] * v["L21"],
-                v["L21"] * v["L22"],
-                v["R21"] * v["L21"] * v["L22"] * v["C21"],
-            ],
-            [
-                v["R21"],
-                v["L21"] + v["L22"],
-                v["R21"] * v["L22"] * v["C21"],
-                v["L21"] * v["L22"] * v["C21"],
-            ],
-        ),
-        "L in parallel with (R series (L parallel C))",
-    )
-    add(
-        "fig9h",
-        (("R21", "R"), ("L21", "L"), ("C21", "C"), ("L22", "L")),
-        lambda v: parallel(
-            Leaf("L", v and v["L21"]),
-            series(
-                Leaf("C", v and v["C21"]),
-                parallel(Leaf("R", v and v["R21"]), Leaf("L", v and v["L22"])),
-            ),
-        ),
-        lambda v: _rf(
-            [
-                0,
-                v["R21"] * v["L21"],
-                v["L21"] * v["L22"],
-                v["R21"] * v["L21"] * v["L22"] * v["C21"],
-            ],
-            [
-                v["R21"],
-                v["L22"],
-                v["R21"] * (v["L21"] + v["L22"]) * v["C21"],
-                v["L21"] * v["L22"] * v["C21"],
-            ],
-        ),
-        "L in parallel with (C series (R parallel L))",
-    )
-
-    # seven-element assemblies: a three-element and a four-element subnetwork
-    # in series
-    def assembly(sub1: str, sub2: str):
-        def build(v):
-            return series(configs[sub1].build(v), configs[sub2].build(v))
-
-        def formula(v):
-            return configs[sub1].formula(v) + configs[sub2].formula(v)
-
-        slots = configs[sub1].slots + configs[sub2].slots
-        return slots, build, formula
-
-    for name, sub1, sub2, desc in (
-        ("fig3a", "fig7a", "fig9g", "seven-element assembly fig7a + fig9g"),
-        ("fig4a", "fig8b", "fig9e", "seven-element assembly fig8b + fig9e (N4a)"),
-        ("fig5a", "fig8c", "fig9e", "seven-element assembly fig8c + fig9e (N5a)"),
-    ):
-        slots, build, formula = assembly(sub1, sub2)
-        add(name, slots, build, formula, desc)
-
-    return configs
-
-
-CONFIGS: Dict[str, ConfigSpec] = _make_configs()
+# the closed-form impedances, transcribed from the paper independently of the
+# shapes so that the two can be checked against each other
+_FORMULAS: Dict[str, Callable[[dict], RationalFn]] = {
+    "fig7a": lambda v: _rf(
+        [v["R1"], v["R1"] * v["R2"] * v["C1"]],
+        [1, (v["R1"] + v["R2"]) * v["C1"]],
+    ),
+    "fig7b": lambda v: _rf(
+        [v["R1"] * v["R2"], v["R1"] * v["L1"]],
+        [v["R1"] + v["R2"], v["L1"]],
+    ),
+    "fig8a": lambda v: _rf(
+        [0, v["R1"] * v["L1"]],
+        [v["R1"], v["L1"], v["R1"] * v["L1"] * v["C1"]],
+    ),
+    "fig8b": lambda v: _rf(
+        [v["R1"], 0, v["R1"] * v["L1"] * v["C1"]],
+        [1, v["R1"] * v["C1"], v["L1"] * v["C1"]],
+    ),
+    "fig8c": lambda v: _rf(
+        [0, v["L1"], v["R1"] * v["L1"] * v["C1"]],
+        [1, v["R1"] * v["C1"], v["L1"] * v["C1"]],
+    ),
+    "fig8d": lambda v: _rf(
+        [v["R1"], v["L1"]],
+        [1, v["R1"] * v["C1"], v["L1"] * v["C1"]],
+    ),
+    "fig9a": lambda v: _rf(
+        [v["R21"], 0, v["R21"] * v["L21"] * v["C22"]],
+        [
+            1,
+            v["R21"] * (v["C21"] + v["C22"]),
+            v["L21"] * v["C22"],
+            v["R21"] * v["L21"] * v["C21"] * v["C22"],
+        ],
+    ),
+    "fig9b": lambda v: _rf(
+        [0, v["R21"] * v["L21"], 0, v["R21"] * v["L21"] * v["L22"] * v["C21"]],
+        [
+            v["R21"],
+            v["L21"],
+            v["R21"] * v["C21"] * (v["L21"] + v["L22"]),
+            v["L21"] * v["L22"] * v["C21"],
+        ],
+    ),
+    "fig9c": lambda v: _rf(
+        [0, v["L21"], v["R21"] * v["L21"] * v["C22"]],
+        [
+            1,
+            v["R21"] * v["C22"],
+            v["L21"] * (v["C21"] + v["C22"]),
+            v["R21"] * v["L21"] * v["C21"] * v["C22"],
+        ],
+    ),
+    "fig9d": lambda v: _rf(
+        [0, v["R21"] * v["L21"], v["L21"] * v["L22"]],
+        [
+            v["R21"],
+            v["L21"] + v["L22"],
+            v["R21"] * v["L21"] * v["C21"],
+            v["L21"] * v["L22"] * v["C21"],
+        ],
+    ),
+    "fig9e": lambda v: _rf(
+        [v["R21"], v["L21"], v["R21"] * v["L21"] * v["C22"]],
+        [
+            1,
+            v["R21"] * v["C21"],
+            v["L21"] * (v["C21"] + v["C22"]),
+            v["R21"] * v["L21"] * v["C21"] * v["C22"],
+        ],
+    ),
+    "fig9f": lambda v: _rf(
+        [v["R21"], v["L21"], v["R21"] * v["L21"] * v["C22"]],
+        [
+            1,
+            v["R21"] * (v["C21"] + v["C22"]),
+            v["L21"] * v["C21"],
+            v["R21"] * v["L21"] * v["C21"] * v["C22"],
+        ],
+    ),
+    "fig9g": lambda v: _rf(
+        [
+            0,
+            v["R21"] * v["L21"],
+            v["L21"] * v["L22"],
+            v["R21"] * v["L21"] * v["L22"] * v["C21"],
+        ],
+        [
+            v["R21"],
+            v["L21"] + v["L22"],
+            v["R21"] * v["L22"] * v["C21"],
+            v["L21"] * v["L22"] * v["C21"],
+        ],
+    ),
+    "fig9h": lambda v: _rf(
+        [
+            0,
+            v["R21"] * v["L21"],
+            v["L21"] * v["L22"],
+            v["R21"] * v["L21"] * v["L22"] * v["C21"],
+        ],
+        [
+            v["R21"],
+            v["L22"],
+            v["R21"] * (v["L21"] + v["L22"]) * v["C21"],
+            v["L21"] * v["L22"] * v["C21"],
+        ],
+    ),
+}
+_FORMULAS.update(
+    {
+        name: lambda v, a=a, b=b: _FORMULAS[a](v) + _FORMULAS[b](v)
+        for name, (a, b) in _ASSEMBLIES.items()
+    }
+)
 
 _CONFIG_ALIASES = {"n4a": "fig4a", "n5a": "fig5a"}
 
@@ -805,42 +662,57 @@ def canonical_config_id(config_id: str) -> str:
     return _CONFIG_ALIASES.get(key, key)
 
 
-def _resolve_config(config_id: str) -> ConfigSpec:
+def _catalog_key(config_id: str) -> str:
     key = canonical_config_id(config_id)
-    if key not in CONFIGS:
+    if key not in _SHAPES:
         raise KeyError("unknown configuration id %r" % (config_id,))
-    return CONFIGS[key]
+    return key
+
+
+def _slot_names(shape) -> List[str]:
+    if isinstance(shape, str):
+        return [shape]
+    return [name for part in shape[1:] for name in _slot_names(part)]
+
+
+def _build(shape, values: Optional[dict]) -> SPNet:
+    """The network of a shape; ``values=None`` leaves every slot empty."""
+    if isinstance(shape, str):
+        return Leaf(shape[0], None if values is None else values[shape])
+    compose = series if shape[0] == "+" else parallel
+    return compose(*(_build(part, values) for part in shape[1:]))
 
 
 def config_ids() -> List[str]:
-    return sorted(CONFIGS)
+    return sorted(_SHAPES)
 
 
 def config_slots(config_id: str) -> Tuple[Tuple[str, str], ...]:
-    return _resolve_config(config_id).slots
+    """(slot name, kind) pairs in shape order."""
+    return tuple((name, name[0]) for name in _slot_names(_SHAPES[_catalog_key(config_id)]))
 
 
 def build_config(config_id: str, values: dict) -> SPNet:
     """Build the named configuration with the given slot values."""
-    spec = _resolve_config(config_id)
-    missing = [name for name, _ in spec.slots if name not in values]
+    shape = _SHAPES[_catalog_key(config_id)]
+    names = _slot_names(shape)
+    missing = [name for name in names if name not in values]
     if missing:
         raise ValueError("missing slot values: %s" % ", ".join(missing))
-    for name, _ in spec.slots:
+    for name in names:
         if not values[name] > 0:
             raise ValueError("slot %s must be positive" % name)
-    return spec.build(values)
+    return _build(shape, values)
 
 
 def config_template(config_id: str) -> SPNet:
     """The configuration shape with empty value slots (for fitting)."""
-    return _resolve_config(config_id).build(None)
+    return _build(_SHAPES[_catalog_key(config_id)], None)
 
 
 def config_formula(config_id: str, values: dict) -> RationalFn:
     """The cataloged closed-form impedance evaluated at the given values."""
-    spec = _resolve_config(config_id)
-    return spec.formula(values)
+    return _FORMULAS[_catalog_key(config_id)](values)
 
 
 # ---------------------------------------------------------------------------
@@ -857,17 +729,20 @@ def to_netlist_json(net: SPNet) -> dict:
 
 
 def from_netlist_json(data: dict) -> SPNet:
+    if not isinstance(data, dict):
+        raise ValueError("a netlist node must be a JSON object")
     t = data.get("type")
     if t == "element":
         value = data.get("value")
         parsed = None if value is None else scalar_from_str(str(value))
         return Leaf(data["kind"], parsed)
-    kids = tuple(from_netlist_json(c) for c in data["children"])
-    if t == "series":
-        return canonical(Series(kids))
-    if t == "parallel":
-        return canonical(Parallel(kids))
-    raise ValueError("unknown netlist node type %r" % (t,))
+    if t not in ("series", "parallel"):
+        raise ValueError("unknown netlist node type %r" % (t,))
+    children = data["children"]
+    if not isinstance(children, list) or not children:
+        raise ValueError("netlist children must be a non-empty array")
+    kids = tuple(from_netlist_json(c) for c in children)
+    return canonical((Series if t == "series" else Parallel)(kids))
 
 
 def to_spice(net: SPNet) -> str:

@@ -720,6 +720,8 @@ class RationalFn:
 
     @classmethod
     def from_json(cls, data: dict) -> "RationalFn":
+        if not (isinstance(data["num"], list) and isinstance(data["den"], list)):
+            raise ValueError("num and den must be arrays of coefficients")
         return cls(Poly.from_json(data["num"]), Poly.from_json(data["den"]))
 
     def __repr__(self):

@@ -36,6 +36,12 @@ The three synthesizers return fully valued seven-element networks:
   beta = 2k p1 z^2 (p+p1)^2/((p+2p1)^2 p) and R1 = m, C1 = 1/(mq),
   L1 = m/(p1+p).
 
+n4a and n5a share one body; both find p1 with ``_common_root``.
+``synthesize`` is the one synthesize-and-verify path, used by ``classify``
+and by the CLI's ``synth`` with and without ``--config``: it maps the target
+through an optional transform, synthesizes, maps the network back and
+re-verifies it with ``verify_numeric``, raising RuntimeError when it fails.
+
 Every condition is a polynomial in eta = p/z (z normalized to 1).  An
 equality is decided exactly (value == 0) wherever an exact input can satisfy
 it: Fraction inputs on the rational loci (p = 3z, p = z/3 and the lemma
@@ -86,6 +92,7 @@ __all__ = [
     "synth_fig3a",
     "synth_n4a",
     "synth_n5a",
+    "synthesize",
     "lemma_three_element",
     "lemma_four_element",
     "lemma_five_element_two_reactive",
@@ -492,61 +499,50 @@ def _common_root(f: Poly, g: Poly):
     return root
 
 
+def _synth_on_root_locus(tag, check, p1_system, b: CanonicalBiquad, precision_bits) -> SPNet:
+    """The n4a / n5a synthesis: p1 is the positive common root of the two
+    p1 polynomials of ``p1_system``."""
+    config_id = canonical_config_id(tag)
+    with mp.workprec(precision_bits):
+        if not check(b.z, b.p):
+            raise NotRealizableError("%s condition fails for z=%s, p=%s" % (tag, b.z, b.p))
+        k, z, p = (to_mpf(v) for v in (b.k, b.z, b.p))
+        p1 = _common_root(*p1_system(z, p))
+        if not p1 > 0:
+            raise NotRealizableError("common p1 root is not positive")
+        m = k
+        if config_id == "fig4a":
+            alpha = k * (p1 + 2 * z - p)
+            beta = k * (2 * z * p1 + z * z - p1 * p)
+            gamma = k * p1 * (z - p) * (z + p)
+            values = {"R1": m, "L1": m / (p + p1), "C1": (p + p1) / (m * p * p1)}
+        else:
+            q = p1 * p / (p1 + p)
+            gamma = k * p1 * z * z
+            alpha = k * p1 * z * z / (p * (p + 2 * p1))
+            beta = 2 * k * p1 * z * z * (p + p1) ** 2 / ((p + 2 * p1) ** 2 * p)
+            values = {"R1": m, "C1": 1 / (m * q), "L1": m / (p1 + p)}
+        d = 2 * alpha * p + alpha * p1 - beta
+        values.update(
+            {
+                "C21": 1 / alpha,
+                "C22": d / (alpha * beta),
+                "R21": alpha * alpha / d,
+                "L21": alpha * alpha * beta / (gamma * d),
+            }
+        )
+        _positive_or_bug(values, "%s synthesis" % config_id)
+        return build_config(config_id, values)
+
+
 def synth_n4a(b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
     """Closed-form n4a synthesis (seven elements, five reactive)."""
-    with mp.workprec(precision_bits):
-        if not check_n4a_condition(b.z, b.p):
-            raise NotRealizableError("n4a condition fails for z=%s, p=%s" % (b.z, b.p))
-        k, z, p = (to_mpf(v) for v in (b.k, b.z, b.p))
-        f, g = n4a_p1_system(z, p)
-        # both quadratics can have two positive roots; p1 is the common one
-        aa, bb, cc = f.coeffs[2], f.coeffs[1], f.coeffs[0]
-        sq = mpmath.sqrt(bb * bb - 4 * aa * cc)
-        roots = [(-bb + sq) / (2 * aa), (-bb - sq) / (2 * aa)]
-        p1 = min(roots, key=lambda r: abs(g.eval(r)))
-        scale_g = max(abs(c) for c in g.coeffs)
-        if abs(g.eval(p1)) > scale_g * mpf("1e-10"):
-            raise NotRealizableError("the two p1 quadratics share no root at this p")
-        return _build_n_values(k, z, p, p1, "fig4a")
-
-
-def _build_n_values(k, z, p, p1, config_id: str) -> SPNet:
-    m = k
-    if config_id == "fig4a":
-        alpha = k * (p1 + 2 * z - p)
-        beta = k * (2 * z * p1 + z * z - p1 * p)
-        gamma = k * p1 * (z - p) * (z + p)
-        values = {"R1": m, "L1": m / (p + p1), "C1": (p + p1) / (m * p * p1)}
-    else:
-        q = p1 * p / (p1 + p)
-        gamma = k * p1 * z * z
-        alpha = k * p1 * z * z / (p * (p + 2 * p1))
-        beta = 2 * k * p1 * z * z * (p + p1) ** 2 / ((p + 2 * p1) ** 2 * p)
-        values = {"R1": m, "C1": 1 / (m * q), "L1": m / (p1 + p)}
-    d = 2 * alpha * p + alpha * p1 - beta
-    values.update(
-        {
-            "C21": 1 / alpha,
-            "C22": d / (alpha * beta),
-            "R21": alpha * alpha / d,
-            "L21": alpha * alpha * beta / (gamma * d),
-        }
-    )
-    _positive_or_bug(values, "%s synthesis" % config_id)
-    return build_config(config_id, values)
+    return _synth_on_root_locus("n4a", check_n4a_condition, n4a_p1_system, b, precision_bits)
 
 
 def synth_n5a(b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
     """Closed-form n5a synthesis (seven elements, five reactive)."""
-    with mp.workprec(precision_bits):
-        if not check_n5a_condition(b.z, b.p):
-            raise NotRealizableError("n5a condition fails for z=%s, p=%s" % (b.z, b.p))
-        k, z, p = (to_mpf(v) for v in (b.k, b.z, b.p))
-        f, g = n5a_p1_system(z, p)
-        p1 = _common_root(f, g)
-        if not p1 > 0:
-            raise NotRealizableError("common p1 root is not positive")
-        return _build_n_values(k, z, p, p1, "fig5a")
+    return _synth_on_root_locus("n5a", check_n5a_condition, n5a_p1_system, b, precision_bits)
 
 
 _SYNTH = {"fig3a": synth_fig3a, "fig4a": synth_n4a, "fig5a": synth_n5a}
@@ -557,6 +553,34 @@ def synth_config(config_id: str, b: CanonicalBiquad, precision_bits: int = 256) 
     if key not in _SYNTH:
         raise KeyError("no synthesizer for configuration %r" % (config_id,))
     return _SYNTH[key](b, precision_bits=precision_bits)
+
+
+def synthesize(
+    b: CanonicalBiquad,
+    config: str,
+    transform: Optional[str] = None,
+    precision_bits: int = 256,
+    tol=Fraction(1, 10**20),
+) -> Tuple[SPNet, object]:
+    """Synthesize ``config`` for b and re-verify the network against b.
+
+    With a ``transform`` the configuration is synthesized for the
+    transformed parameters and the network is mapped back through the same
+    transform.  Returns (network, residual).  Raises NotRealizableError when
+    the configuration's condition fails, and RuntimeError when the network
+    does not verify within ``tol`` at ``precision_bits``.
+    """
+    with mp.workprec(precision_bits):
+        bt = b if transform is None else transform_params(b, transform)
+        net_t = synth_config(config, bt, precision_bits=precision_bits)
+        network = net_t if transform is None else apply_transform(net_t, transform)
+        target_rf = to_rational_fn(b)
+    ok, residual = verify_numeric(network, target_rf, tol=tol, precision_bits=precision_bits)
+    if not ok:
+        raise RuntimeError(
+            "synthesized network failed verification (residual %s)" % scalar_to_str(residual)
+        )
+    return network, residual
 
 
 # ---------------------------------------------------------------------------
@@ -627,19 +651,7 @@ def classify(
     elif catalog_hit is not None:
         klass = RealizationClass.SEVEN_ELEMENT_CATALOG
         config, transform = catalog_hit
-        with mp.workprec(precision_bits):
-            bt = b if transform is None else transform_params(b, transform)
-            net_t = synth_config(config, bt, precision_bits=precision_bits)
-            network = net_t if transform is None else apply_transform(net_t, transform)
-            target_rf = to_rational_fn(b)
-        ok, residual = verify_numeric(
-            network, target_rf, tol=tol, precision_bits=precision_bits
-        )
-        if not ok:
-            raise RuntimeError(
-                "synthesized network failed verification (residual %s)"
-                % scalar_to_str(residual)
-            )
+        network, residual = synthesize(b, config, transform, precision_bits=precision_bits, tol=tol)
     else:
         klass = RealizationClass.UNKNOWN_WITHIN_SCOPE
     return RealizationReport(

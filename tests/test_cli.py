@@ -259,10 +259,11 @@ def test_default_tol_follows_precision():
 
 def test_failed_self_verification_exits_3(capsys):
     argv = ["--precision-bits", "64", "--tol", "1e-20", "synth", "--k", "1", "--z", "1", "--p", "5"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "failed verification" in json.loads(captured.err)["error"]
+    for config in ([], ["--config", "fig3a"]):
+        assert main(argv + config) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "failed verification" in json.loads(captured.err)["error"]
 
 
 def _leaf(value):
@@ -295,6 +296,25 @@ NUMERIC_ENTRY_POINTS = {
 def test_unparseable_numbers_exit_2(capsys, entry, text):
     # an exception escaping main() would fail the test with its traceback
     argv = [arg.replace("{}", text) for arg in NUMERIC_ENTRY_POINTS[entry]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["impedance", "[1]"],
+        ["pr-check", "--target", "[{}]"],
+        ["verify", '{"type":"series","children":[]}', "--target", '{"k":"1","z":"1","p":"5"}'],
+        ["impedance", '{"type":"series","children":5}'],
+        ["verify", _leaf("1"), "--target", '{"num":5,"den":["1"]}'],
+    ],
+)
+def test_malformed_json_exits_2(capsys, argv):
+    # an exception escaping main() would fail the test with its traceback
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquadrlc.network import (
-    CONFIGS,
     Leaf,
     Series,
     apply_transform,
@@ -479,9 +478,7 @@ def _walk_leaves(net):
 
 
 def _formula_to_sympy(cid, syms, sympy, s):
-    formula = CONFIGS[
-        {"n4a": "fig4a", "n5a": "fig5a"}.get(cid.lower(), cid.lower())
-    ].formula(syms)
+    formula = config_formula(cid, syms)
     num = sum(c * s**i for i, c in enumerate(formula.num.coeffs))
     den = sum(c * s**i for i, c in enumerate(formula.den.coeffs))
     return num / den
