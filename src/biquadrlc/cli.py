@@ -279,8 +279,6 @@ def _cmd_falsify(args) -> int:
     from .verify import falsify_small  # the one command that needs numpy and scipy
 
     target = _target_rational(args.target)
-    if args.nmax > 5:
-        raise CliError("--nmax is limited to 5")
     report = falsify_small(
         target,
         args.nmax,

@@ -17,14 +17,18 @@ adds admittances), the three network transforms
 exhaustive topology/labeling enumeration with the structural filters used by
 the realizability arguments (cut-set rule, no pure-reactive series arm), and
 the catalog of named configurations used by the seven-element syntheses.
-The catalog writes each configuration once, as a nested shape from which its
-slots, valued network and template are built, beside its closed-form
-impedance transcribed independently from the paper.
+Enumeration and the cut-set rule both follow the series/parallel recursion
+by which Riordan & Shannon count these networks, so each canonical network
+is built once and the cut-set rule needs no search.  The catalog writes each
+configuration once, as a nested shape from which its slots, valued network
+and template are built, beside its closed-form impedance transcribed
+independently from the paper.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -313,67 +317,50 @@ def _partitions(n: int, max_part: int = None):
             yield (first,) + rest
 
 
-class _TopologyCache:
-    def __init__(self):
-        self.non_series: Dict[int, List[SPNet]] = {}
-        self.non_parallel: Dict[int, List[SPNet]] = {}
+def _networks(n: int, kinds: tuple) -> List[SPNet]:
+    """The canonical networks with n leaves labeled from ``kinds``, sorted by
+    ``canonical_key``.
 
-    def get(self, n: int, kind: str) -> List[SPNet]:
-        cache = self.non_series if kind == "ns" else self.non_parallel
-        if n in cache:
-            return cache[n]
-        out: List[SPNet] = []
-        if n == 1:
-            out.append(Leaf(None))
-        else:
-            root = Parallel if kind == "ns" else Series
-            child_kind = "np" if kind == "ns" else "ns"
-            for part in _partitions(n):
+    The series/parallel recursion of Riordan & Shannon (J. Math. Phys. 21,
+    1942): a network is a leaf, or a Series/Parallel root over a multiset of
+    at least two children, each of which is a leaf or has the other root.
+    Each network is built once, so nothing is deduplicated.  The memo lives
+    for one call; kept across calls it would hold every labeled network of
+    every size asked for.
+    """
+    if not 1 <= n <= 8:
+        raise ValueError("element count must be between 1 and 8")
+    single = [Leaf(kind) for kind in kinds]
+    memo: Dict[tuple, List[SPNet]] = {}
+
+    def rooted(m: int, root) -> List[SPNet]:
+        """The networks of m >= 2 leaves under a ``root`` node."""
+        if (m, root) not in memo:
+            other = Parallel if root is Series else Series
+            out = []
+            for part in _partitions(m):
                 if len(part) < 2:
                     continue
-                groups: List[List[Tuple[SPNet, ...]]] = []
-                for size, count in _group_counts(part):
-                    opts = self.get(size, child_kind)
-                    groups.append(list(itertools.combinations_with_replacement(opts, count)))
-                for pick in itertools.product(*groups):
-                    kids = tuple(itertools.chain.from_iterable(pick))
-                    out.append(canonical(root(kids)))
-        seen = {}
-        for t in out:
-            seen[canonical_key(t)] = t
-        result = [seen[k] for k in sorted(seen)]
-        cache[n] = result
-        return result
+                picks = [
+                    list(itertools.combinations_with_replacement(
+                        single if size == 1 else rooted(size, other), count))
+                    for size, count in Counter(part).items()
+                ]
+                for pick in itertools.product(*picks):
+                    kids = sorted(itertools.chain.from_iterable(pick), key=canonical_key)
+                    out.append(root(tuple(kids)))
+            memo[m, root] = sorted(out, key=canonical_key)
+        return memo[m, root]
 
-
-def _group_counts(part: Tuple[int, ...]) -> List[Tuple[int, int]]:
-    out: List[Tuple[int, int]] = []
-    for size in part:
-        if out and out[-1][0] == size:
-            out[-1] = (size, out[-1][1] + 1)
-        else:
-            out.append((size, 1))
-    return out
-
-
-_TOPO = _TopologyCache()
+    return single if n == 1 else rooted(n, Series) + rooted(n, Parallel)
 
 
 def enumerate_topologies(n: int) -> List[SPNet]:
     """All canonical series-parallel two-terminal shapes with n edges.
 
-    Counts for n = 1..5 are 1, 2, 4, 10, 24.
+    Counts for n = 1..8 are 1, 2, 4, 10, 24, 66, 180, 522 (OEIS A000084).
     """
-    if not 1 <= n <= 8:
-        raise ValueError("element count must be between 1 and 8")
-    if n == 1:
-        return [Leaf(None)]
-    out = list(_TOPO.get(n, "ns")) + list(_TOPO.get(n, "np"))
-    seen = {}
-    for t in out:
-        if not isinstance(t, Leaf):
-            seen[canonical_key(t)] = t
-    return [seen[k] for k in sorted(seen)]
+    return _networks(n, (None,))
 
 
 # ---------------------------------------------------------------------------
@@ -383,44 +370,19 @@ def enumerate_topologies(n: int) -> List[SPNet]:
 def violates_cutset_rule(net: SPNet) -> bool:
     """True iff some minimal terminal-separating cut is all-L or all-C.
 
-    Brute force over leaf subsets of each reactive kind (a subset of an
-    all-L set is all-L, so inclusion-minimality can be checked within the
-    same powerset).  Intended for small networks.
+    A minimal cut of a series connection is a minimal cut of one arm, and a
+    minimal cut of a parallel connection is one minimal cut per branch.  So
+    an all-K minimal cut exists at a leaf of kind K, at a series node when
+    some arm has one, and at a parallel node when every branch has one.
     """
-    lfs = leaves(net)
-    if len(lfs) > 12:
-        raise ValueError("cut-set brute force limited to 12 elements")
 
-    # leaves are identified by depth-first position (equal leaves may share
-    # an object, so identity cannot be used)
-    def connected_pos(n: SPNet, removed: frozenset, counter: List[int]) -> bool:
+    def has_cut(n: SPNet, kind: str) -> bool:
         if isinstance(n, Leaf):
-            i = counter[0]
-            counter[0] += 1
-            return i not in removed
-        if isinstance(n, Series):
-            ok = True
-            for c in n.children:
-                ok = connected_pos(c, removed, counter) and ok
-            return ok
-        ok = False
-        for c in n.children:
-            ok = connected_pos(c, removed, counter) or ok
-        return ok
+            return n.kind == kind
+        test = any if isinstance(n, Series) else all
+        return test(has_cut(c, kind) for c in n.children)
 
-    def separates(removed: frozenset) -> bool:
-        return not connected_pos(net, removed, [0])
-
-    for kind in REACTIVE:
-        positions = [i for i, lf in enumerate(lfs) if lf.kind == kind]
-        for r in range(1, len(positions) + 1):
-            for combo in itertools.combinations(positions, r):
-                s = frozenset(combo)
-                if not separates(s):
-                    continue
-                if all(not separates(s - {x}) for x in s):
-                    return True
-    return False
+    return any(has_cut(net, kind) for kind in REACTIVE)
 
 
 def has_pure_reactive_series_arm(net: SPNet) -> bool:
@@ -477,24 +439,11 @@ def parse_filters(specs: Iterable[str]) -> List[Tuple[str, Callable[[SPNet], boo
 
 
 def enumerate_labeled(n: int, filters: Iterable[str] = ()) -> List[SPNet]:
-    """All canonical R/L/C labelings of the n-element shapes, filtered.
-
-    Labelings that coincide after canonical reordering are deduplicated.
-    Raw labelings grow as 3^n per shape; the n = 8 maximum takes a while.
+    """All canonical R/L/C labelings of the n-element shapes that pass the
+    filters, sorted by ``canonical_key``: 3, 12, 56, 312, 1896 for n = 1..5.
     """
     preds = parse_filters(filters)
-    out: Dict[tuple, SPNet] = {}
-    for shape in enumerate_topologies(n):
-        shape_leaves = leaves(shape)
-        for kinds in itertools.product(KINDS, repeat=len(shape_leaves)):
-            it = iter(kinds)
-            labeled = canonical(map_leaves(shape, lambda lf: Leaf(next(it))))
-            key = canonical_key(labeled)
-            if key in out:
-                continue
-            if all(pred(labeled) for _, pred in preds):
-                out[key] = labeled
-    return [out[k] for k in sorted(out)]
+    return [net for net in _networks(n, KINDS) if all(pred(net) for _, pred in preds)]
 
 
 # ---------------------------------------------------------------------------

@@ -562,9 +562,10 @@ def sturm_count(a: Poly, lo, hi) -> int:
     """Number of distinct real roots of ``a`` in (lo, hi], exactly.
 
     The square-free reduction is performed internally, so repeated roots are
-    counted once.  Exact rational endpoints and coefficients required.
+    counted once.  Exact coefficients and exact endpoints (rational or
+    ``QuadraticRational``) required.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = (x if isinstance(x, QuadraticRational) else Fraction(x) for x in (lo, hi))
     if not lo < hi:
         raise ValueError("need lo < hi")
     if a.is_zero:

@@ -49,7 +49,10 @@ conditions) and QuadraticRational inputs on every locus.  The band
 |value| <= 1e-20 decides the rest: Fraction inputs on the irrational loci
 (eta = 2 + sqrt2, 1/(2 + sqrt2), the n4a and n5a roots), so that
 isolating-interval midpoints (see n4a_root_interval / n5a_root_interval) and
-long decimal literals can be fed back in, and every mpf input.
+long decimal literals can be fed back in, and every mpf input.  A target the
+band puts on the n4a or n5a locus lies off it by up to the band, so the
+re-verification decides: a network that misses the target by more than
+``tol`` rejects it (NotRealizableError).
 """
 
 from __future__ import annotations
@@ -333,22 +336,13 @@ def n5a_p1_system(z, p) -> Tuple[Poly, Poly]:
 def count_roots_below_sqrt5_bound(poly: Poly) -> int:
     """Distinct real roots of poly in (0, 1/(2+sqrt5)), exactly.
 
-    The endpoint is irrational (the positive root of eta^2 + 4 eta - 1);
-    rational under/over approximations are tightened until the Sturm counts
-    agree.  Rejects polynomials sharing a root with the endpoint minimal
-    polynomial, where the half-open convention would be ambiguous.
+    The endpoint 1/(2+sqrt5) = sqrt5 - 2 is the exact QuadraticRational.
+    Rejects polynomials sharing a root with the endpoint minimal polynomial,
+    where the half-open convention would be ambiguous.
     """
     if gcd(squarefree_part(poly), SQRT5_BOUND_POLY).degree > 0:
         raise ValueError("polynomial vanishes at the interval endpoint")
-    width = Fraction(1, 2**20)
-    for _ in range(8):
-        lo, hi = isolate_root(SQRT5_BOUND_POLY, Fraction(0), Fraction(1), width)
-        c_lo = sturm_count(poly, Fraction(0), lo)
-        c_hi = sturm_count(poly, Fraction(0), hi)
-        if c_lo == c_hi:
-            return c_lo
-        width /= 2**20
-    raise RuntimeError("could not stabilize the endpoint approximation")
+    return sturm_count(poly, Fraction(0), QuadraticRational(-2, 1, 5))
 
 
 def _isolating_interval_on_locus(poly: Poly, width) -> Tuple[Fraction, Fraction]:
@@ -567,8 +561,10 @@ def synthesize(
     With a ``transform`` the configuration is synthesized for the
     transformed parameters and the network is mapped back through the same
     transform.  Returns (network, residual).  Raises NotRealizableError when
-    the configuration's condition fails, and RuntimeError when the network
-    does not verify within ``tol`` at ``precision_bits``.
+    the configuration's condition fails, or when an n4a/n5a network misses
+    the target by more than ``tol`` at ``precision_bits``: every input those
+    irrational loci accept lies off them by up to the band.  A fig3a network
+    that does not verify is a fault of the program (RuntimeError).
     """
     with mp.workprec(precision_bits):
         bt = b if transform is None else transform_params(b, transform)
@@ -577,6 +573,12 @@ def synthesize(
         target_rf = to_rational_fn(b)
     ok, residual = verify_numeric(network, target_rf, tol=tol, precision_bits=precision_bits)
     if not ok:
+        if canonical_config_id(config) in ("fig4a", "fig5a"):
+            raise NotRealizableError(
+                "the target lies within the 1e-20 band of the %s locus, but the network "
+                "synthesized for it misses it (residual %s, tolerance %s)"
+                % (config, scalar_to_str(residual), scalar_to_str(tol))
+            )
         raise RuntimeError(
             "synthesized network failed verification (residual %s)" % scalar_to_str(residual)
         )
@@ -610,7 +612,8 @@ def classify(
     only on eta = p/z, and on parameters inv and dual both act as
     eta -> 1/eta while gdu fixes eta, so a transformed hit always reports
     the first transform in the order (the synthesized networks would differ,
-    but each maps back to a valid realization of the input).
+    but each maps back to a valid realization of the input).  Raises what
+    ``synthesize`` raises for a catalog hit whose network does not verify.
     """
     conditions: List[ConditionRecord] = []
     with mp.workprec(precision_bits):

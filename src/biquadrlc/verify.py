@@ -193,6 +193,12 @@ class _CompiledTemplate:
         return (self.diff_map @ dmono - self._out[:, None] * dscale) / self._scale
 
 
+def _require_positive(**counts) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError("%s must be at least 1, got %s" % (name, value))
+
+
 def least_squares(fun, x0, jac, max_nfev, xtol, ftol, gtol) -> OptimizeResult:
     """MINPACK ``lmder`` with the exact Jacobian ``jac``: the call that scipy's
     ``least_squares(method="lm", x_scale="jac")`` makes, without its wrapping
@@ -220,6 +226,7 @@ def fit_topology(
     share the evaluation ``budget``.  Success is certified by verify_numeric
     at ``tol``, so a success here always re-verifies.
     """
+    _require_positive(budget=budget, starts=starts)
     n = len(leaves(template))
     if n < 1:
         raise ValueError("template has no element slots")
@@ -228,7 +235,7 @@ def fit_topology(
     compiled = _CompiledTemplate(template, tnum, tden)
 
     rng = np.random.default_rng(seed)
-    per_start = max(budget // max(starts, 1), 40)
+    per_start = max(budget // starts, 40)
     best_theta = None
     best_cost = np.inf
     evals = 0
@@ -276,10 +283,12 @@ def falsify_small(
     Topologies failing a structural filter are skipped and reported as
     filtered (they cannot realize a biquadratic with finite nonzero Z(0) and
     Z(inf)).  A uniform residual floor is evidence consistent with
-    non-realizability, not a proof.
+    non-realizability, not a proof.  Raises ValueError for n_max outside
+    1..5 and for a budget or start count below 1.
     """
-    if n_max > 5:
-        raise ValueError("falsification brute force is limited to 5 elements")
+    if not 1 <= n_max <= 5:
+        raise ValueError("n_max must be between 1 and 5 (the brute force's limit)")
+    _require_positive(budget=budget, starts=starts)
     preds = parse_filters(filters)
     entries = []
     best = None

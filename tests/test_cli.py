@@ -237,6 +237,10 @@ def test_invalid_inputs_exit_2(capsys):
     assert main(["roots", "--poly", "[]", "--lo", "0", "--hi", "1"]) == 2
     bad_netlist = json.dumps({"type": "element", "kind": "R", "value": "-3"})
     assert main(["impedance", bad_netlist]) == 2
+    falsify = ["falsify", "--target", json.dumps({"num": ["1"], "den": ["1"]})]
+    for counts in (["--nmax", "0"], ["--nmax", "-1"], ["--nmax", "6"],
+                   ["--nmax", "1", "--budget", "0"], ["--nmax", "1", "--budget", "-5"]):
+        assert main(falsify + counts) == 2, counts
 
 
 @pytest.mark.parametrize("p", ["5", "1/5"])
@@ -255,6 +259,20 @@ def test_default_tol_follows_precision():
     assert _default_tol(64) == Fraction(1, 2**48)
     for bits in (83, 128, 256, 1024):
         assert _default_tol(bits) == Fraction(1, 10**20)
+
+
+@pytest.mark.parametrize("bits", ["128", "256"])
+@pytest.mark.parametrize("config, p", [("n4a", "0.17500251816359951415"),
+                                       ("n5a", "0.18540003985756203903")])
+def test_band_accepted_decimal_off_the_locus_exits_1(capsys, config, p, bits):
+    # 20 digits put p inside the 1e-20 band of the locus, but too far off it
+    # for the synthesized network to verify within the default 1e-20
+    target = ["--k", "1", "--z", "1", "--p", p]
+    for argv in (["classify"] + target, ["synth"] + target + ["--config", config]):
+        assert main(["--precision-bits", bits] + argv) == 1, argv
+        captured = capsys.readouterr()
+        error = json.loads(captured.err or captured.out)["error"]
+        assert "band of the %s locus" % config in error
 
 
 def test_failed_self_verification_exits_3(capsys):

@@ -271,8 +271,9 @@ def test_transform_identities_random(seed):
 # enumeration
 
 
-def _count_series_parallel(n: int) -> int:
-    """Independent count of two-terminal series-parallel shapes (oracle)."""
+def _count_series_parallel(n: int, kinds: int = 1) -> int:
+    """Independent count of two-terminal series-parallel networks whose
+    leaves take one of ``kinds`` labels (oracle); kinds = 1 counts shapes."""
     from functools import lru_cache
 
     @lru_cache(maxsize=None)
@@ -286,7 +287,7 @@ def _count_series_parallel(n: int) -> int:
     @lru_cache(maxsize=None)
     def non_rooted(n):
         # leaf or rooted-at-the-other-type
-        return 1 if n == 1 else rooted(n)
+        return kinds if n == 1 else rooted(n)
 
     def multisets_of_children(n):
         # number of multisets of >= 2 "non-rooted" shapes with sizes summing
@@ -312,12 +313,13 @@ def _count_series_parallel(n: int) -> int:
         return ways(n, n - 1, 0)
 
     if n == 1:
-        return 1
+        return kinds
     return 2 * rooted(n)
 
 
 def test_enumerate_topology_counts():
-    expected = {1: 1, 2: 2, 3: 4, 4: 10, 5: 24}
+    # OEIS A000084
+    expected = {1: 1, 2: 2, 3: 4, 4: 10, 5: 24, 6: 66, 7: 180, 8: 522}
     for n, count in expected.items():
         shapes = enumerate_topologies(n)
         assert len(shapes) == count
@@ -327,8 +329,20 @@ def test_enumerate_topology_counts():
 
 
 def test_enumerate_topology_counts_match_independent_oracle():
-    for n in range(1, 7):
+    for n in range(1, 9):
         assert len(enumerate_topologies(n)) == _count_series_parallel(n)
+
+
+def test_enumerate_labeled_counts_match_independent_oracle():
+    counts = [len(enumerate_labeled(n)) for n in range(1, 6)]
+    assert counts == [3, 12, 56, 312, 1896]
+    assert counts == [_count_series_parallel(n, kinds=3) for n in range(1, 6)]
+
+
+def test_enumerate_labeled_is_sorted_without_duplicates():
+    for n in range(1, 6):
+        keys = [canonical_key(net) for net in enumerate_labeled(n)]
+        assert keys == sorted(set(keys))
 
 
 def test_enumerate_topologies_range():
@@ -370,6 +384,50 @@ def test_enumerate_labeled_pins_two_reactive_three_element_catalog():
 
 # ---------------------------------------------------------------------------
 # structural rules
+
+
+def _powerset_cutset_violation(net) -> bool:
+    """Reference for violates_cutset_rule: search every all-L and all-C leaf
+    subset for a minimal terminal-separating cut."""
+    import itertools
+
+    lfs = leaves(net)
+
+    def connected(n, removed, counter) -> bool:
+        # leaves are numbered depth first, as in ``leaves``
+        if isinstance(n, Leaf):
+            counter[0] += 1
+            return counter[0] - 1 not in removed
+        arms = [connected(c, removed, counter) for c in n.children]
+        return all(arms) if isinstance(n, Series) else any(arms)
+
+    def separates(removed) -> bool:
+        return not connected(net, removed, [0])
+
+    for kind in ("L", "C"):
+        positions = [i for i, lf in enumerate(lfs) if lf.kind == kind]
+        for r in range(1, len(positions) + 1):
+            for combo in itertools.combinations(positions, r):
+                cut = frozenset(combo)
+                if separates(cut) and not any(separates(cut - {x}) for x in cut):
+                    return True
+    return False
+
+
+def test_cutset_rule_matches_powerset_search_on_every_small_network():
+    for n in range(1, 6):
+        for net in enumerate_labeled(n):
+            assert violates_cutset_rule(net) == _powerset_cutset_violation(net), net
+
+
+def test_cutset_rule_beyond_twelve_elements():
+    # one L from each of six parallel LC arms is an all-L minimal cut; a
+    # parallel R puts a resistor in every cut
+    arms = [series(L(1), C(1)) for _ in range(6)]
+    for net, expected in ((series(R(1), parallel(*arms)), True), (parallel(R(1), *arms), False)):
+        assert element_count(net) == 13
+        assert violates_cutset_rule(net) is expected
+        assert _powerset_cutset_violation(net) is expected
 
 
 def test_cutset_examples():

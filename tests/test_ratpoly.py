@@ -277,6 +277,19 @@ def test_sturm_constructed_roots():
     assert sturm_count(p, F(0), F(2)) == 2  # (0, 2] includes the root at 2
 
 
+def test_sturm_takes_quadratic_rational_endpoints():
+    # sqrt5 - 2 = 0.23606..., the positive root of x^2 + 4x - 1
+    end = QuadraticRational(-2, 1, 5)
+    straddle = Poly.from_roots([F(236, 1000), F(2361, 10000)])
+    assert sturm_count(straddle, F(0), end) == 1
+    assert sturm_count(straddle, end, F(1)) == 1
+    on_end = P(-1, 4, 1)
+    assert sturm_count(on_end, F(0), end) == 1  # (lo, hi] includes hi
+    assert sturm_count(on_end, end, F(1)) == 0
+    with pytest.raises(TypeError):
+        sturm_count(straddle, mpmath.mpf(0), F(1))
+
+
 def test_sturm_repeated_roots_counted_once():
     p = P(-1, 1) ** 3 * P(-2, 1)
     assert sturm_count(p, F(0), F(3)) == 2

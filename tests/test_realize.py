@@ -20,6 +20,7 @@ from biquadrlc.ratpoly import (
     Poly,
     QuadraticRational,
     gcd,
+    isolate_root,
     resultant,
     scalar_to_str,
     squarefree_part,
@@ -280,6 +281,15 @@ def test_synth_fig3a_random_samples_both_branches():
 def test_root_counts_in_sqrt5_bounded_interval():
     assert count_roots_below_sqrt5_bound(N4A_QUARTIC) == 1
     assert count_roots_below_sqrt5_bound(N5A_DEGREE10) == 1
+
+
+def test_root_count_splits_roots_straddling_the_sqrt5_endpoint():
+    # two rational roots 1e-60 apart on either side of sqrt5 - 2
+    lo, hi = isolate_root(Poly([F(-1), F(4), F(1)]), F(0), F(1), F(1, 10**60))
+    assert count_roots_below_sqrt5_bound(Poly.from_roots([lo, hi])) == 1
+    assert count_roots_below_sqrt5_bound(Poly.from_roots([lo, lo / 2, hi])) == 2
+    with pytest.raises(ValueError):
+        count_roots_below_sqrt5_bound(Poly([F(-1), F(4), F(1)]) * Poly([F(-1), F(10)]))
 
 
 def test_n4a_condition_sign_change_bracket():

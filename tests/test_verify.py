@@ -313,3 +313,15 @@ def test_falsify_small_respects_filters_and_reports():
 def test_falsify_small_rejects_large_n():
     with pytest.raises(ValueError):
         falsify_small(RF((1,), (1,)), 6)
+
+
+def test_falsify_and_fit_reject_nonsense_counts():
+    target = RF((1,), (1,))
+    for n_max in (0, -1):
+        with pytest.raises(ValueError):
+            falsify_small(target, n_max)
+    for counts in ({"budget": 0}, {"budget": -5}, {"starts": 0}):
+        with pytest.raises(ValueError):
+            falsify_small(target, 1, **counts)
+        with pytest.raises(ValueError):
+            fit_topology(series(Leaf("R"), Leaf("L")), target, **counts)
