@@ -28,7 +28,6 @@ from .network import (
     Series,
     apply_transform,
     build_config,
-    config_formula,
     config_ids,
     config_slots,
     config_template,
@@ -92,7 +91,6 @@ __all__ = [
     "violates_cutset_rule",
     "has_pure_reactive_series_arm",
     "build_config",
-    "config_formula",
     "config_ids",
     "config_slots",
     "config_template",

@@ -25,12 +25,11 @@ from typing import Tuple, Union
 
 from .ratpoly import (
     Poly,
-    QuadraticRational,
     RationalFn,
+    field_of,
     is_exact_scalar,
     scalar_from_str,
     scalar_to_str,
-    to_mpf,
 )
 
 __all__ = [
@@ -173,11 +172,8 @@ def pole_zero_ratio(z, p):
 
     Every realizability condition of the canonical form is a condition on eta.
     """
-    if is_exact_scalar(z) and is_exact_scalar(p):
-        if isinstance(p, QuadraticRational) or isinstance(z, QuadraticRational):
-            return p / z
-        return Fraction(p) / Fraction(z)
-    return to_mpf(p) / to_mpf(z)
+    f = field_of(z, p)
+    return f(p) / f(z)
 
 
 def transform_params(b: CanonicalBiquad, t: str) -> CanonicalBiquad:
@@ -212,13 +208,11 @@ def to_rational_fn(target: Target) -> RationalFn:
 
 
 def one_like(x):
-    """Multiplicative unit of x's ring: a constant Poly for a Poly, exact 1
-    for an exact scalar, x / x (an mpf at x's precision) otherwise."""
+    """Multiplicative unit of x's ring: a constant Poly for a Poly, else 1 in
+    ``field_of(x)``."""
     if isinstance(x, Poly):
         return Poly.constant(Fraction(1))
-    if is_exact_scalar(x):
-        return Fraction(1)
-    return x / x
+    return field_of(x)(1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Verification oracles: exact and numeric impedance matching.
 
+Both work in the one field that ``ratpoly.field_of`` picks for the
+coefficients they compare: exact when every one is exact, mpf at the working
+precision otherwise.
+
 The numeric residual metric is the maximum relative error over the
 coefficients of the cross-multiplied forms num_Z * den_T vs num_T * den_Z
 (both sides already carry monic denominators), with an absolute fallback of
@@ -20,7 +24,7 @@ from typing import Tuple
 from mpmath import mp
 
 from .network import SPNet, impedance, leaves
-from .ratpoly import Poly, QuadraticRational, RationalFn, is_exact_scalar, to_mpf
+from .ratpoly import Poly, RationalFn, field_of, is_exact_scalar
 
 __all__ = ["verify_exact", "verify_numeric", "coefficient_residual"]
 
@@ -31,20 +35,15 @@ def _pad(coeffs, n):
     return list(coeffs) + [0] * (n - len(coeffs))
 
 
-def _exact_field(x):
-    """Exact scalar in a field: rationals as Fraction (so ints never divide
-    to float), quadratic-extension values as they are."""
-    return x if isinstance(x, QuadraticRational) else Fraction(x)
-
-
-def coefficient_residual(a: Poly, b: Poly, numeric: bool):
-    """Max relative coefficient error between two polynomials.
+def coefficient_residual(a: Poly, b: Poly):
+    """Max relative coefficient error between two polynomials, in the field
+    of their coefficients (``ratpoly.field_of``).
 
     Exact inputs give an exact Fraction or QuadraticRational (0 iff equal);
-    numeric inputs give an mpf at the current working precision.
+    any inexact coefficient gives an mpf at the current working precision.
     """
     n = max(len(a.coeffs), len(b.coeffs), 1)
-    field = to_mpf if numeric else _exact_field
+    field = field_of(*a.coeffs, *b.coeffs)
     floor = field(ZERO_COEFF_FLOOR)
     worst = field(0)
     for x, y in zip(_pad(a.coeffs, n), _pad(b.coeffs, n)):
@@ -77,21 +76,15 @@ def verify_numeric(
     """Residual check of impedance(net) against the target.
 
     Returns (ok, residual) with residual the max relative coefficient error
-    of the cross-multiplied monic-denominator forms.  Exact inputs short-cut
-    to exact arithmetic, so an exactly matching network reports residual 0.
+    of the cross-multiplied monic-denominator forms, in the field of the
+    impedance and target coefficients: an exactly matching network of exact
+    values reports residual 0.
     """
-    exact = target.is_exact() and all(is_exact_scalar(lf.value) for lf in leaves(net))
-    if exact:
-        z = impedance(net)
-        residual = coefficient_residual(z.num * target.den, target.num * z.den, False)
-        if isinstance(tol, (int, Fraction)):
-            return residual <= tol, residual
-        return to_mpf(residual) <= to_mpf(tol), residual
     with mp.workprec(precision_bits):
         z = impedance(net)
-        tnum = Poly([to_mpf(c) for c in target.num.coeffs])
-        tden = Poly([to_mpf(c) for c in target.den.coeffs])
-        znum = Poly([to_mpf(c) for c in z.num.coeffs])
-        zden = Poly([to_mpf(c) for c in z.den.coeffs])
-        residual = coefficient_residual(znum * tden, tnum * zden, True)
-        return residual <= to_mpf(tol), residual
+        polys = (z.num, z.den, target.num, target.den)
+        f = field_of(*(c for poly in polys for c in poly.coeffs))
+        znum, zden, tnum, tden = (Poly([f(c) for c in poly.coeffs]) for poly in polys)
+        residual = coefficient_residual(znum * tden, tnum * zden)
+        g = field_of(residual, tol)
+        return g(residual) <= g(tol), residual

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .biquad import (
     CanonicalBiquad,
@@ -54,8 +54,10 @@ from .ratpoly import (
     scalar_from_str,
     scalar_to_str,
     sturm_count,
+    to_mpf,
 )
 from .realize import (
+    _CATALOG,
     NotRealizableError,
     RealizationClass,
     classify,
@@ -197,18 +199,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_impedance(args) -> int:
-    net = _load_netlist(args.netlist)
-    with mp.workprec(args.precision_bits):
-        z = impedance(net)
+    z = impedance(_load_netlist(args.netlist))
     _emit({"num": z.num.to_json(), "den": z.den.to_json()}, args)
     return EXIT_OK
 
 
 def _cmd_transform(args) -> int:
-    net = _load_netlist(args.netlist)
-    with mp.workprec(args.precision_bits):
-        out = apply_transform(net, args.op)
-    _emit_netlist(out, args)
+    _emit_netlist(apply_transform(_load_netlist(args.netlist), args.op), args)
     return EXIT_OK
 
 
@@ -254,9 +251,7 @@ def _cmd_roots(args) -> int:
     if count == 1:
         ilo, ihi = isolate_root(poly, lo, hi, width)
         payload["interval"] = [scalar_to_str(ilo), scalar_to_str(ihi)]
-        mid = (ilo + ihi) / 2
-        with mp.workprec(args.precision_bits):
-            payload["midpoint"] = scalar_to_str(mpf(mid.numerator) / mid.denominator)
+        payload["midpoint"] = scalar_to_str(to_mpf((ilo + ihi) / 2))
     _emit(payload, args)
     return EXIT_OK
 
@@ -348,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--p", required=True)
-    p.add_argument("--config", choices=("fig3a", "n4a", "n5a"), default=None)
+    p.add_argument("--config", choices=tuple(_CATALOG), default=None)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("impedance", parents=[common], help="symbolic impedance of a netlist")

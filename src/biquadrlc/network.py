@@ -21,8 +21,8 @@ Enumeration and the cut-set rule both follow the series/parallel recursion
 by which Riordan & Shannon count these networks, so each canonical network
 is built once and the cut-set rule needs no search.  The catalog writes each
 configuration once, as a nested shape from which its slots, valued network
-and template are built, beside its closed-form impedance transcribed
-independently from the paper.
+and template are built (the tests check each shape against its closed-form
+impedance, transcribed independently from the paper).
 """
 
 from __future__ import annotations
@@ -30,16 +30,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ratpoly import (
     Poly,
     RationalFn,
-    is_exact_scalar,
+    field_of,
     scalar_from_str,
     scalar_to_str,
-    to_mpf,
 )
 
 __all__ = [
@@ -67,7 +65,6 @@ __all__ = [
     "config_ids",
     "config_slots",
     "build_config",
-    "config_formula",
     "config_template",
     "to_netlist_json",
     "from_netlist_json",
@@ -242,13 +239,8 @@ def impedance(net: SPNet) -> RationalFn:
     lfs = leaves(net)
     for lf in lfs:
         _check_value(lf)
-    values = [lf.value for lf in lfs]
-    if any(not is_exact_scalar(v) for v in values):
-        values = [to_mpf(v) for v in values]
-    else:
-        # ints as Fraction: int / int is a float in the builder's v / v unit
-        values = [Fraction(v) if isinstance(v, int) else v for v in values]
-    num, den = impedance_coeffs(net, values)
+    f = field_of(*(lf.value for lf in lfs))
+    num, den = impedance_coeffs(net, [f(lf.value) for lf in lfs])
     return RationalFn(Poly(num), Poly(den))
 
 
@@ -481,127 +473,6 @@ _ASSEMBLIES = {
 _SHAPES.update({name: ("+", _SHAPES[a], _SHAPES[b]) for name, (a, b) in _ASSEMBLIES.items()})
 
 
-def _rf(num_coeffs, den_coeffs) -> RationalFn:
-    return RationalFn(Poly(num_coeffs), Poly(den_coeffs))
-
-
-# the closed-form impedances, transcribed from the paper independently of the
-# shapes so that the two can be checked against each other
-_FORMULAS: Dict[str, Callable[[dict], RationalFn]] = {
-    "fig7a": lambda v: _rf(
-        [v["R1"], v["R1"] * v["R2"] * v["C1"]],
-        [1, (v["R1"] + v["R2"]) * v["C1"]],
-    ),
-    "fig7b": lambda v: _rf(
-        [v["R1"] * v["R2"], v["R1"] * v["L1"]],
-        [v["R1"] + v["R2"], v["L1"]],
-    ),
-    "fig8a": lambda v: _rf(
-        [0, v["R1"] * v["L1"]],
-        [v["R1"], v["L1"], v["R1"] * v["L1"] * v["C1"]],
-    ),
-    "fig8b": lambda v: _rf(
-        [v["R1"], 0, v["R1"] * v["L1"] * v["C1"]],
-        [1, v["R1"] * v["C1"], v["L1"] * v["C1"]],
-    ),
-    "fig8c": lambda v: _rf(
-        [0, v["L1"], v["R1"] * v["L1"] * v["C1"]],
-        [1, v["R1"] * v["C1"], v["L1"] * v["C1"]],
-    ),
-    "fig8d": lambda v: _rf(
-        [v["R1"], v["L1"]],
-        [1, v["R1"] * v["C1"], v["L1"] * v["C1"]],
-    ),
-    "fig9a": lambda v: _rf(
-        [v["R21"], 0, v["R21"] * v["L21"] * v["C22"]],
-        [
-            1,
-            v["R21"] * (v["C21"] + v["C22"]),
-            v["L21"] * v["C22"],
-            v["R21"] * v["L21"] * v["C21"] * v["C22"],
-        ],
-    ),
-    "fig9b": lambda v: _rf(
-        [0, v["R21"] * v["L21"], 0, v["R21"] * v["L21"] * v["L22"] * v["C21"]],
-        [
-            v["R21"],
-            v["L21"],
-            v["R21"] * v["C21"] * (v["L21"] + v["L22"]),
-            v["L21"] * v["L22"] * v["C21"],
-        ],
-    ),
-    "fig9c": lambda v: _rf(
-        [0, v["L21"], v["R21"] * v["L21"] * v["C22"]],
-        [
-            1,
-            v["R21"] * v["C22"],
-            v["L21"] * (v["C21"] + v["C22"]),
-            v["R21"] * v["L21"] * v["C21"] * v["C22"],
-        ],
-    ),
-    "fig9d": lambda v: _rf(
-        [0, v["R21"] * v["L21"], v["L21"] * v["L22"]],
-        [
-            v["R21"],
-            v["L21"] + v["L22"],
-            v["R21"] * v["L21"] * v["C21"],
-            v["L21"] * v["L22"] * v["C21"],
-        ],
-    ),
-    "fig9e": lambda v: _rf(
-        [v["R21"], v["L21"], v["R21"] * v["L21"] * v["C22"]],
-        [
-            1,
-            v["R21"] * v["C21"],
-            v["L21"] * (v["C21"] + v["C22"]),
-            v["R21"] * v["L21"] * v["C21"] * v["C22"],
-        ],
-    ),
-    "fig9f": lambda v: _rf(
-        [v["R21"], v["L21"], v["R21"] * v["L21"] * v["C22"]],
-        [
-            1,
-            v["R21"] * (v["C21"] + v["C22"]),
-            v["L21"] * v["C21"],
-            v["R21"] * v["L21"] * v["C21"] * v["C22"],
-        ],
-    ),
-    "fig9g": lambda v: _rf(
-        [
-            0,
-            v["R21"] * v["L21"],
-            v["L21"] * v["L22"],
-            v["R21"] * v["L21"] * v["L22"] * v["C21"],
-        ],
-        [
-            v["R21"],
-            v["L21"] + v["L22"],
-            v["R21"] * v["L22"] * v["C21"],
-            v["L21"] * v["L22"] * v["C21"],
-        ],
-    ),
-    "fig9h": lambda v: _rf(
-        [
-            0,
-            v["R21"] * v["L21"],
-            v["L21"] * v["L22"],
-            v["R21"] * v["L21"] * v["L22"] * v["C21"],
-        ],
-        [
-            v["R21"],
-            v["L22"],
-            v["R21"] * (v["L21"] + v["L22"]) * v["C21"],
-            v["L21"] * v["L22"] * v["C21"],
-        ],
-    ),
-}
-_FORMULAS.update(
-    {
-        name: lambda v, a=a, b=b: _FORMULAS[a](v) + _FORMULAS[b](v)
-        for name, (a, b) in _ASSEMBLIES.items()
-    }
-)
-
 _CONFIG_ALIASES = {"n4a": "fig4a", "n5a": "fig5a"}
 
 
@@ -657,11 +528,6 @@ def build_config(config_id: str, values: dict) -> SPNet:
 def config_template(config_id: str) -> SPNet:
     """The configuration shape with empty value slots (for fitting)."""
     return _build(_SHAPES[_catalog_key(config_id)], None)
-
-
-def config_formula(config_id: str, values: dict) -> RationalFn:
-    """The cataloged closed-form impedance evaluated at the given values."""
-    return _FORMULAS[_catalog_key(config_id)](values)
 
 
 # ---------------------------------------------------------------------------

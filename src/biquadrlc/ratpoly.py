@@ -9,7 +9,9 @@ Coefficients are duck-typed.  Exact work uses ``fractions.Fraction`` (or
 :class:`QuadraticRational` for values in a real quadratic extension such as
 2 + sqrt(2)); numeric work uses ``mpmath.mpf``; and Poly-valued coefficients
 turn :func:`resultant` into a bivariate elimination, which is how the
-condition-polynomial identities are checked symbolically.
+condition-polynomial identities are checked symbolically.  :func:`field_of`
+is the one rule that picks between the two for a set of scalars: exact when
+every one is exact, mpf at the working precision otherwise.
 
 Conventions:
 
@@ -45,6 +47,7 @@ __all__ = [
     "scalar_from_str",
     "is_exact_scalar",
     "to_mpf",
+    "field_of",
 ]
 
 
@@ -216,6 +219,18 @@ def to_mpf(x) -> mpf:
     if isinstance(x, (int, float, str)):
         return mpf(x)
     raise TypeError("cannot convert %r to mpf" % (x,))
+
+
+def _exact(x):
+    # ints as Fraction, so that they never divide to a float
+    return x if isinstance(x, QuadraticRational) else Fraction(x)
+
+
+def field_of(*xs):
+    """The conversion into the one field that holds every x: exact (ints and
+    Fractions as Fraction, QuadraticRational as it is) when all xs are
+    exact, else ``to_mpf`` at the working precision."""
+    return _exact if all(is_exact_scalar(x) for x in xs) else to_mpf
 
 
 def scalar_to_str(x) -> str:

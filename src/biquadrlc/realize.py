@@ -72,6 +72,7 @@ from .network import SPNet, apply_transform, build_config, canonical_config_id, 
 from .ratpoly import (
     Poly,
     QuadraticRational,
+    field_of,
     gcd,
     is_exact_scalar,
     isolate_root,
@@ -128,6 +129,8 @@ N5A_DEGREE10 = Poly(
         Fraction(1),
     ]
 )
+# the two five-reactive loci of the catalog, by report name
+_LOCI = {"n4a": N4A_QUARTIC, "n5a": N5A_DEGREE10}
 # eta < 1/(2+sqrt5)  <=>  eta^2 + 4 eta - 1 < 0
 SQRT5_BOUND_POLY = Poly([Fraction(-1), Fraction(4), Fraction(1)])
 # eta = 2 + sqrt2  <=>  eta^2 - 4 eta + 2 = 0 (also vanishes at 2 - sqrt2,
@@ -199,9 +202,8 @@ def _eq_zero(value, rational_locus: bool = True) -> bool:
     """
     if isinstance(value, QuadraticRational) or (rational_locus and is_exact_scalar(value)):
         return value == 0
-    if is_exact_scalar(value):
-        return abs(Fraction(value)) <= EQUALITY_TOL
-    return abs(value) <= to_mpf(EQUALITY_TOL)
+    f = field_of(value)
+    return abs(f(value)) <= f(EQUALITY_TOL)
 
 
 def _record(name, value, passed) -> ConditionRecord:
@@ -262,9 +264,9 @@ def check_fig3a_condition(z, p) -> bool:
     return _fig3a_records(z, p)[0]
 
 
-def _root_locus_records(tag, poly, z, p):
+def _root_locus_records(tag, z, p):
     eta = pole_zero_ratio(z, p)
-    poly_val = poly.eval(eta)
+    poly_val = _LOCI[tag].eval(eta)
     bound_val = SQRT5_BOUND_POLY.eval(eta)
     on_locus = _eq_zero(poly_val, False)
     ok = on_locus and bound_val < 0
@@ -277,12 +279,12 @@ def _root_locus_records(tag, poly, z, p):
 
 def check_n4a_condition(z, p) -> bool:
     """16p^4 - 40zp^3 + 31z^2p^2 - 10z^3p + z^4 = 0 with p < z/(2+sqrt5)."""
-    return _root_locus_records("n4a", N4A_QUARTIC, z, p)[0]
+    return _root_locus_records("n4a", z, p)[0]
 
 
 def check_n5a_condition(z, p) -> bool:
     """Degree-10 condition polynomial = 0 with p < z/(2+sqrt5)."""
-    return _root_locus_records("n5a", N5A_DEGREE10, z, p)[0]
+    return _root_locus_records("n5a", z, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +495,18 @@ def _common_root(f: Poly, g: Poly):
     return root
 
 
-def _synth_on_root_locus(tag, check, p1_system, b: CanonicalBiquad, precision_bits) -> SPNet:
+def _synth_on_root_locus(tag, p1_system, b: CanonicalBiquad, precision_bits) -> SPNet:
     """The n4a / n5a synthesis: p1 is the positive common root of the two
     p1 polynomials of ``p1_system``."""
-    config_id = canonical_config_id(tag)
     with mp.workprec(precision_bits):
-        if not check(b.z, b.p):
+        if not _root_locus_records(tag, b.z, b.p)[0]:
             raise NotRealizableError("%s condition fails for z=%s, p=%s" % (tag, b.z, b.p))
         k, z, p = (to_mpf(v) for v in (b.k, b.z, b.p))
         p1 = _common_root(*p1_system(z, p))
         if not p1 > 0:
             raise NotRealizableError("common p1 root is not positive")
         m = k
-        if config_id == "fig4a":
+        if tag == "n4a":
             alpha = k * (p1 + 2 * z - p)
             beta = k * (2 * z * p1 + z * z - p1 * p)
             gamma = k * p1 * (z - p) * (z + p)
@@ -525,28 +526,40 @@ def _synth_on_root_locus(tag, check, p1_system, b: CanonicalBiquad, precision_bi
                 "L21": alpha * alpha * beta / (gamma * d),
             }
         )
-        _positive_or_bug(values, "%s synthesis" % config_id)
-        return build_config(config_id, values)
+        _positive_or_bug(values, "%s synthesis" % tag)
+        return build_config(tag, values)
 
 
 def synth_n4a(b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
     """Closed-form n4a synthesis (seven elements, five reactive)."""
-    return _synth_on_root_locus("n4a", check_n4a_condition, n4a_p1_system, b, precision_bits)
+    return _synth_on_root_locus("n4a", n4a_p1_system, b, precision_bits)
 
 
 def synth_n5a(b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
     """Closed-form n5a synthesis (seven elements, five reactive)."""
-    return _synth_on_root_locus("n5a", check_n5a_condition, n5a_p1_system, b, precision_bits)
+    return _synth_on_root_locus("n5a", n5a_p1_system, b, precision_bits)
 
 
-_SYNTH = {"fig3a": synth_fig3a, "fig4a": synth_n4a, "fig5a": synth_n5a}
+# the seven-element catalog in classification order: report name ->
+# (condition records, synthesizer)
+_CATALOG = {
+    "fig3a": (_fig3a_records, synth_fig3a),
+    "n4a": (lambda z, p: _root_locus_records("n4a", z, p), synth_n4a),
+    "n5a": (lambda z, p: _root_locus_records("n5a", z, p), synth_n5a),
+}
+
+
+def _report_name(config_id: str) -> str:
+    """The catalog's report name for any spelling (n4a, FIG4A, ...)."""
+    key = canonical_config_id(config_id)
+    for name in _CATALOG:
+        if canonical_config_id(name) == key:
+            return name
+    raise KeyError("no synthesizer for configuration %r" % (config_id,))
 
 
 def synth_config(config_id: str, b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
-    key = canonical_config_id(config_id)
-    if key not in _SYNTH:
-        raise KeyError("no synthesizer for configuration %r" % (config_id,))
-    return _SYNTH[key](b, precision_bits=precision_bits)
+    return _CATALOG[_report_name(config_id)][1](b, precision_bits=precision_bits)
 
 
 def synthesize(
@@ -573,7 +586,7 @@ def synthesize(
         target_rf = to_rational_fn(b)
     ok, residual = verify_numeric(network, target_rf, tol=tol, precision_bits=precision_bits)
     if not ok:
-        if canonical_config_id(config) in ("fig4a", "fig5a"):
+        if _report_name(config) in _LOCI:
             raise NotRealizableError(
                 "the target lies within the 1e-20 band of the %s locus, but the network "
                 "synthesized for it misses it (residual %s, tolerance %s)"
@@ -587,15 +600,6 @@ def synthesize(
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-_CATALOG_CHECKS = (
-    ("fig3a", _fig3a_records),
-    ("n4a", lambda z, p: _root_locus_records("n4a", N4A_QUARTIC, z, p)),
-    ("n5a", lambda z, p: _root_locus_records("n5a", N5A_DEGREE10, z, p)),
-)
-
-_TRANSFORM_ORDER = ("inv", "dual", "gdu")
 
 
 def classify(
@@ -625,21 +629,15 @@ def classify(
         conditions.extend(recs)
 
         catalog_hit: Optional[Tuple[str, Optional[str]]] = None
-        for config_name, checker in _CATALOG_CHECKS:
-            ok, recs = checker(b.z, b.p)
-            conditions.extend(recs)
-            if ok and catalog_hit is None:
-                catalog_hit = (config_name, None)
-        for t in _TRANSFORM_ORDER:
-            bt = transform_params(b, t)
-            for config_name, checker in _CATALOG_CHECKS:
-                ok, recs = checker(bt.z, bt.p)
-                conditions.extend(
-                    ConditionRecord("%s[%s]" % (r.name, t), r.value, r.passed)
-                    for r in recs
-                )
+        for t in (None, "inv", "dual", "gdu"):
+            bt = b if t is None else transform_params(b, t)
+            for name, (records, _) in _CATALOG.items():
+                ok, recs = records(bt.z, bt.p)
+                if t is not None:
+                    recs = [ConditionRecord("%s[%s]" % (r.name, t), r.value, r.passed) for r in recs]
+                conditions.extend(recs)
                 if ok and catalog_hit is None:
-                    catalog_hit = (config_name, t)
+                    catalog_hit = (name, t)
 
     network = None
     residual = None

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 import numpy as np
-from mpmath import mpf
+from mpmath import mp, mpf
 from scipy.optimize import OptimizeResult, leastsq
 
 from .check import coefficient_residual, verify_exact, verify_numeric
@@ -35,7 +35,7 @@ from .network import (
     parse_filters,
     to_netlist_json,
 )
-from .ratpoly import RationalFn
+from .ratpoly import RationalFn, to_mpf
 
 __all__ = [
     "verify_exact",
@@ -74,6 +74,7 @@ def _instantiate(template: SPNet, values: Iterable) -> SPNet:
 
 
 THETA_CLIP = 200.0  # |log value| bound, so one element value cannot overflow
+FIT_PRECISION_BITS = 128  # working precision of the target conversion and the re-verification
 
 
 def _theta_values(theta: np.ndarray) -> np.ndarray:
@@ -193,10 +194,11 @@ class _CompiledTemplate:
         return (self.diff_map @ dmono - self._out[:, None] * dscale) / self._scale
 
 
-def _require_positive(**counts) -> None:
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError("%s must be at least 1, got %s" % (name, value))
+def _check_budget(budget: int, starts: int) -> None:
+    # MINPACK takes at least two residual evaluations per start
+    if starts < 1 or budget < 2 * starts:
+        raise ValueError("starts must be at least 1 and budget at least 2 * starts, "
+                         "got starts=%s, budget=%s" % (starts, budget))
 
 
 def least_squares(fun, x0, jac, max_nfev, xtol, ftol, gtol) -> OptimizeResult:
@@ -217,25 +219,28 @@ def fit_topology(
     starts: int = 32,
     seed: int = 0,
     tol=Fraction(1, 10**8),
-    precision_bits: int = 128,
 ) -> FitResult:
     """Fit positive element values so the template realizes the target.
 
     Levenberg-Marquardt on log-values (MINPACK ``lmder``) with the compiled
     template's exact Jacobian; ``starts`` deterministic random multistarts
-    share the evaluation ``budget``.  Success is certified by verify_numeric
-    at ``tol``, so a success here always re-verifies.
+    share the ``budget`` of residual evaluations, ``budget // starts`` each
+    (Jacobian evaluations, at most one fewer per start, come on top).
+    Success is certified by verify_numeric at ``FIT_PRECISION_BITS`` and
+    ``tol``, so a success here always re-verifies.  Raises ValueError when
+    the budget is below two evaluations per start.
     """
-    _require_positive(budget=budget, starts=starts)
+    _check_budget(budget, starts)
     n = len(leaves(template))
     if n < 1:
         raise ValueError("template has no element slots")
-    tnum = np.array([float(c) for c in target.num.coeffs])
-    tden = np.array([float(c) for c in target.den.coeffs])
+    with mp.workprec(FIT_PRECISION_BITS):
+        tnum, tden = (np.array([float(to_mpf(c)) for c in poly.coeffs])
+                      for poly in (target.num, target.den))
     compiled = _CompiledTemplate(template, tnum, tden)
 
     rng = np.random.default_rng(seed)
-    per_start = max(budget // starts, 40)
+    per_start = budget // starts
     best_theta = None
     best_cost = np.inf
     evals = 0
@@ -257,7 +262,7 @@ def fit_topology(
     if not all(np.isfinite(v) and v > 0 for v in values):
         return FitResult(False, named, float("inf"), evals)
     net = _instantiate(template, [mpf(v) for v in values])
-    ok, residual = verify_numeric(net, target, tol=tol, precision_bits=precision_bits)
+    ok, residual = verify_numeric(net, target, tol=tol, precision_bits=FIT_PRECISION_BITS)
     return FitResult(bool(ok), named, float(residual), evals)
 
 
@@ -265,7 +270,7 @@ def fit_topology(
 # falsification harness
 
 
-DEFAULT_FALSIFY_FILTERS = ("cutset", "reactive-arm", "mergeable")
+FALSIFY_FILTERS = ("cutset", "reactive-arm", "mergeable")
 
 
 def falsify_small(
@@ -274,22 +279,23 @@ def falsify_small(
     budget: int = 4000,
     seed: int = 0,
     tol=Fraction(1, 10**8),
-    filters: Tuple[str, ...] = DEFAULT_FALSIFY_FILTERS,
     starts: int = 24,
     stop_at_first_success: bool = False,
 ) -> dict:
     """Exhaustive multistart fitting over all labeled topologies up to n_max.
 
-    Topologies failing a structural filter are skipped and reported as
-    filtered (they cannot realize a biquadratic with finite nonzero Z(0) and
-    Z(inf)).  A uniform residual floor is evidence consistent with
-    non-realizability, not a proof.  Raises ValueError for n_max outside
-    1..5 and for a budget or start count below 1.
+    Topologies failing a ``FALSIFY_FILTERS`` filter are skipped and reported
+    as filtered (they cannot realize a biquadratic with finite nonzero Z(0)
+    and Z(inf)).  A uniform residual floor is evidence consistent with
+    non-realizability, not a proof.  ``budget`` bounds the residual
+    evaluations of each fit (see ``fit_topology``).  Raises ValueError for
+    n_max outside 1..5, for a start count below 1 and for a budget below
+    two evaluations per start.
     """
     if not 1 <= n_max <= 5:
         raise ValueError("n_max must be between 1 and 5 (the brute force's limit)")
-    _require_positive(budget=budget, starts=starts)
-    preds = parse_filters(filters)
+    _check_budget(budget, starts)
+    preds = parse_filters(FALSIFY_FILTERS)
     entries = []
     best = None
     any_success = False

@@ -16,7 +16,6 @@ from biquadrlc.biquad import CanonicalBiquad, canonical_positive_real, to_ration
 from biquadrlc.network import (
     apply_transform,
     build_config,
-    config_formula,
     config_ids,
     config_slots,
     enumerate_topologies,
@@ -41,6 +40,7 @@ from biquadrlc.realize import (
 )
 from biquadrlc.verify import falsify_small, verify_numeric
 from eliminations import ELIMINATIONS
+from formulas import config_formula
 
 F = Fraction
 

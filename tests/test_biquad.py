@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
 from biquadrlc.biquad import (
     CanonicalBiquad,
@@ -14,6 +15,7 @@ from biquadrlc.biquad import (
     canonical_to_general,
     is_positive_real,
     pole_squared_to_general,
+    pole_zero_ratio,
     target_from_json,
     target_to_json,
     to_rational_fn,
@@ -189,3 +191,26 @@ def test_target_json_roundtrip():
     assert target_from_json(target_to_json(f)) == f
     r = target_from_json({"num": ["1", "2", "1"], "den": ["9", "6", "1"]})
     assert r == RationalFn(P(1, 2, 1), P(9, 6, 1))
+
+
+def test_pole_zero_ratio_takes_the_field_of_both_arguments():
+    q = QuadraticRational(2, 1, 2)
+    exact = [
+        ((2, 6), F(3)),
+        ((F(1, 2), 3), F(6)),
+        ((F(1, 2), q), QuadraticRational(4, 2, 2)),
+        ((q, 2), QuadraticRational(2, -1, 2)),
+    ]
+    for (z, p), eta in exact:
+        got = pole_zero_ratio(z, p)
+        assert got == eta and type(got) is type(eta), (z, p)
+    with mp.workprec(128):
+        inexact = [
+            ((mpf(2), 6), mpf(3)),
+            ((F(1, 2), mpf(3)), mpf(6)),
+            ((mpf(1), q), q.to_mpf()),
+            ((q, mpf(2)), QuadraticRational(2, -1, 2).to_mpf()),
+        ]
+        for (z, p), eta in inexact:
+            got = pole_zero_ratio(z, p)
+            assert isinstance(got, mpf) and abs(got - eta) <= mpf(2) ** -120, (z, p)

@@ -239,7 +239,8 @@ def test_invalid_inputs_exit_2(capsys):
     assert main(["impedance", bad_netlist]) == 2
     falsify = ["falsify", "--target", json.dumps({"num": ["1"], "den": ["1"]})]
     for counts in (["--nmax", "0"], ["--nmax", "-1"], ["--nmax", "6"],
-                   ["--nmax", "1", "--budget", "0"], ["--nmax", "1", "--budget", "-5"]):
+                   ["--nmax", "1", "--budget", "0"], ["--nmax", "1", "--budget", "-5"],
+                   ["--nmax", "1", "--budget", "47"]):
         assert main(falsify + counts) == 2, counts
 
 

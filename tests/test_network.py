@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from biquadrlc.network import (
     Leaf,
@@ -15,7 +16,6 @@ from biquadrlc.network import (
     build_config,
     canonical,
     canonical_key,
-    config_formula,
     config_ids,
     config_slots,
     config_template,
@@ -35,7 +35,8 @@ from biquadrlc.network import (
     to_spice,
     violates_cutset_rule,
 )
-from biquadrlc.ratpoly import Poly, RationalFn
+from biquadrlc.ratpoly import Poly, QuadraticRational, RationalFn
+from formulas import config_formula
 
 F = Fraction
 
@@ -175,6 +176,17 @@ def test_impedance_of_int_values_is_exact():
     assert z.num == Poly([F(0), F(5)]) and z.den == Poly([F(5, 2), 1])
     for c in z.num.coeffs + z.den.coeffs:
         assert isinstance(c, Fraction)
+
+
+def test_impedance_takes_one_field_for_mixed_values():
+    # ints beside a QuadraticRational stay exact; one mpf makes every leaf mpf
+    q = QuadraticRational(1, 1, 2)
+    z = impedance(series(Leaf("R", 2), Leaf("R", q), Leaf("L", 3)))
+    assert z.num == Poly([QuadraticRational(3, 1, 2), F(3)]) and z.den == Poly([F(1)])
+    with mp.workprec(128):
+        z = impedance(parallel(Leaf("R", 5), Leaf("L", mpf(2))))
+        assert all(isinstance(c, mpf) for c in z.num.coeffs + z.den.coeffs)
+        assert z.den.coeffs[0] == mpf(5) / 2
 
 
 # ---------------------------------------------------------------------------

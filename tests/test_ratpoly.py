@@ -12,6 +12,7 @@ from biquadrlc.ratpoly import (
     Poly,
     QuadraticRational,
     RationalFn,
+    field_of,
     gcd,
     isolate_root,
     resultant,
@@ -467,3 +468,19 @@ def test_poly_from_json_is_exact():
     for bad in (["inf"], [float("nan")], [None], [[1]], [True]):
         with pytest.raises(ValueError):
             Poly.from_json(bad)
+
+
+# ---------------------------------------------------------------------------
+# the field rule
+
+
+def test_field_of_is_exact_only_when_every_scalar_is():
+    q = QuadraticRational(1, 1, 2)
+    exact = field_of(3, Fraction(1, 2), q)
+    assert exact(3) == Fraction(3) and isinstance(exact(3), Fraction)
+    assert exact(q) is q
+    assert field_of() is exact
+    for xs in ((mpmath.mpf(2),), (1, mpmath.mpf(2)), (q, 0.5)):
+        assert field_of(*xs) is field_of(mpmath.mpf(1))
+    with mpmath.workprec(128):
+        assert field_of(q, mpmath.mpf(1))(q) == q.to_mpf()

@@ -461,9 +461,7 @@ def test_n4a_subnetwork_impedances_match_analysis_forms():
         expected1 = RationalFn(
             Poly([m * p * p1, mpf(0), m]), Poly([p1, mpf(1)]) * Poly([p, mpf(1)])
         )
-        res1 = coefficient_residual(
-            z1.num * expected1.den, expected1.num * z1.den, True
-        )
+        res1 = coefficient_residual(z1.num * expected1.den, expected1.num * z1.den)
         assert res1 < mpf("1e-70")
 
         n2 = build_config(
@@ -476,9 +474,7 @@ def test_n4a_subnetwork_impedances_match_analysis_forms():
             Poly([gamma, beta, alpha]),
             Poly([p1, mpf(1)]) * Poly([p, mpf(1)]) * Poly([p, mpf(1)]),
         )
-        res2 = coefficient_residual(
-            z2.num * expected2.den, expected2.num * z2.den, True
-        )
+        res2 = coefficient_residual(z2.num * expected2.den, expected2.num * z2.den)
         assert res2 < mpf("1e-25")
 
 

@@ -21,10 +21,11 @@ from biquadrlc.network import (
     parse_filters,
     series,
 )
-from biquadrlc.ratpoly import Poly, RationalFn
+from biquadrlc.ratpoly import Poly, QuadraticRational, RationalFn
 from biquadrlc.realize import synth_fig3a
 from biquadrlc.verify import (
     _CompiledTemplate,
+    coefficient_residual,
     falsify_small,
     fit_topology,
     verify_exact,
@@ -320,8 +321,51 @@ def test_falsify_and_fit_reject_nonsense_counts():
     for n_max in (0, -1):
         with pytest.raises(ValueError):
             falsify_small(target, n_max)
-    for counts in ({"budget": 0}, {"budget": -5}, {"starts": 0}):
+    for counts in ({"budget": 0}, {"budget": -5}, {"starts": 0}, {"budget": 47}):
         with pytest.raises(ValueError):
             falsify_small(target, 1, **counts)
         with pytest.raises(ValueError):
             fit_topology(series(Leaf("R"), Leaf("L")), target, **counts)
+
+
+def test_verify_numeric_takes_the_field_of_net_and_target():
+    net = series(Leaf("R", 1), Leaf("L", 1))
+    # an exact net against an mpf target compares in mpf
+    ok, residual = verify_numeric(net, RationalFn(Poly([mpf(1), mpf(1)]), Poly([mpf(1)])))
+    assert ok and isinstance(residual, mpf) and residual == 0
+    # QuadraticRational values against a Fraction target stay exact, so a
+    # zero tolerance holds
+    q = QuadraticRational(1, 1, 2)
+    qnet = series(Leaf("R", q), Leaf("R", 3 - q), Leaf("L", 1))
+    ok, residual = verify_numeric(qnet, RF((3, 1), (1,)), tol=0)
+    assert ok and residual == 0 and not isinstance(residual, mpf)
+    # an exact residual is compared with an mpf tolerance in mpf
+    ok, residual = verify_numeric(Leaf("R", 2), RF((3,), (1,)), tol=mpf("0.5"))
+    assert ok and residual == F(1, 3)
+    ok, _ = verify_numeric(Leaf("R", 2), RF((3,), (1,)), tol=mpf("0.3"))
+    assert not ok
+
+
+def test_coefficient_residual_takes_the_field_of_its_coefficients():
+    exact = coefficient_residual(Poly([1, 2]), Poly([1, F(3)]))
+    assert exact == F(1, 3) and isinstance(exact, Fraction)
+    with mp.workprec(128):
+        numeric = coefficient_residual(Poly([mpf(1), mpf(2)]), Poly([1, F(3)]))
+        assert isinstance(numeric, mpf) and abs(numeric - mpf(1) / 3) <= mpf(2) ** -120
+
+
+def test_budget_bounds_residual_evaluations():
+    # MINPACK takes at least two residual evaluations per start, and one
+    # Jacobian evaluation fewer than residual evaluations at most
+    target = RF((1, 2, 1), (4, 4, 1))
+    report = falsify_small(target, 3, budget=48)
+    fitted = [e for e in report["entries"] if not e["filtered"]]
+    assert fitted and all(e["evaluations"] < 96 for e in fitted)
+
+
+def test_quadratic_rational_target_fits():
+    # eta = 2 + sqrt2 exactly: five elements, so no fit of three succeeds
+    report = falsify_small(to_rational_fn(CanonicalBiquad(1, 1, QuadraticRational(2, 1, 2))), 3)
+    assert report["complete"] and not report["any_success"]
+    target = to_rational_fn(CanonicalBiquad(1, 1, QuadraticRational(3, 2, 2)))
+    assert not fit_topology(series(Leaf("R"), Leaf("L")), target).success
