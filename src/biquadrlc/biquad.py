@@ -12,9 +12,9 @@ Positive-realness of the general form is the classical biquadratic test
 square roots); for the canonical form it collapses to p^2 - 6zp + z^2 <= 0,
 i.e. p/z in [3 - 2*sqrt(2), 3 + 2*sqrt(2)].
 
-The three parameter transforms mirror the network transforms:
-Dual: (k,z,p) -> (1/k, p, z); Inv: (k z^2/p^2, 1/z, 1/p);
-GDu: (p^2/(k z^2), 1/p, 1/z).
+The parameter action of the network transforms (``network.TRANSFORMS``):
+inverting s maps (k, z, p) to (k z^2/p^2, 1/z, 1/p), since
+k(1 + zs)^2/(1 + ps)^2 is that form; inverting Z maps it to (1/k, p, z).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
+from .network import transform_inverts
 from .ratpoly import (
     Poly,
     RationalFn,
@@ -177,33 +178,31 @@ def pole_zero_ratio(z, p):
 
 
 def transform_params(b: CanonicalBiquad, t: str) -> CanonicalBiquad:
-    """Parameter action of the network transforms; each is an involution."""
-    t = t.lower()
-    if t == "dual":
-        return CanonicalBiquad(1 / b.k, b.p, b.z)
-    if t == "inv":
-        return CanonicalBiquad(b.k * b.z * b.z / (b.p * b.p), 1 / b.z, 1 / b.p)
-    if t == "gdu":
-        return CanonicalBiquad(b.p * b.p / (b.k * b.z * b.z), 1 / b.p, 1 / b.z)
-    raise ValueError("unknown transform %r (expected inv, dual or gdu)" % (t,))
+    """Parameter action of the network transform t, in ``field_of`` the
+    parameters; each is an involution."""
+    inv_s, inv_z = transform_inverts(t)
+    f = field_of(b.k, b.z, b.p)
+    k, z, p = f(b.k), f(b.z), f(b.p)
+    if inv_s:
+        k, z, p = k * z * z / (p * p), 1 / z, 1 / p
+    if inv_z:
+        k, z, p = 1 / k, p, z
+    return CanonicalBiquad(k, z, p)
 
 
 def to_rational_fn(target: Target) -> RationalFn:
-    """Reduced rational function for any of the three target forms."""
+    """Reduced rational function for any of the three target forms, in
+    ``field_of`` its parameters."""
     if isinstance(target, CanonicalBiquad):
-        one = one_like(target.k)
-        num = Poly([target.z, one]) ** 2 * target.k
-        den = Poly([target.p, one]) ** 2
-        return RationalFn(num, den)
-    if isinstance(target, GeneralBiquad):
-        return RationalFn(
-            Poly([target.C, target.B, target.A]), Poly([target.F, target.E, target.D])
-        )
+        f = field_of(target.k, target.z, target.p)
+        num = Poly([f(target.z), f(1)]) ** 2 * f(target.k)
+        return RationalFn(num, Poly([f(target.p), f(1)]) ** 2)
     if isinstance(target, PoleSquaredForm):
-        one = one_like(target.p)
-        num = Poly([target.gamma, target.beta, target.alpha])
-        den = Poly([target.p, one]) ** 2
-        return RationalFn(num, den)
+        target = pole_squared_to_general(target)
+    if isinstance(target, GeneralBiquad):
+        f = field_of(*target.coeffs())
+        A, B, C, D, E, F = (f(c) for c in target.coeffs())
+        return RationalFn(Poly([C, B, A]), Poly([F, E, D]))
     raise TypeError("unsupported target %r" % (target,))
 
 

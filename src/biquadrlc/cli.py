@@ -35,10 +35,12 @@ from .biquad import (
     is_positive_real,
     pole_squared_to_general,
     target_from_json,
+    target_to_json,
     to_rational_fn,
 )
 from .check import verify_numeric
 from .network import (
+    TRANSFORMS,
     apply_transform,
     enumerate_labeled,
     enumerate_topologies,
@@ -139,7 +141,7 @@ def _cmd_classify(args) -> int:
     b = _canonical_target(args)
     report = classify(b, precision_bits=args.precision_bits, tol=args.tol)
     data = report.to_json()
-    data["target"] = {"k": scalar_to_str(b.k), "z": scalar_to_str(b.z), "p": scalar_to_str(b.p)}
+    data["target"] = target_to_json(b)
     if args.format == "text":
         print("class: %s" % data["class"])
         for cond in data["conditions"]:
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_impedance)
 
     p = sub.add_parser("transform", parents=[common], help="apply inv/dual/gdu to a netlist")
-    p.add_argument("--op", required=True, choices=("inv", "dual", "gdu"))
+    p.add_argument("--op", required=True, choices=tuple(TRANSFORMS))
     p.add_argument("netlist")
     p.set_defaults(func=_cmd_transform)
 

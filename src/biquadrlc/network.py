@@ -6,14 +6,11 @@ sorted by a fixed key) so structural equality and deduplication are
 deterministic.
 
 The module provides the symbolic impedance (series adds impedances, parallel
-adds admittances), the three network transforms
-
-* ``inv``  : frequency inversion, same graph, L(x) <-> C(1/x);
-* ``dual`` : network duality, graph dual (= Series/Parallel swap here),
-  R(x) -> R(1/x), L(x) <-> C(x);
-* ``gdu``  : frequency-inverse duality, graph dual with every value
-  reciprocated and kinds kept;
-
+adds admittances), the three network transforms in one table,
+``TRANSFORMS``, of what each inverts: the frequency (``inv``, s -> 1/s:
+L(x) <-> C(1/x)), the impedance (``dual``, Z -> 1/Z: the graph dual, i.e.
+Series <-> Parallel, with R(x) -> R(1/x) and L(x) <-> C(x)) or both
+(``gdu``: the graph dual with every value reciprocated and kinds kept);
 exhaustive topology/labeling enumeration with the structural filters used by
 the realizability arguments (cut-set rule, no pure-reactive series arm), and
 the catalog of named configurations used by the seven-element syntheses.
@@ -55,6 +52,8 @@ __all__ = [
     "resistor_count",
     "impedance",
     "impedance_coeffs",
+    "TRANSFORMS",
+    "transform_inverts",
     "apply_transform",
     "enumerate_topologies",
     "enumerate_labeled",
@@ -171,12 +170,15 @@ def map_leaves(net: SPNet, fn: Callable[[Leaf], Leaf]) -> SPNet:
 # impedance
 
 
-def _check_value(lf: Leaf):
-    if lf.kind not in KINDS:
+def _check_leaf(lf: Leaf, slot_ok: bool = False):
+    """An R/L/C leaf with a positive value; with ``slot_ok`` the value may
+    be None, and so may the kind of a leaf without a value."""
+    if lf.kind not in KINDS and not (slot_ok and lf.kind is None and lf.value is None):
         raise ValueError("leaf kind must be one of %s, got %r" % (KINDS, lf.kind))
     if lf.value is None:
-        raise ValueError("leaf has no value (template slot)")
-    if not lf.value > 0:
+        if not slot_ok:
+            raise ValueError("leaf has no value (template slot)")
+    elif not lf.value > 0:
         raise ValueError("element values must be strictly positive")
 
 
@@ -238,7 +240,7 @@ def impedance(net: SPNet) -> RationalFn:
     """
     lfs = leaves(net)
     for lf in lfs:
-        _check_value(lf)
+        _check_leaf(lf)
     f = field_of(*(lf.value for lf in lfs))
     num, den = impedance_coeffs(net, [f(lf.value) for lf in lfs])
     return RationalFn(Poly(num), Poly(den))
@@ -248,45 +250,39 @@ def impedance(net: SPNet) -> RationalFn:
 # transforms
 
 
-def _reciprocal(v):
-    return 1 / v
+# What each transform inverts: (the frequency, s -> 1/s; the impedance,
+# Z -> 1/Z).  gdu inverts both.
+TRANSFORMS = {"inv": (True, False), "dual": (False, True), "gdu": (True, True)}
+_OTHER_REACTIVE = {"L": "C", "C": "L"}
 
 
-_TRANSFORMS = ("inv", "dual", "gdu")
+def transform_inverts(op: str) -> Tuple[bool, bool]:
+    """(inverts s, inverts Z) of the transform ``op``, in any letter case."""
+    if op.lower() not in TRANSFORMS:
+        raise ValueError("unknown transform %r (expected inv, dual or gdu)" % (op.lower(),))
+    return TRANSFORMS[op.lower()]
 
 
 def apply_transform(net: SPNet, op: str) -> SPNet:
-    """Apply inv / dual / gdu to a network (values transformed accordingly)."""
-    op = op.lower()
-    if op not in _TRANSFORMS:
-        raise ValueError("unknown transform %r (expected inv, dual or gdu)" % (op,))
+    """Apply inv / dual / gdu to a network (values transformed accordingly).
 
-    swap = op in ("dual", "gdu")
-
-    def leaf_map(lf: Leaf) -> Leaf:
-        kind, value = lf.kind, lf.value
-        if op == "inv":
-            if kind == "L":
-                return Leaf("C", None if value is None else _reciprocal(value))
-            if kind == "C":
-                return Leaf("L", None if value is None else _reciprocal(value))
-            return lf
-        if op == "dual":
-            if kind == "R":
-                return Leaf("R", None if value is None else _reciprocal(value))
-            if kind == "L":
-                return Leaf("C", value)
-            if kind == "C":
-                return Leaf("L", value)
-            return lf
-        # gdu: labels preserved, values reciprocated
-        return Leaf(kind, None if value is None else _reciprocal(value))
+    An R value is its impedance, so it is reciprocated with Z; an L or C
+    value is the coefficient of s or 1/s, so it is reciprocated with s; L and
+    C swap when exactly one of s and Z is inverted, and inverting Z swaps
+    series and parallel.  Reciprocals are taken in ``field_of`` the value.
+    """
+    inv_s, inv_z = transform_inverts(op)
 
     def walk(n: SPNet) -> SPNet:
         if isinstance(n, Leaf):
-            return leaf_map(n)
+            reactive = n.kind in REACTIVE
+            kind = _OTHER_REACTIVE[n.kind] if reactive and inv_s != inv_z else n.kind
+            value = n.value
+            if value is not None and (inv_s if reactive else inv_z):
+                value = 1 / field_of(value)(value)
+            return Leaf(kind, value)
         kids = tuple(walk(c) for c in n.children)
-        if swap:
+        if inv_z:
             return Parallel(kids) if isinstance(n, Series) else Series(kids)
         return type(n)(kids)
 
@@ -544,13 +540,16 @@ def to_netlist_json(net: SPNet) -> dict:
 
 
 def from_netlist_json(data: dict) -> SPNet:
+    """Parse a netlist.  Rejects a leaf kind outside R/L/C (null only on a
+    slot whose value is null too) and a non-null value that is not > 0."""
     if not isinstance(data, dict):
         raise ValueError("a netlist node must be a JSON object")
     t = data.get("type")
     if t == "element":
         value = data.get("value")
-        parsed = None if value is None else scalar_from_str(str(value))
-        return Leaf(data["kind"], parsed)
+        leaf = Leaf(data["kind"], None if value is None else scalar_from_str(str(value)))
+        _check_leaf(leaf, slot_ok=True)
+        return leaf
     if t not in ("series", "parallel"):
         raise ValueError("unknown netlist node type %r" % (t,))
     children = data["children"]

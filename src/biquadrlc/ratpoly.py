@@ -654,16 +654,8 @@ class RationalFn:
                 num = num // g
                 den = den // g
         lead = den.leading
-
-        def div(c):
-            try:
-                return c / lead
-            except TypeError:
-                # exact-by-mpf division is unsupported on the Fraction side
-                return to_mpf(c) / lead
-
-        self.den = Poly(div(c) for c in den.coeffs)
-        self.num = Poly(div(c) for c in num.coeffs)
+        self.den = Poly(c / lead for c in den.coeffs)
+        self.num = Poly(c / lead for c in num.coeffs)
 
     @classmethod
     def constant(cls, c) -> "RationalFn":

@@ -68,7 +68,9 @@ from mpmath import mp, mpf
 
 from .biquad import PR_POLY, CanonicalBiquad, pole_zero_ratio, to_rational_fn, transform_params
 from .check import verify_numeric
-from .network import SPNet, apply_transform, build_config, canonical_config_id, to_netlist_json
+from .network import (
+    TRANSFORMS, SPNet, apply_transform, build_config, canonical_config_id, to_netlist_json
+)
 from .ratpoly import (
     Poly,
     QuadraticRational,
@@ -613,11 +615,12 @@ def classify(
     Every condition consulted appears in the report, in the fixed order
     positive-real, four-element, five-element, fig3a, n4a, n5a, then the
     transform closure; the class is the first hit.  All conditions depend
-    only on eta = p/z, and on parameters inv and dual both act as
-    eta -> 1/eta while gdu fixes eta, so a transformed hit always reports
-    the first transform in the order (the synthesized networks would differ,
-    but each maps back to a valid realization of the input).  Raises what
-    ``synthesize`` raises for a catalog hit whose network does not verify.
+    only on eta = p/z, and a transform that inverts exactly one of s and Z
+    (inv, dual) maps eta to 1/eta while gdu fixes it, so for exact inputs a
+    transformed hit always reports the first transform in the order (the
+    synthesized networks would differ, but each maps back to a valid
+    realization of the input).  Raises what ``synthesize`` raises for a
+    catalog hit whose network does not verify.
     """
     conditions: List[ConditionRecord] = []
     with mp.workprec(precision_bits):
@@ -629,7 +632,9 @@ def classify(
         conditions.extend(recs)
 
         catalog_hit: Optional[Tuple[str, Optional[str]]] = None
-        for t in (None, "inv", "dual", "gdu"):
+        for t in (None, *TRANSFORMS):
+            # the parameters synthesize will use: with mpf inputs, 1/eta
+            # rounded another way can fall on the other side of a boundary
             bt = b if t is None else transform_params(b, t)
             for name, (records, _) in _CATALOG.items():
                 ok, recs = records(bt.z, bt.p)

@@ -235,8 +235,16 @@ def test_invalid_inputs_exit_2(capsys):
     assert main(["impedance", "{not json"]) == 2
     assert main(["enumerate", "--n", "99"]) == 2
     assert main(["roots", "--poly", "[]", "--lo", "0", "--hi", "1"]) == 2
-    bad_netlist = json.dumps({"type": "element", "kind": "R", "value": "-3"})
-    assert main(["impedance", bad_netlist]) == 2
+    # a leaf kind outside R/L/C, a value on an unlabeled slot or a value that
+    # is not > 0 is rejected where the netlist is parsed
+    capsys.readouterr()
+    for kind, value in (("R", "-3"), ("X", None), ("X", "1"), (None, "2"), ("R", "-1"),
+                        ("R", "0"), ("L", 0)):
+        bad_netlist = json.dumps({"type": "element", "kind": kind, "value": value})
+        for command in (["impedance"], ["transform", "--op", "inv"], ["transform", "--op", "dual"],
+                        ["transform", "--op", "gdu"]):
+            assert main(command + [bad_netlist]) == 2, (command, kind, value)
+            assert "invalid netlist" in json.loads(capsys.readouterr().err)["error"]
     falsify = ["falsify", "--target", json.dumps({"num": ["1"], "den": ["1"]})]
     for counts in (["--nmax", "0"], ["--nmax", "-1"], ["--nmax", "6"],
                    ["--nmax", "1", "--budget", "0"], ["--nmax", "1", "--budget", "-5"],

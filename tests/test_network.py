@@ -610,3 +610,9 @@ def test_netlist_json_template_roundtrip():
     tpl = config_template("fig8b")
     data = to_netlist_json(tpl)
     assert from_netlist_json(data) == tpl
+
+
+def test_netlist_json_unlabeled_shapes_roundtrip():
+    for shape in enumerate_topologies(4):
+        assert from_netlist_json(json.loads(json.dumps(to_netlist_json(shape)))) == shape
+

@@ -10,7 +10,7 @@ from scipy.optimize._numdiff import approx_derivative
 
 from biquadrlc import verify
 
-from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
+from biquadrlc.biquad import CanonicalBiquad, PoleSquaredForm, to_rational_fn
 from biquadrlc.network import (
     Leaf,
     build_config,
@@ -22,7 +22,7 @@ from biquadrlc.network import (
     series,
 )
 from biquadrlc.ratpoly import Poly, QuadraticRational, RationalFn
-from biquadrlc.realize import synth_fig3a
+from biquadrlc.realize import lemma_four_element, lemma_three_element, synth_fig3a
 from biquadrlc.verify import (
     _CompiledTemplate,
     coefficient_residual,
@@ -369,3 +369,38 @@ def test_quadratic_rational_target_fits():
     assert report["complete"] and not report["any_success"]
     target = to_rational_fn(CanonicalBiquad(1, 1, QuadraticRational(3, 2, 2)))
     assert not fit_topology(series(Leaf("R"), Leaf("L")), target).success
+
+
+# rational targets (alpha s^2 + beta s + gamma)/(s+p)^2 on the lemma
+# conditions, gamma solved for where the condition is linear in it, with
+# (element count, condition number)
+_LEMMA_TARGETS = [
+    (PoleSquaredForm(0, 2, 0, 1), (3, 1)),  # alpha = gamma = 0
+    (PoleSquaredForm(1, 0, 1 * 2**2, 2), (3, 2)),  # beta = 0, gamma = alpha p^2
+    (PoleSquaredForm(2, 1, 0, 1), (3, 3)),  # gamma = 0, alpha p = 2 beta
+    (PoleSquaredForm(0, 1, 2 * 1 * 3, 3), (3, 4)),  # alpha = 0, gamma = 2 beta p
+    (PoleSquaredForm(1, 3, 3 * 1 - 1 * 1**2, 1), (3, 5)),  # gamma = beta p - alpha p^2
+    (PoleSquaredForm(1, 1, 1 * 1**2, 1), (4, 3)),  # gamma = alpha p^2
+    (PoleSquaredForm(1, F(5, 2), 2 * F(5, 2) - 3, 1), (4, 4)),  # gamma = 2 beta p - 3 alpha p^2
+    # off every three- and four-element locus (on five-element condition 1)
+    (PoleSquaredForm(1, 5, F(1, 2), 1), None),
+]
+
+
+def _smallest_lemma(target):
+    ok, i = lemma_three_element(target)
+    if ok:
+        return 3, i
+    ok, i = lemma_four_element(target)
+    return (4, i) if ok else None
+
+
+@pytest.mark.parametrize("target, lemma", _LEMMA_TARGETS)
+def test_lemmas_agree_with_the_falsifier(target, lemma):
+    # the first fit that succeeds has the lemma's element count, and off the
+    # loci no fit of up to four elements succeeds
+    assert _smallest_lemma(target) == lemma
+    size = 4 if lemma is None else lemma[0]
+    report = falsify_small(to_rational_fn(target), size, stop_at_first_success=True)
+    wins = [e["elements"] for e in report["entries"] if e["success"]]
+    assert wins == ([] if lemma is None else [size])
