@@ -8,7 +8,7 @@ impedance expansion, exactly or at arbitrary precision.
 
 Importing the package loads mpmath only.  The fitting names (``FitResult``,
 ``fit_topology``, ``falsify_small``) live in ``verify``, the one module that
-needs numpy and scipy; they are served from it on first access.
+needs numpy; they are served from it on first access.
 """
 
 from .biquad import (

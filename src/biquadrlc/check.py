@@ -12,8 +12,8 @@ insensitive to unreduced common factors, which inexact impedance computation
 cannot cancel.
 
 This module needs only mpmath, so classification, synthesis and the CLI
-commands that verify their answers run without numpy or scipy; only the
-fitter in ``verify`` loads those.
+commands that verify their answers run without numpy; only the fitter in
+``verify`` loads it.
 """
 
 from __future__ import annotations

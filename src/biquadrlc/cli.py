@@ -7,8 +7,8 @@ outcomes and verification failures; 2 for invalid input; 3 when the program
 fails its own checks, for example when a synthesized network does not
 re-verify at the working precision.
 
-Only ``falsify`` loads numpy and scipy (through ``verify``); every other
-command runs on mpmath alone.
+Only ``falsify`` loads numpy (through ``verify``); every other command runs
+on mpmath alone.
 
 Every number read from an option, a netlist, a target or a ``--poly`` array
 goes through ``ratpoly.scalar_from_str``: "3/2", "0.25" and "1e-6" are exact
@@ -273,7 +273,7 @@ def _cmd_pr_check(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    from .verify import falsify_small  # the one command that needs numpy and scipy
+    from .verify import falsify_small  # the one command that needs numpy
 
     target = _target_rational(args.target)
     report = falsify_small(

@@ -1,6 +1,7 @@
-"""The package and the CLI load mpmath only; numpy and scipy come with the
-fitter in ``verify``.  Checked in a fresh interpreter, by the modules it has
-loaded, so the test does not depend on timings.
+"""The package and the CLI load mpmath only; numpy comes with the fitter in
+``verify``, and nothing loads scipy, which is a test oracle.  Checked in a
+fresh interpreter, by the modules it has loaded, so the test does not depend
+on timings.
 
 Also: every library name the benchmark binds exists, so a rename that would
 crash ``perfbench`` fails here first."""
@@ -55,6 +56,24 @@ def test_package_and_cli_load_without_numpy_and_scipy():
     assert report["after_commands"] == []
     assert report["served"] == {"fit_topology": True, "falsify_small": True, "FitResult": True}
     assert report["unbound"] == []
+
+
+FALSIFY_PROBE = """
+import contextlib, io, json, sys
+import biquadrlc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = biquadrlc.cli.main(["falsify", "--target", '{"k": "1", "z": "1", "p": "3"}', "--nmax", "2"])
+print(json.dumps({"code": code, "loaded": sorted(m for m in ("numpy", "scipy") if m in sys.modules)}))
+"""
+
+
+def test_falsify_loads_numpy_but_not_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FALSIFY_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(proc.stdout) == {"code": 0, "loaded": ["numpy"]}
 
 
 def test_names_the_benchmark_binds_exist():
