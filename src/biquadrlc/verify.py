@@ -5,10 +5,14 @@ oracles live in ``check``, which this module re-exports.
 Fitting is damped least squares on log-element values (positivity for free),
 multistarted with a deterministic seed; a failed fit means "not found within
 the budget", never "not realizable".  Each template is compiled once into a
-monomial table by running the impedance builder that ``network.impedance``
-uses on symbolic leaf values.  ``least_squares``, MINPACK ``lmder``'s
-Levenberg-Marquardt written in numpy, advances all starts of a template as
-one batch on the residuals and exact Jacobians of that table.
+table of monomial terms by running the impedance builder that
+``network.impedance`` uses on symbolic leaf values.  ``least_squares``,
+MINPACK ``lmder``'s Levenberg-Marquardt written in numpy, advances the
+starts of many templates as one batch on the residuals and exact Jacobians
+of a stack of these tables: ``falsify_small`` fits all its templates side
+by side (at most ``BATCH_ROWS`` starts in flight), and ``fit_topology`` is
+the case of one template.  Every template keeps its own seed, budget, early
+exit and evaluation count.
 
 Only this module loads numpy.  Nothing else in the package imports it at
 load time: the package root serves the fitting names on first access, and
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence
 
 import numpy as np
 from mpmath import mp, mpf
@@ -113,76 +117,110 @@ class _Multilinear:
 
 
 class _CompiledTemplate:
-    """Fit residual of a template against a float target, with its exact
-    Jacobian, on a batch of log element values theta (one row per start).
+    """Fit residuals of one template or a stack of templates against a float
+    target, with their exact Jacobians, on a batch of log element values
+    theta: one row per start, evaluated against the template that ``rows``
+    names for it (every row against the first template if ``rows`` is None).
 
-    ``impedance_coeffs`` runs once on ``_Multilinear`` leaves, giving every
-    coefficient of num and den as a sum of leaf-value monomials.  The table
-    holds the monomials' exponent matrix E (monomials x leaves, 0/1) and one
-    linear map from monomial values to the cross-multiplied num * tden
-    (first ``size`` rows) and tnum * den (last ``size`` rows); the integer
-    monomial weights are folded into the map.  With mono = exp(E @
-    clip(theta)), the residual is (lhs - rhs) / scale for scale the largest
-    |coefficient| of either side, and d mono / d theta_i = mono * E[:, i]
-    (zero for a clipped theta_i).
+    ``impedance_coeffs`` runs once per template on ``_Multilinear`` leaves,
+    giving every coefficient of num and den as a sum of leaf-value
+    monomials.  A template's table lists these terms: the monomial's
+    exponents (0/1 per leaf), its integer weight and the coefficient it
+    adds to.  With term = weight * exp(exponents @ clip(theta)), the
+    coefficients are sums of terms, one map shared by all templates
+    cross-multiplies them into num * tden (first ``size`` rows) and tnum *
+    den (last ``size`` rows), and the residual is (lhs - rhs) / scale for
+    scale the largest |coefficient| of either side.  d term / d theta_i =
+    term * exponents_i (zero for a clipped theta_i).
+
+    The stack pads every table with zeros to the largest term count, num
+    and den length and element count: a padded term has weight 0, padded
+    coefficients give residual rows 0 = 0, and a padded element is in no
+    term, so its Jacobian column is zero.
     """
 
-    def __init__(self, template: SPNet, tnum: np.ndarray, tden: np.ndarray):
-        n = len(leaves(template))
-        num, den = impedance_coeffs(template, [_Multilinear({1 << i: 1}) for i in range(n)])
-        masks = sorted({mask for c in num + den for mask in c.terms})
-        column = {mask: j for j, mask in enumerate(masks)}
-        self.exponents = np.array([[(mask >> i) & 1 for i in range(n)] for mask in masks], dtype=float)
-        self.size = max(len(num) + len(tden) - 1, len(den) + len(tnum) - 1)
+    def __init__(self, templates: Sequence[SPNet], tnum: np.ndarray, tden: np.ndarray):
+        coeffs = []
+        for template in templates:
+            n = len(leaves(template))
+            coeffs.append((n, impedance_coeffs(template, [_Multilinear({1 << i: 1}) for i in range(n)])))
+        self.elements = [n for n, _ in coeffs]
+        n_num = max(len(num) for _, (num, _) in coeffs)
+        n_den = max(len(den) for _, (_, den) in coeffs)
+        self.size = max(n_num + len(tden) - 1, n_den + len(tnum) - 1)
+        self.cross = np.zeros((n_num + n_den, 2 * self.size))
+        for i in range(n_num):
+            self.cross[i, i:i + len(tden)] = tden
+        for i in range(n_den):
+            self.cross[n_num + i, self.size + i:self.size + i + len(tnum)] = tnum
+        self.diff_cross = self.cross[:, : self.size] - self.cross[:, self.size:]
+        terms = [[(i, mask, count) for i, c in enumerate(num) for mask, count in c.terms.items()]
+                 + [(n_num + i, mask, count) for i, c in enumerate(den) for mask, count in c.terms.items()]
+                 for _, (num, den) in coeffs]
+        shape = (len(terms), max(map(len, terms)))
+        self.exponents = np.zeros(shape + (max(self.elements),), dtype=np.uint8)
+        self.weight, self.position = np.zeros(shape), np.zeros(shape, dtype=np.intp)
+        self.real_rows = np.zeros((len(terms), self.size))
+        for t, (n, (num, den)) in enumerate(coeffs):
+            for k, (i, mask, count) in enumerate(terms[t]):
+                self.position[t, k], self.weight[t, k] = i, count
+                self.exponents[t, k, :n] = [(mask >> j) & 1 for j in range(n)]
+            self.real_rows[t, : max(len(num) + len(tden), len(den) + len(tnum)) - 1] = 1.0
 
-        def cross(poly, t):
-            """Map from monomial values to the coefficients of poly * t."""
-            out = np.zeros((self.size, len(masks)))
-            for i, c in enumerate(poly):
-                for mask, count in c.terms.items():
-                    out[i:i + len(t), column[mask]] += count * t
-            return out
-
-        self.sides_map = np.vstack([cross(num, tden), cross(den, tnum)])
-        self.diff_map = self.sides_map[: self.size] - self.sides_map[self.size:]
-
-    def _evaluate(self, theta: np.ndarray):
-        """The clipped theta, monomials, both sides, scale and residual of
-        every row, and which rows are finite."""
+    def _evaluate(self, theta: np.ndarray, rows):
+        """The templates' exponents and coefficient numbers, the clipped
+        theta, the terms, both sides, scale and residual of every row, and
+        which rows are finite."""
+        if rows is None:
+            rows = np.zeros(len(theta), dtype=np.intp)
+        exponents, position = self.exponents.take(rows, axis=0), self.position.take(rows, axis=0)
         clipped = np.minimum(np.maximum(theta, -THETA_CLIP), THETA_CLIP)
-        # exp overflows to inf on far-out starts, and inf * 0 in the map
+        # exp overflows to inf on far-out starts, and inf * 0 in the sums
         # gives nan; both end in the finiteness check, which is the report
         with np.errstate(over="ignore", invalid="ignore"):
-            mono = np.exp(clipped @ self.exponents.T)
-            sides = mono @ self.sides_map.T
+            terms = self.weight.take(rows, axis=0) * np.exp(np.einsum("bkn,bn->bk", exponents, clipped))
+            # coefficient i of row b is entry b * len(cross) + i of the sums
+            slots = position + len(self.cross) * np.arange(len(theta))[:, None]
+            coeffs = np.bincount(slots.ravel(), terms.ravel(), len(theta) * len(self.cross))
+            sides = coeffs.reshape(len(theta), -1) @ self.cross
             scale = np.maximum(np.abs(sides).max(axis=1), 1e-300)
             out = (sides[:, : self.size] - sides[:, self.size:]) / scale[:, None]
         finite = np.isfinite(out).all(axis=1)
-        return clipped, mono, sides, scale, out, finite
+        return rows, exponents, position, clipped, terms, sides, scale, out, finite
 
-    def residual(self, theta: np.ndarray) -> np.ndarray:
+    def residual(self, theta: np.ndarray, rows=None) -> np.ndarray:
         """Residuals (B x size) of a batch theta (B x n)."""
-        *_, out, finite = self._evaluate(theta)
-        out[~finite] = 1e6
+        rows, *_, out, finite = self._evaluate(theta, rows)
+        if not finite.all():
+            out[~finite] = 1e6 * self.real_rows[rows[~finite]]
         return out
 
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+    def jacobian(self, theta: np.ndarray, rows=None) -> np.ndarray:
         """Jacobians (B x size x n) of a batch theta (B x n); zero on rows
         whose residual is not finite."""
-        clipped, mono, sides, scale, out, finite = self._evaluate(theta)
+        _, exponents, position, clipped, terms, sides, scale, out, finite = self._evaluate(theta, rows)
         if not finite.all():
-            rows = finite[:, None]
-            mono, sides, out = (np.where(rows, a, 0.0) for a in (mono, sides, out))
+            keep = finite[:, None]
+            terms, sides, out = (np.where(keep, a, 0.0) for a in (terms, sides, out))
             scale = np.where(finite, scale, 1.0)
-        # d scale / d mono: the signed map row of the coefficient that sets
-        # the scale (argmax takes the first maximum: lhs on a tie), or zero
-        # at the 1e-300 floor
+        # entry (b * n + j) * width + i of the sums is d coefficient i / d
+        # theta_j of row b: the sum of the coefficient's terms that hold j
+        width = len(self.cross)
+        slots = position[:, :, None] + width * np.arange(theta.size).reshape(theta.shape)[:, None, :]
+        dcoeffs = np.bincount(slots.ravel(), (terms[:, :, None] * exponents).ravel(), theta.size * width)
+        dcoeffs = dcoeffs.reshape(theta.shape + (width,))
+        dcoeffs *= (clipped == theta)[:, :, None]  # zero for a clipped theta_j
+        # d scale / d theta: the signed derivative of the coefficient of
+        # either side that sets the scale (argmax takes the first maximum:
+        # lhs on a tie), or zero at the 1e-300 floor
         k = np.abs(sides).argmax(axis=1)
         top = sides[np.arange(len(k)), k]
-        scale_row = (np.sign(top) * (np.abs(top) == scale))[:, None] * self.sides_map[k]
-        dmono = mono[:, :, None] * (self.exponents * (clipped == theta)[:, None, :])
-        grad = self.diff_map - out[:, :, None] * scale_row[:, None, :]
-        return grad @ dmono / scale[:, None, None]
+        sign = np.sign(top) * (np.abs(top) == scale)
+        dscale = np.einsum("bji,ib->bj", dcoeffs, self.cross[:, k]) * sign[:, None]
+        jac = (dcoeffs.reshape(theta.size, width) @ self.diff_cross).reshape(theta.shape + (self.size,))
+        jac -= dscale[:, :, None] * out[:, None, :]
+        jac /= scale[:, None, None]
+        return jac.transpose(0, 2, 1)
 
 
 def _check_budget(budget: int, starts: int) -> None:
@@ -192,17 +230,27 @@ def _check_budget(budget: int, starts: int) -> None:
                          "got starts=%s, budget=%s" % (starts, budget))
 
 
-EXACT_FIT = 1e-14  # a start whose largest |residual| falls below this ends the batch
+# Starts that least_squares advances together at most.  A round costs about
+# 200 numpy calls whatever its size, so fitting templates side by side saves
+# rounds; the arrays of a round, and the process's peak memory, grow with the
+# rows.  Most starts stop within a few dozen rounds and the next templates
+# take their place, so 144 rows (6 templates of 24 starts) fit the 12
+# templates of up to three elements about as fast as 288 rows at once.
+BATCH_ROWS = 144
+EXACT_FIT = 1e-14  # a start whose largest |residual| falls below this ends its template's fit
 
 
 class LMResult(NamedTuple):
     """Outcome of ``least_squares``: the last accepted point of every start,
-    its residuals and the evaluation counts summed over the starts."""
+    its residuals, the evaluation counts summed over the starts and the
+    same counts per template (indexed by the template numbers of ``rows``)."""
 
     x: np.ndarray
     fun: np.ndarray
     nfev: int
     njev: int
+    template_nfev: np.ndarray
+    template_njev: np.ndarray
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -251,67 +299,118 @@ def _lm_step(s, sg, delta, par):
     return lam, p, pnorm
 
 
-def least_squares(fun, x0, jac, max_nfev, xtol, ftol, gtol) -> LMResult:
-    """Levenberg-Marquardt on a batch of starts, the rows of ``x0``.
+def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, stop_after_exact=False) -> LMResult:
+    """Levenberg-Marquardt on a batch of starts, the rows of ``x0``; start i
+    fits template ``rows[i]``, and the starts of a template are adjacent,
+    in template order.
 
-    ``fun`` maps a (B x n) batch to its (B x m) residuals and ``jac`` to the
-    (B x m x n) Jacobians.  Each start follows MINPACK ``lmder`` (Moré, LNM
-    630, 1978) with ``factor`` 100 and the scaling D the running maximum of
-    the Jacobian's column norms: its own trust radius and parameter, step
-    acceptance, stop tests on ``xtol``, ``ftol`` and ``gtol`` and at most
-    ``max_nfev`` residual evaluations.  Each round evaluates one trial step
-    of every running start in one call, and the Jacobians of those whose
-    step was accepted in another; finished starts leave the batch, and once
-    any start's largest |residual| is below ``EXACT_FIT`` the whole batch
-    stops.
+    ``fun`` maps a (B x n) batch and the templates of its rows to the
+    (B x m) residuals and ``jac`` to the (B x m x n) Jacobians.  Each start
+    follows MINPACK ``lmder`` (Moré, LNM 630, 1978) with ``factor`` 100 and
+    the scaling D the running maximum of the Jacobian's column norms: its
+    own trust radius and parameter, step acceptance, stop tests on
+    ``xtol``, ``ftol`` and ``gtol`` and at most ``max_nfev`` residual
+    evaluations.  Each round evaluates one trial step of every running
+    start in one call, and the Jacobians of those whose step was accepted
+    in another; finished starts leave the batch.  The starts of a template
+    join it together, in template order, as soon as at most ``BATCH_ROWS``
+    starts are then running (or none).  Once a start's largest |residual|
+    is below ``EXACT_FIT``, the other starts of its template stop, and with
+    ``stop_after_exact`` so do those of every later template.
     """
-    x = np.array(x0, dtype=float)
-    f = fun(x)
-    result_x, result_f = x.copy(), f.copy()
-    nfev, njev, evaluations = len(x), 0, 1  # evaluations: of each running start
+    x0 = np.asarray(x0, dtype=float)
+    rows = np.asarray(rows)
+    ends = np.append(np.flatnonzero(np.diff(rows)) + 1, len(rows))  # where each template's starts end
+    result_x, result_f = x0.copy(), None
+    nfev, njev = np.zeros(len(x0), dtype=int), np.zeros(len(x0), dtype=int)
+    queued, limit = 0, np.inf  # the next start to join; the templates above limit are stopped
 
-    def linearize(x, f, fsq, scale):
+    def exact_stop(rows, f):
+        """Which starts stop because a start fits exactly: those of its
+        template and, with stop_after_exact, those of later templates."""
+        nonlocal limit
+        exact = np.abs(f).max(axis=1) < EXACT_FIT
+        if exact.any():
+            hit = rows[exact]
+            limit = min(limit, hit.min()) if stop_after_exact else limit
+            exact = np.isin(rows, hit)
+        return exact | (rows > limit)
+
+    def linearize(x, rows, f, fsq, scale):
         """At the rows x: the new scaling, the singular values s and
         s * U^T f of the scaled Jacobian, its right singular vectors divided
         by the scaling, and where the gradient test stops."""
-        J = jac(x)
-        colnorm = np.sqrt(np.add.reduce(J * J, axis=1))
+        J = jac(x, rows)
+        colnorm = np.sqrt(np.einsum("bmn,bmn->bn", J, J))
         # lmder starts D at the column norms, with 1 for a zero column
         scale = np.where(colnorm > 0, colnorm, 1.0) if scale is None else np.maximum(scale, colnorm)
         # cosine between f and each column of J
-        cosine = np.abs(np.add.reduce(J * f[:, :, None], axis=1))
+        cosine = np.abs(np.einsum("bmn,bm->bn", J, f))
         cosine /= np.maximum(np.sqrt(fsq)[:, None] * colnorm, _TINY)
-        U, s, Vt = np.linalg.svd(J / scale[:, None, :], full_matrices=False)
+        J /= scale[:, None, :]
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
         # as in lmder, only vanishing singular values count as zero, so that
         # steps go on along a column that fades towards the theta clip; the
         # floor keeps |step|^2 finite in _lm_step for |f| of order 1
         s = s * (s > 1e-75)
-        sg = s * np.add.reduce(U * f[:, :, None], axis=1)
+        sg = s * np.einsum("bmn,bm->bn", U, f)
         return scale, s, sg, Vt / scale[:, None, :], cosine.max(axis=1) <= gtol
 
-    state = None
-    if not (np.abs(f).max(axis=1) < EXACT_FIT).any():
+    def join(first, last):
+        """The state of starts first..last-1 at their initial points, and
+        which of them stop at once."""
+        nonlocal result_f
+        x, r = x0[first:last], rows[first:last]
+        f = fun(x, r)
+        if result_f is None:
+            result_f = np.full((len(x0), f.shape[1]), np.inf)  # inf: a start that never ran
+        result_f[first:last] = f
+        nfev[first:last] = 1
+        live = ~exact_stop(r, f)
+        if not live.any():
+            return None, None
+        start = first + np.flatnonzero(live)
+        x, f, r = x[live], f[live], r[live]
         fsq = np.add.reduce(f * f, axis=1)
-        scale, s, sg, Vs, done = linearize(x, f, fsq, None)
-        njev += len(x)
+        scale, s, sg, Vs, done = linearize(x, r, f, fsq, None)
+        njev[start] = 1
         xnorm = _norms(scale * x)
         delta = np.where(xnorm > 0, 100.0 * xnorm, 100.0)
-        state = [np.arange(len(x)), x, f, fsq, xnorm, scale, s, sg, Vs, delta,
-                 np.zeros(len(x)), np.ones(len(x), dtype=bool)]
-    while state is not None:
-        if done.any():
-            result_x[state[0][done]], result_f[state[0][done]] = state[1][done], state[2][done]
-            state = [a[~done] for a in state]
-            if not len(state[0]):
+        return [start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, np.zeros(len(x)),
+                np.ones(len(x), dtype=bool), np.ones(len(x), dtype=int)], done
+
+    state = done = None
+    while True:
+        if done is not None and done.any():
+            start, _, x, f, *_, count = state
+            result_x[start[done]], result_f[start[done]] = x[done], f[done]
+            nfev[start[done]] = count[done]
+            state, done = [a[~done] for a in state], done[~done]
+        running = 0 if done is None else len(done)
+        # the next templates join while they leave at most BATCH_ROWS running;
+        # they come after the running ones, so their exact fits stop none of these
+        last = queued
+        while last < len(x0) and rows[last] <= limit:
+            end = ends[np.searchsorted(ends, last, side="right")]
+            if running + end - queued > BATCH_ROWS and (running or last > queued):
                 break
-        start, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first = state
+            last = end
+        if last > queued:
+            new, new_done = join(queued, last)
+            queued = last
+            if new is not None:
+                state = new if state is None else [np.concatenate(pair) for pair in zip(state, new)]
+                done = new_done if done is None else np.concatenate((done, new_done))
+            continue
+        if not running:
+            break
+        start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count = state
         par, p, pnorm = _lm_step(s, sg, delta, par)
         if first.any():  # lmder's first iteration: no radius beyond the first step
             delta = np.where(first, np.minimum(delta, pnorm), delta)
         xt = x - (p[:, None, :] @ Vs)[:, 0, :]
-        ft = fun(xt)
-        nfev += len(x)
-        evaluations += 1
+        ft = fun(xt, r)
+        count += 1
         fsq1 = np.add.reduce(ft * ft, axis=1)
         # actual and predicted reductions of |f|^2 and the directional
         # derivative -slope, relative to |f|^2.  lmder sets the actual one to
@@ -336,19 +435,20 @@ def least_squares(fun, x0, jac, max_nfev, xtol, ftol, gtol) -> LMResult:
         xnorm = np.where(accept, _norms(scale * x), xnorm)
         first &= ~accept
         done = ((np.abs(actred) <= ftol) & (prered <= ftol) & (ratio <= 2.0)) | (delta <= xtol * xnorm)
-        if evaluations >= max_nfev or (np.abs(f).max(axis=1) < EXACT_FIT).any():
-            done[:] = True
-        state = [start, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first]
+        done |= (count >= max_nfev) | exact_stop(r, f)
+        state = [start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count]
         j = accept & ~done
         if j.any():
-            scale[j], s[j], sg[j], Vs[j], done[j] = linearize(x[j], f[j], fsq[j], scale[j])
-            njev += int(j.sum())
-    return LMResult(result_x, result_f, nfev, njev)
+            scale[j], s[j], sg[j], Vs[j], done[j] = linearize(x[j], r[j], f[j], fsq[j], scale[j])
+            njev[start[j]] += 1
+    per_template = [np.bincount(rows, count, minlength=rows.max() + 1).astype(int) for count in (nfev, njev)]
+    return LMResult(result_x, result_f, int(nfev.sum()), int(njev.sum()), *per_template)
 
 
-def _to_limit(compiled: _CompiledTemplate, theta: np.ndarray, cost: float):
-    """The fitted log-values with the elements that run off to 0 or infinity
-    taken to the clip, and the evaluations that took.
+def _to_limit(compiled: _CompiledTemplate, t: int, theta: np.ndarray, cost: float):
+    """The log-values of template t fitted at theta with the elements that
+    run off to 0 or infinity taken to the clip, and the evaluations that
+    took.
 
     Such elements (alone, or several with a fixed product or ratio) change
     the residual less and less, so a start stops at an arbitrary depth,
@@ -356,15 +456,63 @@ def _to_limit(compiled: _CompiledTemplate, theta: np.ndarray, cost: float):
     have faded; their log-values are shifted outwards together until the
     largest reaches the clip, where the limit network is, if that leaves
     the residual within a relative 1e-9 or an exact fit."""
+    rows, n = np.array([t]), compiled.elements[t]
     theta = np.clip(theta, -THETA_CLIP, THETA_CLIP)
-    colnorm = np.abs(compiled.jacobian(theta[None])[0]).max(axis=0)
+    colnorm = np.abs(compiled.jacobian(theta[None], rows)[0]).max(axis=0)
+    # the stack's padding columns are zero too, but hold no element
     inside = (colnorm <= 1e-8 * colnorm.max()) & (np.abs(theta) < THETA_CLIP)
+    inside[n:] = False
     if not inside.any():
-        return theta, 1
+        return theta[:n], 1
     trial = theta + inside * np.sign(theta) * (THETA_CLIP - np.abs(theta[inside]).max())
-    if np.abs(compiled.residual(trial[None])).max() <= max(cost * (1 + 1e-9), EXACT_FIT):
+    if np.abs(compiled.residual(trial[None], rows)).max() <= max(cost * (1 + 1e-9), EXACT_FIT):
         theta = trial
-    return theta, 2
+    return theta[:n], 2
+
+
+def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: int, seeds: Sequence[int],
+         tol, stop_at_first_success: bool = False) -> List[FitResult]:
+    """Fit every template, each from its own seed, in one ``least_squares``
+    batch of templates x starts (at most ``BATCH_ROWS`` starts in flight),
+    and certify the fits in template order; with ``stop_at_first_success``
+    the list ends at the first success.
+
+    There an exact fit of template t stops the templates after it, so that
+    they cost no rounds, and the templates before it run to completion.  If
+    t then fails certification, the stopped templates are fitted again from
+    their own seeds, so the list is the one that fitting template by
+    template gives."""
+    with mp.workprec(FIT_PRECISION_BITS):
+        tnum, tden = (np.array([float(to_mpf(c)) for c in poly.coeffs])
+                      for poly in (target.num, target.den))
+    compiled = _CompiledTemplate(templates, tnum, tden)
+    x0 = np.zeros((len(templates) * starts, compiled.exponents.shape[2]))
+    for t, seed in enumerate(seeds):
+        n = compiled.elements[t]
+        x0[t * starts:(t + 1) * starts, :n] = np.random.default_rng(seed).normal(0.0, 2.0, (starts, n))
+    rows = np.repeat(np.arange(len(templates)), starts)
+    fits: List[FitResult] = []
+    while len(fits) < len(templates):
+        first = len(fits)
+        res = least_squares(compiled.residual, x0[first * starts:], jac=compiled.jacobian,
+                            rows=rows[first * starts:], max_nfev=budget // starts, xtol=1e-15,
+                            ftol=1e-15, gtol=1e-15, stop_after_exact=stop_at_first_success)
+        for t in range(first, len(templates)):
+            i = (t - first) * starts
+            costs = np.abs(res.fun[i:i + starts]).max(axis=1)
+            best = int(costs.argmin())  # the first start with the smallest largest |residual|
+            theta, evals = _to_limit(compiled, t, res.x[i + best], costs[best])
+            values = np.exp(theta).tolist()  # theta is clipped, so no value overflows
+            net = _instantiate(templates[t], [mpf(v) for v in values])
+            ok, residual = verify_numeric(net, target, tol=tol, precision_bits=FIT_PRECISION_BITS)
+            evals += int(res.template_nfev[t] + res.template_njev[t])
+            named = dict(zip(_slot_names(templates[t]), values))
+            fits.append(FitResult(bool(ok), named, float(residual), evals))
+            if stop_at_first_success and ok:
+                return fits
+            if stop_at_first_success and costs[best] < EXACT_FIT:
+                break  # the templates after t were stopped: fit them again
+    return fits
 
 
 def fit_topology(
@@ -384,30 +532,14 @@ def fit_topology(
     best start's elements that run off to 0 or infinity go to the clip
     (``_to_limit``).  Success is certified by verify_numeric at
     ``FIT_PRECISION_BITS`` and ``tol``, so a success here always
-    re-verifies.  Raises ValueError when the budget is below two
-    evaluations per start.
+    re-verifies.  This is the one-template case of ``_fit``, in which
+    ``falsify_small`` fits all its templates side by side.  Raises
+    ValueError when the budget is below two evaluations per start.
     """
     _check_budget(budget, starts)
-    n = len(leaves(template))
-    if n < 1:
+    if not leaves(template):
         raise ValueError("template has no element slots")
-    with mp.workprec(FIT_PRECISION_BITS):
-        tnum, tden = (np.array([float(to_mpf(c)) for c in poly.coeffs])
-                      for poly in (target.num, target.den))
-    compiled = _CompiledTemplate(template, tnum, tden)
-
-    x0 = np.random.default_rng(seed).normal(0.0, 2.0, (starts, n))
-    res = least_squares(compiled.residual, x0, jac=compiled.jacobian, max_nfev=budget // starts,
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    costs = np.abs(res.fun).max(axis=1)
-    best = int(costs.argmin())  # the first start with the smallest largest |residual|
-    theta, evals = _to_limit(compiled, res.x[best], costs[best])
-    evals += res.nfev + res.njev
-    values = np.exp(theta).tolist()  # theta is clipped, so no value overflows
-    named = dict(zip(_slot_names(template), values))
-    net = _instantiate(template, [mpf(v) for v in values])
-    ok, residual = verify_numeric(net, target, tol=tol, precision_bits=FIT_PRECISION_BITS)
-    return FitResult(bool(ok), named, float(residual), evals)
+    return _fit([template], target, budget, starts, [seed], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -430,72 +562,48 @@ def falsify_small(
 
     Topologies failing a ``FALSIFY_FILTERS`` filter are skipped and reported
     as filtered (they cannot realize a biquadratic with finite nonzero Z(0)
-    and Z(inf)).  A uniform residual floor is evidence consistent with
-    non-realizability, not a proof.  ``budget`` bounds the residual
-    evaluations of each fit (see ``fit_topology``).  Raises ValueError for
-    n_max outside 1..5, for a start count below 1 and for a budget below
-    two evaluations per start.
+    and Z(inf)).  The others are fitted in enumeration order, side by side
+    in batches of templates x starts (``_fit``).  Each template keeps its
+    own seed, budget, early exit and evaluation count, so every entry is
+    what ``fit_topology`` gives for it, up to the rounding of the batch's
+    padding.  A uniform residual floor is evidence
+    consistent with non-realizability, not a proof.  ``budget`` bounds the
+    residual evaluations of each fit (see ``fit_topology``).  Raises
+    ValueError for n_max outside 1..5, for a start count below 1 and for a
+    budget below two evaluations per start.
     """
     if not 1 <= n_max <= 5:
         raise ValueError("n_max must be between 1 and 5 (the brute force's limit)")
     _check_budget(budget, starts)
     preds = parse_filters(FALSIFY_FILTERS)
-    entries = []
-    best = None
-    any_success = False
-    index = 0
-    for n in range(1, n_max + 1):
-        for labeled in enumerate_labeled(n):
-            entry = {
-                "topology": to_netlist_json(labeled),
-                "elements": n,
-                "filtered": False,
-                "filter": None,
-                "best_residual": None,
-                "success": False,
-                "values": None,
-                "evaluations": 0,
-            }
-            skip = None
-            for name, pred in preds:
-                if not pred(labeled):
-                    skip = name
-                    break
-            if skip is not None:
-                entry["filtered"] = True
-                entry["filter"] = skip
-                entries.append(entry)
-                continue
-            fit = fit_topology(
-                labeled,
-                target,
-                budget=budget,
-                starts=starts,
-                seed=seed * 1000003 + index,
-                tol=tol,
-            )
-            index += 1
-            entry["best_residual"] = fit.residual
-            entry["success"] = fit.success
-            entry["evaluations"] = fit.iterations
-            if fit.success:
-                entry["values"] = fit.values
-                any_success = True
-            if best is None or (
-                fit.residual is not None and fit.residual < best
-            ):
-                best = fit.residual
-            entries.append(entry)
-            if any_success and stop_at_first_success:
-                return {
-                    "entries": entries,
-                    "any_success": True,
-                    "best_residual": best,
-                    "complete": False,
-                }
+    labeled = [(n, net, next((name for name, pred in preds if not pred(net)), None))
+               for n in range(1, n_max + 1) for net in enumerate_labeled(n)]
+    kept = [net for _, net, skip in labeled if skip is None]
+    fits = _fit(kept, target, budget, starts, [seed * 1000003 + index for index in range(len(kept))], tol,
+                stop_at_first_success)
+    entries, fitted = [], iter(fits)
+    for n, net, skip in labeled:
+        entry = {
+            "topology": to_netlist_json(net),
+            "elements": n,
+            "filtered": skip is not None,
+            "filter": skip,
+            "best_residual": None,
+            "success": False,
+            "values": None,
+            "evaluations": 0,
+        }
+        if skip is None:
+            fit = next(fitted)
+            entry.update(best_residual=fit.residual, success=fit.success, evaluations=fit.iterations,
+                         values=fit.values if fit.success else None)
+        entries.append(entry)
+        if entry["success"] and stop_at_first_success:
+            break
+    any_success = any(fit.success for fit in fits)
     return {
         "entries": entries,
         "any_success": any_success,
-        "best_residual": best,
-        "complete": True,
+        "best_residual": min(fit.residual for fit in fits),
+        "complete": not (any_success and stop_at_first_success),
     }

@@ -19,10 +19,12 @@ from biquadrlc.network import (
     Leaf,
     build_config,
     enumerate_labeled,
+    from_netlist_json,
     impedance_coeffs,
     leaves,
     parallel,
     series,
+    to_netlist_json,
 )
 from biquadrlc.ratpoly import Poly, QuadraticRational, RationalFn
 from biquadrlc.realize import lemma_four_element, lemma_three_element, synth_fig3a
@@ -182,7 +184,7 @@ def _central_difference(residual, theta):
 def test_compiled_jacobian_matches_finite_differences():
     rng = np.random.default_rng(11)
     for tpl in _labeled_templates(4):
-        compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+        compiled = _CompiledTemplate([tpl], TNUM_12, TDEN_12)
         thetas = rng.normal(0.0, 2.0, (2, len(leaves(tpl))))
         for theta, jac in zip(thetas, compiled.jacobian(thetas)):
             fd = _central_difference(compiled.residual, theta)
@@ -194,7 +196,7 @@ def test_compiled_residual_matches_float_builder():
     # coefficients, cross-multiplied by convolution, scaled by max |coeff|
     rng = np.random.default_rng(12)
     for tpl in _labeled_templates(4):
-        compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+        compiled = _CompiledTemplate([tpl], TNUM_12, TDEN_12)
         theta = rng.normal(0.0, 2.0, len(leaves(tpl)))
         num, den = impedance_coeffs(tpl, np.exp(theta).tolist())
         lhs, rhs = np.convolve(num, TDEN_12), np.convolve(TNUM_12, den)
@@ -207,7 +209,7 @@ def test_compiled_residual_matches_float_builder():
 
 def test_compiled_template_clips_theta_without_warnings():
     tpl = series(Leaf("R"), parallel(Leaf("R"), Leaf("L"), series(Leaf("R"), Leaf("L"))))
-    compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+    compiled = _CompiledTemplate([tpl], TNUM_12, TDEN_12)
     theta = np.array([[250.0, -0.3, 0.7, -320.0, 1.1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -218,7 +220,7 @@ def test_compiled_template_clips_theta_without_warnings():
         # which reads as the constant 1e6 residual with a zero Jacobian, and
         # leaves the other rows of the batch as they are
         wide = _CompiledTemplate(
-            parallel(Leaf("R"), Leaf("R"), Leaf("L"), Leaf("L")), TNUM_12, TDEN_12
+            [parallel(Leaf("R"), Leaf("R"), Leaf("L"), Leaf("L"))], TNUM_12, TDEN_12
         )
         batch = np.array([np.full(4, 250.0), np.zeros(4)])
         res, jac = wide.residual(batch), wide.jacobian(batch)
@@ -263,12 +265,13 @@ def test_least_squares_floors_match_minpack():
     optimize = pytest.importorskip("scipy.optimize")
     target = RF((1, 2, 1), (4, 4, 1))
     for index, tpl in enumerate(_labeled_templates(3)):
-        compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+        compiled = _CompiledTemplate([tpl], TNUM_12, TDEN_12)
         fun = lambda theta: compiled.residual(theta[None])[0]
         jac = lambda theta: compiled.jacobian(theta[None])[0]
         x0 = np.random.default_rng(index).normal(0.0, 2.0, (24, len(leaves(tpl))))
         mine = verify.least_squares(
-            compiled.residual, x0, jac=compiled.jacobian, max_nfev=166, **LM_TOLERANCES
+            compiled.residual, x0, jac=compiled.jacobian, rows=np.zeros(24, dtype=int), max_nfev=166,
+            **LM_TOLERANCES
         )
         # full_output returns quietly at maxfev; the covariance it adds
         # overflows on nearly singular fits
@@ -288,11 +291,11 @@ def test_least_squares_floors_match_minpack():
 
 def test_least_squares_returns_quietly_at_max_nfev():
     tpl = series(Leaf("R"), parallel(Leaf("L"), series(Leaf("R"), Leaf("C"))))
-    compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+    compiled = _CompiledTemplate([tpl], TNUM_12, TDEN_12)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = verify.least_squares(
-            compiled.residual, np.zeros((1, 4)), jac=compiled.jacobian, max_nfev=5, **LM_TOLERANCES
+            compiled.residual, np.zeros((1, 4)), jac=compiled.jacobian, rows=[0], max_nfev=5, **LM_TOLERANCES
         )
     assert res.nfev == 5 and np.all(np.isfinite(res.x))
 
@@ -301,12 +304,12 @@ def test_least_squares_nearly_singular_fit_without_warnings():
     # L in series with L leaves the Jacobian nearly singular at the end of
     # this start
     tpl = series(Leaf("L"), parallel(Leaf("C"), series(Leaf("L"), Leaf("L"))))
-    compiled = _CompiledTemplate(tpl, TNUM_12, TDEN_12)
+    compiled = _CompiledTemplate([tpl], TNUM_12, TDEN_12)
     x0 = np.array([[4.3959535249554795, -0.052437645904107856, 0.7424995359827122, -0.6326354866328311]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = verify.least_squares(
-            compiled.residual, x0, jac=compiled.jacobian, max_nfev=166, **LM_TOLERANCES
+            compiled.residual, x0, jac=compiled.jacobian, rows=[0], max_nfev=166, **LM_TOLERANCES
         )
     assert np.all(np.isfinite(res.fun))
 
@@ -324,6 +327,79 @@ def test_falsify_small_respects_filters_and_reports():
     # no 1-2 element network can realize a biquadratic with distinct
     # double pole and zero
     assert not report["any_success"]
+
+
+_BATCH_TARGETS = [
+    RF((1, 2, 1), (4, 4, 1)),  # target_12: FiveElement, no fit of up to four succeeds
+    to_rational_fn(CanonicalBiquad(1, 1, 3)),  # eta = 3: FourElement
+    to_rational_fn(CanonicalBiquad(1, 3, 1)),  # eta = 1/3: FourElement
+]
+
+
+@pytest.mark.parametrize("target", _BATCH_TARGETS)
+def test_falsify_batch_gives_the_fits_of_each_template_alone(target):
+    # falsify_small fits all its templates in shared batches; each entry must
+    # be what fit_topology gives for the template alone from the same seed,
+    # up to the rounding that the batch's padding changes
+    report = falsify_small(target, 4)
+    assert [e["topology"] for e in report["entries"]] == [
+        to_netlist_json(net) for net in _labeled_templates(4)
+    ]
+    fitted = [e for e in report["entries"] if not e["filtered"]]
+    alone = [
+        fit_topology(from_netlist_json(e["topology"]), target, budget=4000, starts=24, seed=index)
+        for index, e in enumerate(fitted)
+    ]
+    assert report["any_success"] == any(fit.success for fit in alone)
+    for entry, fit in zip(fitted, alone):
+        assert entry["success"] == fit.success, entry["topology"]
+        if not fit.success:
+            assert abs(entry["best_residual"] - fit.residual) <= 0.01 * fit.residual, entry["topology"]
+    # stopping at the first success reports the prefix of the full report
+    stopped = falsify_small(target, 4, stop_at_first_success=True)
+    wins = [i for i, e in enumerate(report["entries"]) if e["success"]]
+    end = wins[0] + 1 if wins else len(report["entries"])
+    assert stopped["entries"] == report["entries"][:end]
+    assert stopped["any_success"] == report["any_success"]
+    assert stopped["complete"] == (not wins)
+
+
+def test_uncertified_exact_fit_fits_the_stopped_templates_again(monkeypatch):
+    # with tol 0 no fit certifies, so every exact fit at eta = 3 (largest
+    # |residual| below EXACT_FIT in floats) stops the templates after it in
+    # vain: they are fitted again, and the report is the full one
+    calls = []
+
+    def recording(*args, **kwargs):
+        res = least_squares(*args, **kwargs)
+        calls.append(res)
+        return res
+
+    least_squares = verify.least_squares
+    monkeypatch.setattr(verify, "least_squares", recording)
+    target = to_rational_fn(CanonicalBiquad(1, 1, 3))
+    stopped = falsify_small(target, 4, tol=0, stop_at_first_success=True)
+    batches = len(calls)
+    full = falsify_small(target, 4, tol=0)
+    full_batches = len(calls) - batches
+    assert batches > full_batches
+    assert not stopped["any_success"] and stopped["complete"]
+    assert len(stopped["entries"]) == len(full["entries"])
+    exact = 0
+    for a, b in zip(stopped["entries"], full["entries"]):
+        assert a["topology"] == b["topology"] and not a["success"] and not b["success"]
+        if not a["filtered"]:
+            floors = a["best_residual"], b["best_residual"]
+            if max(floors) < 1e-12:
+                exact += 1
+            else:
+                assert abs(floors[0] - floors[1]) <= 0.01 * floors[1], a["topology"]
+    # each batch beyond the full report's began after an exact fit
+    assert exact >= batches - full_batches
+    # the totals are Python ints, the sums of the per-template counts
+    for res in calls:
+        assert type(res.nfev) is int and type(res.njev) is int
+        assert res.nfev == res.template_nfev.sum() and res.njev == res.template_njev.sum()
 
 
 def test_falsify_small_rejects_large_n():
@@ -446,4 +522,8 @@ def test_fits_repeat_across_processes_and_hash_seeds():
     assert first == second
     target = json.dumps({"num": ["1", "2", "1"], "den": ["4", "4", "1"]})
     cli = ["-m", "biquadrlc.cli", "falsify", "--target", target, "--nmax", "2"]
+    assert _fresh_stdout(cli, 0) == _fresh_stdout(cli, 1)
+    # the path that stops the templates after an exact fit
+    eta_3 = json.dumps({"k": "1", "z": "1", "p": "3"})
+    cli = ["-m", "biquadrlc.cli", "falsify", "--target", eta_3, "--nmax", "4", "--stop-at-first-success"]
     assert _fresh_stdout(cli, 0) == _fresh_stdout(cli, 1)
