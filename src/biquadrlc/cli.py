@@ -276,13 +276,16 @@ def _cmd_falsify(args) -> int:
     from .verify import falsify_small  # the one command that needs numpy
 
     target = _target_rational(args.target)
+    # without --tol, falsify_small's default of 1e-8: a float64 fit cannot
+    # meet the 1e-20 that the other commands default to
+    tol = {} if args.tol is None else {"tol": args.tol}
     report = falsify_small(
         target,
         args.nmax,
         budget=args.budget,
         seed=args.seed,
-        tol=args.tol,
         stop_at_first_success=args.stop_at_first_success,
+        **tol,
     )
     _emit(report, args)
     return EXIT_OK
@@ -293,10 +296,10 @@ def _cmd_falsify(args) -> int:
 
 
 def _default_tol(precision_bits: int) -> Fraction:
-    """Verification tolerance when --tol is not given: 1e-20, raised to
-    2^(16 - precision_bits) where that is larger (below 83 bits), so that it
-    never asks for less than 2^16 units in the last place of the working
-    precision."""
+    """Verification tolerance of every command but falsify when --tol is
+    not given: 1e-20, raised to 2^(16 - precision_bits) where that is larger
+    (below 83 bits), so that it never asks for less than 2^16 units in the
+    last place of the working precision."""
     return max(Fraction(1, 10**20), Fraction(1, 2 ** (precision_bits - 16)))
 
 
@@ -313,7 +316,8 @@ def _add_global_options(parser, suppress: bool):
         type=str,
         default=default(None),
         help="verification tolerance (max relative coefficient error); "
-        "default 1e-20, or 2^(16 - precision bits) where that is larger",
+        "default 1e-20, or 2^(16 - precision bits) where that is larger; "
+        "falsify: 1e-8",
     )
     parser.add_argument(
         "--format", choices=("json", "spice", "text"), default=default("json")
@@ -401,12 +405,12 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         with mp.workprec(args.precision_bits):
-            if args.tol is None:
-                args.tol = _default_tol(args.precision_bits)
-            else:
+            if args.tol is not None:
                 args.tol = scalar_from_str(args.tol)
-            if not args.tol > 0:
-                raise CliError("--tol must be positive")
+                if not args.tol > 0:
+                    raise CliError("--tol must be positive")
+            elif args.func is not _cmd_falsify:
+                args.tol = _default_tol(args.precision_bits)
             return args.func(args)
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

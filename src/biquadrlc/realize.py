@@ -410,8 +410,12 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256, exact: bool = Fal
         # path works with that many more bits, then rounds
         lost = 2 * max(0, -mpmath.mag(to_mpf(pole_zero_ratio(b.z, b.p) - 3)))
 
-    def values_at(k, z, p, sq) -> dict:
-        roots = [(p * (p - z) + s * p * sq) / (3 * z - p) for s in (1, -1)]
+    def values_at(k, z, p, sqrt) -> dict:
+        # p1 is a root of fig3a_p1_quadratic c2 p1^2 + c1 p1 + c0, whose
+        # discriminant is (2p)^2 d; sqrt maps d = 2(p^2 - 4pz + 5z^2) to sqrt(d)
+        c0, c1, c2 = fig3a_p1_quadratic(z, p).coeffs
+        sq = sqrt((c1 * c1 - 4 * c0 * c2) / (4 * p * p))
+        roots = [(-c1 + s * 2 * p * sq) / (2 * c2) for s in (1, -1)]
         positive = [r for r in roots if r > 0]
         if len(positive) != 1:
             raise RuntimeError("expected exactly one positive p1 root, found %d" % len(positive))
@@ -434,20 +438,16 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256, exact: bool = Fal
     if exact:
         if not all(isinstance(v, (int, Fraction)) for v in (b.k, b.z, b.p)):
             raise ValueError("exact synthesis requires rational k, z, p")
-        k, z, p = Fraction(b.k), Fraction(b.z), Fraction(b.p)
-        disc = 2 * (p * p - 4 * p * z + 5 * z * z)
-        root_of_disc = _exact_sqrt(disc)
-        if root_of_disc is None:
-            # adjoining sqrt(disc) only gives a field when disc is not a
-            # rational square
-            sq = QuadraticRational(0, 1, disc)
-        else:
-            sq = root_of_disc
-        values = values_at(k, z, p, sq)
+
+        def exact_sqrt(d):
+            # adjoining sqrt(d) only gives a field when d is not a rational square
+            root = _exact_sqrt(d)
+            return QuadraticRational(0, 1, d) if root is None else root
+
+        values = values_at(Fraction(b.k), Fraction(b.z), Fraction(b.p), exact_sqrt)
     else:
         with mp.workprec(precision_bits + lost + 16):
-            k, z, p = (to_mpf(v) for v in (b.k, b.z, b.p))
-            values = values_at(k, z, p, mpmath.sqrt(2 * (p * p - 4 * p * z + 5 * z * z)))
+            values = values_at(*(to_mpf(v) for v in (b.k, b.z, b.p)), mpmath.sqrt)
         with mp.workprec(precision_bits):
             values = {name: +v for name, v in values.items()}
     _positive_or_bug(values, "fig3a synthesis")

@@ -9,10 +9,10 @@ table of monomial terms by running the impedance builder that
 ``network.impedance`` uses on symbolic leaf values.  ``least_squares``,
 MINPACK ``lmder``'s Levenberg-Marquardt written in numpy, advances the
 starts of many templates as one batch on the residuals and exact Jacobians
-of a stack of these tables: ``falsify_small`` fits all its templates side
-by side (at most ``BATCH_ROWS`` starts in flight), and ``fit_topology`` is
-the case of one template.  Every template keeps its own seed, budget, early
-exit and evaluation count.
+of a stack of these tables: ``falsify_small`` fits all its templates in one
+call (at most ``BATCH_ROWS`` starts in flight), and ``fit_topology`` is the
+case of one template.  Every template keeps its own seed, budget, early exit
+and evaluation count; a certified success stops the templates after it.
 
 Only this module loads numpy.  Nothing else in the package imports it at
 load time: the package root serves the fitting names on first access, and
@@ -242,15 +242,12 @@ EXACT_FIT = 1e-14  # a start whose largest |residual| falls below this ends its 
 
 class LMResult(NamedTuple):
     """Outcome of ``least_squares``: the last accepted point of every start,
-    its residuals, the evaluation counts summed over the starts and the
-    same counts per template (indexed by the template numbers of ``rows``)."""
+    its residuals and the evaluation counts summed over the starts."""
 
     x: np.ndarray
     fun: np.ndarray
     nfev: int
     njev: int
-    template_nfev: np.ndarray
-    template_njev: np.ndarray
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -299,7 +296,7 @@ def _lm_step(s, sg, delta, par):
     return lam, p, pnorm
 
 
-def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, stop_after_exact=False) -> LMResult:
+def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -> LMResult:
     """Levenberg-Marquardt on a batch of starts, the rows of ``x0``; start i
     fits template ``rows[i]``, and the starts of a template are adjacent,
     in template order.
@@ -315,26 +312,34 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, stop_after_exa
     in another; finished starts leave the batch.  The starts of a template
     join it together, in template order, as soon as at most ``BATCH_ROWS``
     starts are then running (or none).  Once a start's largest |residual|
-    is below ``EXACT_FIT``, the other starts of its template stop, and with
-    ``stop_after_exact`` so do those of every later template.
+    is below ``EXACT_FIT``, the other starts of its template stop.
+
+    When the last start of template t stops, ``finish(t, x, f, evaluations)``
+    gets its starts' last points, residuals and summed residual and Jacobian
+    evaluations, once per template (in template order within a round).  If
+    it returns True, the templates after t stop and no more of them join.
     """
     x0 = np.asarray(x0, dtype=float)
     rows = np.asarray(rows)
-    ends = np.append(np.flatnonzero(np.diff(rows)) + 1, len(rows))  # where each template's starts end
     result_x, result_f = x0.copy(), None
     nfev, njev = np.zeros(len(x0), dtype=int), np.zeros(len(x0), dtype=int)
+    stopped = np.zeros(len(x0), dtype=bool)
     queued, limit = 0, np.inf  # the next start to join; the templates above limit are stopped
 
     def exact_stop(rows, f):
-        """Which starts stop because a start fits exactly: those of its
-        template and, with stop_after_exact, those of later templates."""
-        nonlocal limit
+        """Which starts stop because a start of their template fits exactly."""
         exact = np.abs(f).max(axis=1) < EXACT_FIT
-        if exact.any():
-            hit = rows[exact]
-            limit = min(limit, hit.min()) if stop_after_exact else limit
-            exact = np.isin(rows, hit)
-        return exact | (rows > limit)
+        return np.isin(rows, rows[exact]) if exact.any() else exact
+
+    def stop(index):
+        """Stop the starts at index and finish the templates they end, in template order."""
+        nonlocal limit
+        stopped[index] = True
+        for t in sorted(set(rows[index].tolist())):
+            own = slice(np.searchsorted(rows, t), np.searchsorted(rows, t, side="right"))
+            if finish is not None and t <= limit and stopped[own].all() and finish(
+                    t, result_x[own], result_f[own], int(nfev[own].sum() + njev[own].sum())):
+                limit = t
 
     def linearize(x, rows, f, fsq, scale):
         """At the rows x: the new scaling, the singular values s and
@@ -367,6 +372,7 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, stop_after_exa
         result_f[first:last] = f
         nfev[first:last] = 1
         live = ~exact_stop(r, f)
+        stop(first + np.flatnonzero(~live))
         if not live.any():
             return None, None
         start = first + np.flatnonzero(live)
@@ -385,13 +391,17 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, stop_after_exa
             start, _, x, f, *_, count = state
             result_x[start[done]], result_f[start[done]] = x[done], f[done]
             nfev[start[done]] = count[done]
+            stop(start[done])
             state, done = [a[~done] for a in state], done[~done]
         running = 0 if done is None else len(done)
+        if running and state[1][-1] > limit:  # the running starts are in template order
+            done = state[1] > limit
+            continue
         # the next templates join while they leave at most BATCH_ROWS running;
         # they come after the running ones, so their exact fits stop none of these
         last = queued
         while last < len(x0) and rows[last] <= limit:
-            end = ends[np.searchsorted(ends, last, side="right")]
+            end = np.searchsorted(rows, rows[last], side="right")  # where the template's starts end
             if running + end - queued > BATCH_ROWS and (running or last > queued):
                 break
             last = end
@@ -441,8 +451,7 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, stop_after_exa
         if j.any():
             scale[j], s[j], sg[j], Vs[j], done[j] = linearize(x[j], r[j], f[j], fsq[j], scale[j])
             njev[start[j]] += 1
-    per_template = [np.bincount(rows, count, minlength=rows.max() + 1).astype(int) for count in (nfev, njev)]
-    return LMResult(result_x, result_f, int(nfev.sum()), int(njev.sum()), *per_template)
+    return LMResult(result_x, result_f, int(nfev.sum()), int(njev.sum()))
 
 
 def _to_limit(compiled: _CompiledTemplate, t: int, theta: np.ndarray, cost: float):
@@ -474,14 +483,9 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
          tol, stop_at_first_success: bool = False) -> List[FitResult]:
     """Fit every template, each from its own seed, in one ``least_squares``
     batch of templates x starts (at most ``BATCH_ROWS`` starts in flight),
-    and certify the fits in template order; with ``stop_at_first_success``
-    the list ends at the first success.
-
-    There an exact fit of template t stops the templates after it, so that
-    they cost no rounds, and the templates before it run to completion.  If
-    t then fails certification, the stopped templates are fitted again from
-    their own seeds, so the list is the one that fitting template by
-    template gives."""
+    and certify each fit as soon as its last start stops; with
+    ``stop_at_first_success`` a certified success stops the templates after
+    it, and the list ends at the first success."""
     with mp.workprec(FIT_PRECISION_BITS):
         tnum, tden = (np.array([float(to_mpf(c)) for c in poly.coeffs])
                       for poly in (target.num, target.den))
@@ -490,28 +494,24 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
     for t, seed in enumerate(seeds):
         n = compiled.elements[t]
         x0[t * starts:(t + 1) * starts, :n] = np.random.default_rng(seed).normal(0.0, 2.0, (starts, n))
+    fits: List[FitResult] = [None] * len(templates)  # every template up to the first success finishes
+
+    def finish(t, x, f, evaluations):
+        costs = np.abs(f).max(axis=1)
+        best = int(costs.argmin())  # the first start with the smallest largest |residual|
+        theta, evals = _to_limit(compiled, t, x[best], costs[best])
+        values = np.exp(theta).tolist()  # theta is clipped, so no value overflows
+        net = _instantiate(templates[t], [mpf(v) for v in values])
+        ok, residual = verify_numeric(net, target, tol=tol, precision_bits=FIT_PRECISION_BITS)
+        named = dict(zip(_slot_names(templates[t]), values))
+        fits[t] = FitResult(bool(ok), named, float(residual), evals + evaluations)
+        return stop_at_first_success and bool(ok)
+
     rows = np.repeat(np.arange(len(templates)), starts)
-    fits: List[FitResult] = []
-    while len(fits) < len(templates):
-        first = len(fits)
-        res = least_squares(compiled.residual, x0[first * starts:], jac=compiled.jacobian,
-                            rows=rows[first * starts:], max_nfev=budget // starts, xtol=1e-15,
-                            ftol=1e-15, gtol=1e-15, stop_after_exact=stop_at_first_success)
-        for t in range(first, len(templates)):
-            i = (t - first) * starts
-            costs = np.abs(res.fun[i:i + starts]).max(axis=1)
-            best = int(costs.argmin())  # the first start with the smallest largest |residual|
-            theta, evals = _to_limit(compiled, t, res.x[i + best], costs[best])
-            values = np.exp(theta).tolist()  # theta is clipped, so no value overflows
-            net = _instantiate(templates[t], [mpf(v) for v in values])
-            ok, residual = verify_numeric(net, target, tol=tol, precision_bits=FIT_PRECISION_BITS)
-            evals += int(res.template_nfev[t] + res.template_njev[t])
-            named = dict(zip(_slot_names(templates[t]), values))
-            fits.append(FitResult(bool(ok), named, float(residual), evals))
-            if stop_at_first_success and ok:
-                return fits
-            if stop_at_first_success and costs[best] < EXACT_FIT:
-                break  # the templates after t were stopped: fit them again
+    least_squares(compiled.residual, x0, jac=compiled.jacobian, rows=rows, max_nfev=budget // starts,
+                  xtol=1e-15, ftol=1e-15, gtol=1e-15, finish=finish)
+    if stop_at_first_success:
+        return fits[:next((t + 1 for t, fit in enumerate(fits) if fit.success), len(fits))]
     return fits
 
 
@@ -562,11 +562,11 @@ def falsify_small(
 
     Topologies failing a ``FALSIFY_FILTERS`` filter are skipped and reported
     as filtered (they cannot realize a biquadratic with finite nonzero Z(0)
-    and Z(inf)).  The others are fitted in enumeration order, side by side
-    in batches of templates x starts (``_fit``).  Each template keeps its
-    own seed, budget, early exit and evaluation count, so every entry is
-    what ``fit_topology`` gives for it, up to the rounding of the batch's
-    padding.  A uniform residual floor is evidence
+    and Z(inf)).  The others are fitted side by side in one batch of
+    templates x starts (``_fit``), so every entry is what ``fit_topology``
+    gives for it, up to the rounding of the batch's padding; with
+    ``stop_at_first_success`` a certified success stops the templates after
+    it, and the report ends there.  A uniform residual floor is evidence
     consistent with non-realizability, not a proof.  ``budget`` bounds the
     residual evaluations of each fit (see ``fit_topology``).  Raises
     ValueError for n_max outside 1..5, for a start count below 1 and for a

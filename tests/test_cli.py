@@ -147,6 +147,20 @@ def test_falsify_cli_small(capsys):
     assert data["any_success"] is False
 
 
+def test_falsify_defaults_to_a_tolerance_a_fit_can_meet(capsys):
+    # the fits are float64, certified at 128 bits: without --tol, falsify
+    # takes falsify_small's 1e-8, not the 1e-20 of the other commands
+    falsify = ["falsify", "--target", json.dumps({"k": "1", "z": "1", "p": "3"}), "--nmax", "4",
+               "--stop-at-first-success"]
+    code, data = run_json(capsys, *falsify)
+    assert code == 0 and data["any_success"] is True and data["complete"] is False
+    assert data["entries"][-1]["success"] and data["entries"][-1]["elements"] == 4
+    # a --tol given before or after the subcommand still applies
+    for argv in (["--tol", "1e-20"] + falsify, falsify + ["--tol", "1e-20"]):
+        code, data = run_json(capsys, *argv)
+        assert code == 0 and data["any_success"] is False
+
+
 def test_synth_n4a_from_decimal_root_literal(capsys):
     # a long exact-decimal approximation of the condition root is accepted
     # by the |value| <= 1e-20 equality convention

@@ -364,10 +364,10 @@ def test_falsify_batch_gives_the_fits_of_each_template_alone(target):
     assert stopped["complete"] == (not wins)
 
 
-def test_uncertified_exact_fit_fits_the_stopped_templates_again(monkeypatch):
-    # with tol 0 no fit certifies, so every exact fit at eta = 3 (largest
-    # |residual| below EXACT_FIT in floats) stops the templates after it in
-    # vain: they are fitted again, and the report is the full one
+def test_uncertified_exact_fits_stop_only_their_own_template(monkeypatch):
+    # with tol 0 no fit certifies, so at eta = 3 the exact fits (largest
+    # |residual| below EXACT_FIT in floats) stop no other template: one
+    # least_squares call gives the full report
     calls = []
 
     def recording(*args, **kwargs):
@@ -379,10 +379,8 @@ def test_uncertified_exact_fit_fits_the_stopped_templates_again(monkeypatch):
     monkeypatch.setattr(verify, "least_squares", recording)
     target = to_rational_fn(CanonicalBiquad(1, 1, 3))
     stopped = falsify_small(target, 4, tol=0, stop_at_first_success=True)
-    batches = len(calls)
+    assert len(calls) == 1
     full = falsify_small(target, 4, tol=0)
-    full_batches = len(calls) - batches
-    assert batches > full_batches
     assert not stopped["any_success"] and stopped["complete"]
     assert len(stopped["entries"]) == len(full["entries"])
     exact = 0
@@ -394,12 +392,59 @@ def test_uncertified_exact_fit_fits_the_stopped_templates_again(monkeypatch):
                 exact += 1
             else:
                 assert abs(floors[0] - floors[1]) <= 0.01 * floors[1], a["topology"]
-    # each batch beyond the full report's began after an exact fit
-    assert exact >= batches - full_batches
-    # the totals are Python ints, the sums of the per-template counts
+    assert exact  # the report holds exact fits that did not certify
     for res in calls:
         assert type(res.nfev) is int and type(res.njev) is int
-        assert res.nfev == res.template_nfev.sum() and res.njev == res.template_njev.sum()
+
+
+def test_least_squares_finishes_each_template_once():
+    # four templates against eta = 3; one start of template 1 begins at its
+    # exact fit R + (L | (R + C)) = 1/9, 4/27, 8/9, 3/4, so template 1
+    # finishes as it joins, ahead of the others
+    target = to_rational_fn(CanonicalBiquad(1, 1, 3))
+    tnum, tden = (np.array([float(c) for c in poly.coeffs]) for poly in (target.num, target.den))
+    templates = [
+        series(Leaf("R"), parallel(Leaf("L"), Leaf("C"))),
+        series(Leaf("R"), parallel(Leaf("L"), series(Leaf("R"), Leaf("C")))),
+        parallel(Leaf("R"), series(Leaf("L"), Leaf("C"))),
+        series(Leaf("R"), parallel(Leaf("R"), Leaf("L")), Leaf("C")),
+    ]
+    compiled = _CompiledTemplate(templates, tnum, tden)
+    starts = 6
+    rows = np.repeat(np.arange(len(templates)), starts)
+    x0 = np.zeros((len(rows), 4))
+    for t, tpl in enumerate(templates):
+        x0[t * starts:(t + 1) * starts, :len(leaves(tpl))] = np.random.default_rng(t).normal(
+            0.0, 2.0, (starts, len(leaves(tpl))))
+    x0[starts + 2] = np.log([1 / 9, 4 / 27, 8 / 9, 3 / 4])
+
+    def run(success):
+        seen = []
+
+        def finish(t, x, f, evaluations):
+            seen.append((t, x.copy(), f.copy(), evaluations))
+            return t == success
+
+        res = verify.least_squares(compiled.residual, x0, jac=compiled.jacobian, rows=rows, max_nfev=40,
+                                   finish=finish, **LM_TOLERANCES)
+        return res, seen
+
+    res, seen = run(None)
+    assert sorted(t for t, *_ in seen) == [0, 1, 2, 3]
+    for t, x, f, evaluations in seen:
+        own = slice(t * starts, (t + 1) * starts)
+        assert np.array_equal(x, res.x[own]) and np.array_equal(f, res.fun[own])
+        assert type(evaluations) is int
+    assert sum(e for *_, e in seen) == res.nfev + res.njev
+    # the exact fit stops its own template's starts at their first
+    # evaluation, and the later templates run on
+    evaluations = {t: e for t, *_, e in seen}
+    assert evaluations[1] == starts and evaluations[2] > 2 * starts and evaluations[3] > 2 * starts
+    # a True return from template 1 stops templates 2 and 3, which are not
+    # finished; template 0 runs on
+    stopped, seen = run(1)
+    assert [t for t, *_ in seen] == [1, 0]
+    assert stopped.nfev + stopped.njev < res.nfev + res.njev
 
 
 def test_falsify_small_rejects_large_n():
@@ -523,7 +568,7 @@ def test_fits_repeat_across_processes_and_hash_seeds():
     target = json.dumps({"num": ["1", "2", "1"], "den": ["4", "4", "1"]})
     cli = ["-m", "biquadrlc.cli", "falsify", "--target", target, "--nmax", "2"]
     assert _fresh_stdout(cli, 0) == _fresh_stdout(cli, 1)
-    # the path that stops the templates after an exact fit
+    # the path on which a certified success stops the templates after it
     eta_3 = json.dumps({"k": "1", "z": "1", "p": "3"})
     cli = ["-m", "biquadrlc.cli", "falsify", "--target", eta_3, "--nmax", "4", "--stop-at-first-success"]
     assert _fresh_stdout(cli, 0) == _fresh_stdout(cli, 1)
