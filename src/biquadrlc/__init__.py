@@ -6,9 +6,12 @@ five, or one of three cataloged seven-element configurations), synthesizes
 element values where a closed form exists, and verifies every synthesis by
 impedance expansion, exactly or at arbitrary precision.
 
-Importing the package loads mpmath only.  The fitting names (``FitResult``,
-``fit_topology``, ``falsify_small``) live in ``verify``, the one module that
-needs numpy; they are served from it on first access.
+Importing the package loads neither mpmath nor numpy.  ``ratpoly`` loads
+mpmath the first time a value needs an mpf, so exact arithmetic never does;
+an exact quadratic irrational needs one only for its decimal string.  The
+fitting names (``FitResult``, ``fit_topology``, ``falsify_small``) live in
+``verify``, the one module that needs numpy; they are served from it on
+first access.
 """
 
 from .biquad import (

@@ -11,9 +11,10 @@ coefficients of the cross-multiplied forms num_Z * den_T vs num_T * den_Z
 insensitive to unreduced common factors, which inexact impedance computation
 cannot cancel.
 
-This module needs only mpmath, so classification, synthesis and the CLI
-commands that verify their answers run without numpy; only the fitter in
-``verify`` loads it.
+This module needs no numpy, so classification, synthesis and the CLI
+commands that verify their answers run without it; only the fitter in
+``verify`` loads it.  mpmath comes in through ``ratpoly`` when an inexact
+coefficient needs an mpf: exact verification never loads it.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Tuple
 
-from mpmath import mp
-
 from .network import SPNet, impedance, leaves
-from .ratpoly import Poly, RationalFn, field_of, is_exact_scalar
+from .ratpoly import Poly, RationalFn, field_of, is_exact_scalar, workprec
 
 __all__ = ["verify_exact", "verify_numeric", "coefficient_residual"]
 
@@ -80,7 +79,7 @@ def verify_numeric(
     impedance and target coefficients: an exactly matching network of exact
     values reports residual 0.
     """
-    with mp.workprec(precision_bits):
+    with workprec(precision_bits):
         z = impedance(net)
         polys = (z.num, z.den, target.num, target.den)
         f = field_of(*(c for poly in polys for c in poly.coeffs))

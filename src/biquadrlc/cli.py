@@ -7,8 +7,10 @@ outcomes and verification failures; 2 for invalid input; 3 when the program
 fails its own checks, for example when a synthesized network does not
 re-verify at the working precision.
 
-Only ``falsify`` loads numpy (through ``verify``); every other command runs
-on mpmath alone.
+Only ``falsify`` loads numpy (through ``verify``).  mpmath is loaded by
+``ratpoly`` when a value needs an mpf: in ``classify`` on a catalog hit,
+``synth``, ``roots`` with a root to isolate and ``falsify``.  The other
+commands, whose values stay exact, never load it.
 
 Every number read from an option, a netlist, a target or a ``--poly`` array
 goes through ``ratpoly.scalar_from_str``: "3/2", "0.25" and "1e-6" are exact
@@ -24,8 +26,6 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-from mpmath import mp
 
 from .biquad import (
     CanonicalBiquad,
@@ -57,6 +57,7 @@ from .ratpoly import (
     scalar_to_str,
     sturm_count,
     to_mpf,
+    workprec,
 )
 from .realize import (
     _CATALOG,
@@ -404,7 +405,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "--precision-bits must be >= 64"}), file=sys.stderr)
         return EXIT_INVALID
     try:
-        with mp.workprec(args.precision_bits):
+        with workprec(args.precision_bits):
             if args.tol is not None:
                 args.tol = scalar_from_str(args.tol)
                 if not args.tol > 0:

@@ -13,6 +13,12 @@ condition-polynomial identities are checked symbolically.  :func:`field_of`
 is the one rule that picks between the two for a set of scalars: exact when
 every one is exact, mpf at the working precision otherwise.
 
+This is the one module of the package that imports mpmath, and only when a
+value needs it (:func:`load_mpmath`): exact arithmetic never loads it, and
+neither does a rational value; the decimal string of a quadratic irrational
+(:func:`scalar_to_str`, which also keys the canonical order of networks) is
+an mpf's.  :func:`workprec` sets the working precision with or without it.
+
 Conventions:
 
 * coefficients are stored in ascending degree order;
@@ -28,11 +34,10 @@ Conventions:
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
-
-import mpmath
-from mpmath import mpf
 
 __all__ = [
     "Poly",
@@ -48,7 +53,58 @@ __all__ = [
     "is_exact_scalar",
     "to_mpf",
     "field_of",
+    "load_mpmath",
+    "workprec",
 ]
+
+
+# ---------------------------------------------------------------------------
+# mpmath, loaded when a value needs it
+
+# mpmath's precision is process-wide, and so is this record of it: the
+# precisions of the open workprec contexts entered before mpmath was loaded,
+# innermost last, and the precision the load found, which the outermost of
+# them puts back (None until a load inside them applied theirs)
+_deferred: List[int] = []
+_found_prec = None
+
+
+def load_mpmath():
+    """The mpmath module, imported on the first call.
+
+    Inside :func:`workprec` contexts entered while mpmath was not loaded, the
+    first call applies the innermost one's precision, so that every mpf is
+    made at the working precision however late mpmath comes in."""
+    global _found_prec
+    import mpmath
+
+    if _deferred and _found_prec is None:
+        _found_prec = mpmath.mp.prec
+        mpmath.mp.prec = _deferred[-1]
+    return mpmath
+
+
+@contextmanager
+def workprec(bits: int):
+    """Work at ``bits`` of precision: ``mpmath.mp.workprec(bits)`` once
+    mpmath is loaded; until then a record of ``bits``, which
+    :func:`load_mpmath` applies if a value inside needs mpmath.  Either way
+    the precision outside is the same again on exit."""
+    global _found_prec
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None:
+        with mpmath.mp.workprec(bits):
+            yield
+        return
+    _deferred.append(bits)
+    try:
+        yield
+    finally:
+        _deferred.pop()
+        if _found_prec is not None:
+            sys.modules["mpmath"].mp.prec = _deferred[-1] if _deferred else _found_prec
+            if not _deferred:
+                _found_prec = None
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +249,9 @@ class QuadraticRational:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    def to_mpf(self) -> mpf:
+    def to_mpf(self):
+        mpmath = load_mpmath()
+        mpf = mpmath.mpf
         return mpf(self.a.numerator) / self.a.denominator + (
             mpf(self.b.numerator) / self.b.denominator
         ) * mpmath.sqrt(mpf(self.d.numerator) / self.d.denominator)
@@ -208,8 +266,9 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, QuadraticRational))
 
 
-def to_mpf(x) -> mpf:
+def to_mpf(x):
     """Convert an exact or numeric scalar to an mpf at working precision."""
+    mpf = load_mpmath().mpf
     if isinstance(x, mpf):
         return x
     if isinstance(x, Fraction):
@@ -242,9 +301,10 @@ def scalar_to_str(x) -> str:
     if isinstance(x, QuadraticRational):
         if x.b == 0:
             return scalar_to_str(x.a)
-        return mpmath.nstr(x.to_mpf(), 50)
-    if isinstance(x, (mpf, float)):
-        return mpmath.nstr(mpf(x), 50)
+        return load_mpmath().nstr(x.to_mpf(), 50)
+    mpmath = load_mpmath()
+    if isinstance(x, (mpmath.mpf, float)):
+        return mpmath.nstr(mpmath.mpf(x), 50)
     raise TypeError("cannot serialize %r" % (x,))
 
 

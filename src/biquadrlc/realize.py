@@ -63,9 +63,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-import mpmath
-from mpmath import mp, mpf
-
 from .biquad import PR_POLY, CanonicalBiquad, pole_zero_ratio, to_rational_fn, transform_params
 from .check import verify_numeric
 from .network import (
@@ -78,10 +75,12 @@ from .ratpoly import (
     gcd,
     is_exact_scalar,
     isolate_root,
+    load_mpmath,
     scalar_to_str,
     squarefree_part,
     sturm_count,
     to_mpf,
+    workprec,
 )
 
 __all__ = [
@@ -400,15 +399,11 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256, exact: bool = Fal
     quadratic-extension scalars and the result verifies exactly; otherwise
     values are mpf at the requested precision.
     """
-    with mp.workprec(precision_bits):
+    with workprec(precision_bits):
         if not check_fig3a_condition(b.z, b.p):
             raise NotRealizableError(
                 "fig3a condition fails for z=%s, p=%s" % (b.z, b.p)
             )
-        # near p = 3z, p1 and then R2 and C1 come from differences of nearly
-        # equal terms, which lose about twice the bits of |p/z - 3|: the mpf
-        # path works with that many more bits, then rounds
-        lost = 2 * max(0, -mpmath.mag(to_mpf(pole_zero_ratio(b.z, b.p) - 3)))
 
     def values_at(k, z, p, sqrt) -> dict:
         # p1 is a root of fig3a_p1_quadratic c2 p1^2 + c1 p1 + c0, whose
@@ -446,9 +441,14 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256, exact: bool = Fal
 
         values = values_at(Fraction(b.k), Fraction(b.z), Fraction(b.p), exact_sqrt)
     else:
-        with mp.workprec(precision_bits + lost + 16):
-            values = values_at(*(to_mpf(v) for v in (b.k, b.z, b.p)), mpmath.sqrt)
-        with mp.workprec(precision_bits):
+        # near p = 3z, p1 and then R2 and C1 come from differences of nearly
+        # equal terms, which lose about twice the bits of |p/z - 3|: the mpf
+        # path works with that many more bits, then rounds
+        with workprec(precision_bits):
+            lost = 2 * max(0, -load_mpmath().mag(to_mpf(pole_zero_ratio(b.z, b.p) - 3)))
+        with workprec(precision_bits + lost + 16):
+            values = values_at(*(to_mpf(v) for v in (b.k, b.z, b.p)), load_mpmath().sqrt)
+        with workprec(precision_bits):
             values = {name: +v for name, v in values.items()}
     _positive_or_bug(values, "fig3a synthesis")
     return build_config("fig3a", values)
@@ -464,7 +464,7 @@ def _newton_polish(poly: Poly, x0, iters: int = 60):
             break
         step = fx / dx
         x = x - step
-        if abs(step) <= abs(x) * mpf(10) ** (-(mp.prec // 3)):
+        if abs(step) <= abs(x) * to_mpf(10) ** (-(load_mpmath().mp.prec // 3)):
             fx = poly.eval(x)
             dx = d.eval(x)
             if dx != 0:
@@ -490,9 +490,7 @@ def _common_root(f: Poly, g: Poly):
     root = _newton_polish(low, candidate)
     scale_f = max(abs(c) for c in f.coeffs)
     scale_g = max(abs(c) for c in g.coeffs)
-    if abs(f.eval(root)) > scale_f * mpf("1e-10") or abs(g.eval(root)) > scale_g * mpf(
-        "1e-10"
-    ):
+    if abs(f.eval(root)) > scale_f * to_mpf("1e-10") or abs(g.eval(root)) > scale_g * to_mpf("1e-10"):
         raise NotRealizableError("the two p1 systems share no root at this p")
     return root
 
@@ -500,7 +498,7 @@ def _common_root(f: Poly, g: Poly):
 def _synth_on_root_locus(tag, p1_system, b: CanonicalBiquad, precision_bits) -> SPNet:
     """The n4a / n5a synthesis: p1 is the positive common root of the two
     p1 polynomials of ``p1_system``."""
-    with mp.workprec(precision_bits):
+    with workprec(precision_bits):
         if not _root_locus_records(tag, b.z, b.p)[0]:
             raise NotRealizableError("%s condition fails for z=%s, p=%s" % (tag, b.z, b.p))
         k, z, p = (to_mpf(v) for v in (b.k, b.z, b.p))
@@ -581,7 +579,7 @@ def synthesize(
     irrational loci accept lies off them by up to the band.  A fig3a network
     that does not verify is a fault of the program (RuntimeError).
     """
-    with mp.workprec(precision_bits):
+    with workprec(precision_bits):
         bt = b if transform is None else transform_params(b, transform)
         net_t = synth_config(config, bt, precision_bits=precision_bits)
         network = net_t if transform is None else apply_transform(net_t, transform)
@@ -623,7 +621,7 @@ def classify(
     catalog hit whose network does not verify.
     """
     conditions: List[ConditionRecord] = []
-    with mp.workprec(precision_bits):
+    with workprec(precision_bits):
         pr_ok, recs = _pr_records(b.z, b.p)
         conditions.extend(recs)
         four_ok, recs = four_element_condition(b.z, b.p)

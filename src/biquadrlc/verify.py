@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .check import coefficient_residual, verify_exact, verify_numeric
 from .network import (
@@ -39,7 +38,7 @@ from .network import (
     parse_filters,
     to_netlist_json,
 )
-from .ratpoly import RationalFn, to_mpf
+from .ratpoly import RationalFn, to_mpf, workprec
 
 __all__ = [
     "verify_exact",
@@ -486,7 +485,7 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
     and certify each fit as soon as its last start stops; with
     ``stop_at_first_success`` a certified success stops the templates after
     it, and the list ends at the first success."""
-    with mp.workprec(FIT_PRECISION_BITS):
+    with workprec(FIT_PRECISION_BITS):
         tnum, tden = (np.array([float(to_mpf(c)) for c in poly.coeffs])
                       for poly in (target.num, target.den))
     compiled = _CompiledTemplate(templates, tnum, tden)
@@ -501,7 +500,7 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
         best = int(costs.argmin())  # the first start with the smallest largest |residual|
         theta, evals = _to_limit(compiled, t, x[best], costs[best])
         values = np.exp(theta).tolist()  # theta is clipped, so no value overflows
-        net = _instantiate(templates[t], [mpf(v) for v in values])
+        net = _instantiate(templates[t], [to_mpf(v) for v in values])
         ok, residual = verify_numeric(net, target, tol=tol, precision_bits=FIT_PRECISION_BITS)
         named = dict(zip(_slot_names(templates[t]), values))
         fits[t] = FitResult(bool(ok), named, float(residual), evals + evaluations)

@@ -1,7 +1,10 @@
-"""The package and the CLI load mpmath only; numpy comes with the fitter in
-``verify``, and nothing loads scipy, which is a test oracle.  Checked in a
-fresh interpreter, by the modules it has loaded, so the test does not depend
-on timings.
+"""Which modules the package, the CLI and each kind of command load:
+mpmath only once a value needs an mpf, numpy only with the fitter in
+``verify``, and scipy, a test oracle, never.  Checked in a fresh
+interpreter, by the modules it has loaded, so the tests do not depend on
+timings.  Loading mpmath late changes no output: a command prints the same
+whether mpmath comes in on its way or was there before, and a caller's own
+mpmath precision survives the library.
 
 Also: every library name the benchmark binds exists, so a rename that would
 crash ``perfbench`` fails here first."""
@@ -12,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,18 +24,33 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
+NET = '{"type":"series","children":[{"type":"element","kind":"R","value":"3"},{"type":"element","kind":"L","value":"2/5"}]}'
+# commands whose values stay exact, and the exit code of each
+EXACT_COMMANDS = [
+    (["impedance", NET], 0),
+    (["transform", "--op", "gdu", NET], 0),
+    (["verify", NET, "--target", '{"num": ["3", "2/5"], "den": ["1"]}'], 0),
+    (["enumerate", "--n", "3"], 0),
+    (["pr-check", "--target", '{"k": "1", "z": "1", "p": "6"}'], 1),
+    (["pr-check", "--target", '{"alpha": "1", "beta": "1", "gamma": "1", "p": "2"}'], 0),
+    (["classify", "--k", "1", "--z", "1", "--p", "2"], 0),
+    (["roots", "--poly", '["-2", "0", "1"]', "--lo", "0", "--hi", "1"], 0),
+]
+# commands that print or verify an mpf
+NUMERIC_COMMANDS = [
+    ["classify", "--k", "1", "--z", "1", "--p", "5"],
+    ["synth", "--k", "1", "--z", "1", "--p", "1/5"],
+    ["roots", "--poly", '["-2", "0", "1"]', "--lo", "0", "--hi", "2"],
+]
+
 PROBE = """
 import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in ("mpmath", "numpy", "scipy") if m in sys.modules)
 import biquadrlc, biquadrlc.cli
-report = {"after_import": sorted(m for m in ("numpy", "scipy") if m in sys.modules)}
+report = {"after_import": loaded()}
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [biquadrlc.cli.main(argv) for argv in (
-        ["classify", "--k", "1", "--z", "1", "--p", "5"],
-        ["synth", "--k", "1", "--z", "1", "--p", "1/5"],
-        ["pr-check", "--target", '{"alpha": "1", "beta": "1", "gamma": "1", "p": "2"}'],
-    )]
-report["codes"] = codes
-report["after_commands"] = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+    report["codes"] = [biquadrlc.cli.main(argv) for argv in json.loads(sys.argv[1])]
+report["after_commands"] = loaded()
 from biquadrlc import verify
 report["served"] = {
     name: getattr(biquadrlc, name) is getattr(verify, name)
@@ -44,18 +63,53 @@ print(json.dumps(report))
 """
 
 
-def test_package_and_cli_load_without_numpy_and_scipy():
+def _fresh(code, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
-    )
-    report = json.loads(proc.stdout)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def _probe(commands):
+    return json.loads(_fresh(PROBE, json.dumps(commands)))
+
+
+def test_package_and_cli_load_without_numpy_and_scipy():
+    # nor mpmath: every value of these commands stays exact
+    report = _probe([argv for argv, _ in EXACT_COMMANDS])
     assert report["after_import"] == []
-    assert report["codes"] == [0, 0, 0]
+    assert report["codes"] == [code for _, code in EXACT_COMMANDS]
     assert report["after_commands"] == []
     assert report["served"] == {"fit_topology": True, "falsify_small": True, "FitResult": True}
     assert report["unbound"] == []
+
+
+@pytest.mark.parametrize("argv", NUMERIC_COMMANDS, ids=lambda argv: argv[0])
+def test_numeric_commands_load_mpmath_but_not_numpy(argv):
+    report = _probe([argv])
+    assert report["after_import"] == []
+    assert report["codes"] == [0]
+    assert report["after_commands"] == ["mpmath"]
+
+
+EXACT_FIG3A_PROBE = """
+import json, sys
+from fractions import Fraction
+from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
+from biquadrlc.check import verify_exact
+from biquadrlc.realize import synth_fig3a
+target = CanonicalBiquad(1, 1, Fraction(31, 7))
+ok = verify_exact(synth_fig3a(target, exact=True), to_rational_fn(target))
+print(json.dumps({"ok": ok, "mpmath": "mpmath" in sys.modules}))
+"""
+
+
+def test_exact_fig3a_synthesis_of_rational_values_loads_no_mpmath():
+    # at p = 31/7 the radicand 2(p^2 - 4pz + 5z^2) = (26/7)^2 is a square,
+    # so every element value is rational; the guard bits of the mpf path
+    # are not computed on the exact one
+    assert json.loads(_fresh(EXACT_FIG3A_PROBE)) == {"ok": True, "mpmath": False}
 
 
 FALSIFY_PROBE = """
@@ -63,17 +117,89 @@ import contextlib, io, json, sys
 import biquadrlc.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = biquadrlc.cli.main(["falsify", "--target", '{"k": "1", "z": "1", "p": "3"}', "--nmax", "2"])
-print(json.dumps({"code": code, "loaded": sorted(m for m in ("numpy", "scipy") if m in sys.modules)}))
+print(json.dumps({"code": code, "loaded": sorted(m for m in ("mpmath", "numpy", "scipy") if m in sys.modules)}))
 """
 
 
 def test_falsify_loads_numpy_but_not_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", FALSIFY_PROBE], env=env, capture_output=True, text=True, check=True
-    )
-    assert json.loads(proc.stdout) == {"code": 0, "loaded": ["numpy"]}
+    assert json.loads(_fresh(FALSIFY_PROBE)) == {"code": 0, "loaded": ["mpmath", "numpy"]}
+
+
+CLI_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1] == "preloaded":
+    import mpmath
+from biquadrlc.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(json.loads(sys.argv[2]))
+print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+PRECISION_COMMANDS = [
+    pytest.param(["--precision-bits", bits, "--format", fmt, command, "--k", "1", "--z", "1", "--p", p],
+                 id="%s-%s-%s" % (command, bits, fmt))
+    for bits in ("64", "128", "256")
+    for fmt in ("json", "text", "spice")
+    for command, p in (("classify", "5"), ("synth", "1/5"))
+] + [pytest.param(["--precision-bits", bits] + NUMERIC_COMMANDS[2], id="roots-" + bits) for bits in ("64", "256")]
+
+
+@pytest.mark.parametrize("argv", PRECISION_COMMANDS)
+def test_output_is_the_same_whether_mpmath_was_loaded_before(argv):
+    # the fresh process loads mpmath inside the command, at the precision
+    # that the command's workprec recorded; the other has it from the start
+    late, early = (json.loads(_fresh(CLI_PROBE, side, json.dumps(argv))) for side in ("fresh", "preloaded"))
+    assert late == early
+    assert late[0] == 0 and late[1] and not late[2]
+
+
+WORKPREC_PROBE = """
+import json, sys
+from biquadrlc.ratpoly import to_mpf, workprec
+seen = []
+with workprec(200):
+    with workprec(80):
+        assert "mpmath" not in sys.modules
+        one_third = to_mpf(1) / 3
+        from mpmath import mp
+        seen.append(mp.prec)
+        with workprec(100):
+            seen.append(mp.prec)
+        seen.append(mp.prec)
+    seen.append(mp.prec)
+seen.append(mp.prec)
+with workprec(300):
+    seen.append(mp.prec)
+seen.append(mp.prec)
+print(json.dumps({"precisions": seen, "one_third": one_third == mp.mpf(1) / 3}))
+"""
+
+
+def test_workprec_applies_the_innermost_precision_on_the_first_load():
+    # mpmath's default, 53 bits, is back outside the contexts
+    report = json.loads(_fresh(WORKPREC_PROBE))
+    assert report["precisions"] == [80, 100, 80, 200, 53, 300, 53]
+    assert report["one_third"] is False  # made at 80 bits, not 53
+
+
+def test_a_callers_mpmath_precision_survives_the_library():
+    from mpmath import mp
+
+    from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
+    from biquadrlc.check import verify_numeric
+    from biquadrlc.realize import classify
+
+    saved = mp.prec
+    try:
+        mp.prec = 100
+        target = CanonicalBiquad(Fraction(1), Fraction(1), Fraction(5))
+        report = classify(target, precision_bits=256)
+        assert mp.prec == 100
+        ok, _ = verify_numeric(report.network, to_rational_fn(target), precision_bits=128)
+        assert ok and mp.prec == 100
+    finally:
+        mp.prec = saved
 
 
 def test_names_the_benchmark_binds_exist():
