@@ -11,7 +11,12 @@ mpmath the first time a value needs an mpf, so exact arithmetic never does;
 an exact quadratic irrational needs one only for its decimal string.  The
 fitting names (``FitResult``, ``fit_topology``, ``falsify_small``) live in
 ``verify``, the one module that needs numpy; they are served from it on
-first access.
+first access.  The value types (targets, networks, reports) are plain
+classes on one base, ``ratpoly._Record``, that compares, hashes, prints and
+pickles them by their fields.  Defining them imports no module and compiles
+no generated code, so importing the package does not load the standard
+library's record generator or the ``inspect`` it needs; in turn, that
+generator's ``fields``, ``replace`` and ``asdict`` do not take them.
 """
 
 from .biquad import (

@@ -19,7 +19,6 @@ k(1 + zs)^2/(1 + ps)^2 is that form; inverting Z maps it to (1/k, p, z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -27,6 +26,8 @@ from .network import transform_inverts
 from .ratpoly import (
     Poly,
     RationalFn,
+    _Record,
+    _setfield,
     field_of,
     is_exact_scalar,
     scalar_from_str,
@@ -59,62 +60,59 @@ def _nonnegative(name, value):
         raise ValueError("%s must be nonnegative" % name)
 
 
-@dataclass(frozen=True)
-class CanonicalBiquad:
+class CanonicalBiquad(_Record):
     """Z(s) = k (s+z)^2 / (s+p)^2, double zero at -z and double pole at -p."""
 
-    k: object
-    z: object
-    p: object
+    __slots__ = ("k", "z", "p")
 
-    def __post_init__(self):
-        _positive("k", self.k)
-        _positive("z", self.z)
-        _positive("p", self.p)
-        if self.p == self.z:
+    def __init__(self, k, z, p):
+        _positive("k", k)
+        _positive("z", z)
+        _positive("p", p)
+        if p == z:
             raise ValueError("p != z is required (otherwise Z is a resistor)")
+        _setfield(self, "k", k)
+        _setfield(self, "z", z)
+        _setfield(self, "p", p)
 
     def is_exact(self) -> bool:
         return all(is_exact_scalar(v) for v in (self.k, self.z, self.p))
 
 
-@dataclass(frozen=True)
-class GeneralBiquad:
-    A: object
-    B: object
-    C: object
-    D: object
-    E: object
-    F: object
+class GeneralBiquad(_Record):
+    """Z(s) = (A s^2 + B s + C) / (D s^2 + E s + F)."""
 
-    def __post_init__(self):
-        for name in "ABCDEF":
-            _nonnegative(name, getattr(self, name))
-        if self.A == 0 and self.B == 0 and self.C == 0:
+    __slots__ = ("A", "B", "C", "D", "E", "F")
+
+    def __init__(self, A, B, C, D, E, F):
+        for name, value in zip(self.__slots__, (A, B, C, D, E, F)):
+            _nonnegative(name, value)
+            _setfield(self, name, value)
+        if A == 0 and B == 0 and C == 0:
             raise ValueError("numerator is identically zero")
-        if self.D == 0 and self.E == 0 and self.F == 0:
+        if D == 0 and E == 0 and F == 0:
             raise ValueError("denominator is identically zero")
 
     def coeffs(self) -> Tuple:
         return (self.A, self.B, self.C, self.D, self.E, self.F)
 
 
-@dataclass(frozen=True)
-class PoleSquaredForm:
+class PoleSquaredForm(_Record):
     """F(s) = (alpha s^2 + beta s + gamma) / (s+p)^2."""
 
-    alpha: object
-    beta: object
-    gamma: object
-    p: object
+    __slots__ = ("alpha", "beta", "gamma", "p")
 
-    def __post_init__(self):
-        _nonnegative("alpha", self.alpha)
-        _nonnegative("beta", self.beta)
-        _nonnegative("gamma", self.gamma)
-        _positive("p", self.p)
-        if self.alpha == 0 and self.beta == 0 and self.gamma == 0:
+    def __init__(self, alpha, beta, gamma, p):
+        _nonnegative("alpha", alpha)
+        _nonnegative("beta", beta)
+        _nonnegative("gamma", gamma)
+        _positive("p", p)
+        if alpha == 0 and beta == 0 and gamma == 0:
             raise ValueError("numerator is identically zero")
+        _setfield(self, "alpha", alpha)
+        _setfield(self, "beta", beta)
+        _setfield(self, "gamma", gamma)
+        _setfield(self, "p", p)
 
 
 Target = Union[CanonicalBiquad, GeneralBiquad, PoleSquaredForm]

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ratpoly import (
     Poly,
     RationalFn,
+    _Record,
+    _setfield,
     field_of,
     scalar_from_str,
     scalar_to_str,
@@ -74,20 +75,29 @@ KINDS = ("R", "L", "C")
 REACTIVE = ("L", "C")
 
 
-@dataclass(frozen=True)
-class Leaf:
-    kind: Optional[str]  # "R" | "L" | "C" | None for an unlabeled slot
-    value: object = None  # positive scalar, or None for a template slot
+class Leaf(_Record):
+    """An element: ``kind`` is "R", "L", "C", or None for an unlabeled slot;
+    ``value`` is a positive scalar, or None for a template slot."""
+
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: Optional[str], value=None):
+        _setfield(self, "kind", kind)
+        _setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Series:
-    children: tuple
+class Series(_Record):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple):
+        _setfield(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Parallel:
-    children: tuple
+class Parallel(_Record):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple):
+        _setfield(self, "children", children)
 
 
 SPNet = Union[Leaf, Series, Parallel]
@@ -404,11 +414,19 @@ _FILTER_PREDICATES: Dict[str, Callable[[SPNet], bool]] = {
 }
 
 
+def _filter_count(spec: str) -> int:
+    """The N of a ``name=N`` filter, a count written in plain digits."""
+    name, count = spec.split("=", 1)
+    if not (count.isascii() and count.isdigit()):
+        raise ValueError("filter %r: expected %s=N with N a count in plain digits" % (spec, name))
+    return int(count)
+
+
 def parse_filters(specs: Iterable[str]) -> List[Tuple[str, Callable[[SPNet], bool]]]:
     """Parse filter names into (name, predicate) pairs.
 
     Supported: ``cutset``, ``reactive-arm``, ``mergeable``,
-    ``min-resistors=N``, ``reactive-count=N``.
+    ``min-resistors=N``, ``reactive-count=N``, N in plain digits.
     """
     out: List[Tuple[str, Callable[[SPNet], bool]]] = []
     for spec in specs:
@@ -416,10 +434,10 @@ def parse_filters(specs: Iterable[str]) -> List[Tuple[str, Callable[[SPNet], boo
         if spec in _FILTER_PREDICATES:
             out.append((spec, _FILTER_PREDICATES[spec]))
         elif spec.startswith("min-resistors="):
-            k = int(spec.split("=", 1)[1])
+            k = _filter_count(spec)
             out.append((spec, lambda n, k=k: resistor_count(n) >= k))
         elif spec.startswith("reactive-count="):
-            k = int(spec.split("=", 1)[1])
+            k = _filter_count(spec)
             out.append((spec, lambda n, k=k: reactive_count(n) == k))
         else:
             raise ValueError("unknown filter %r" % (spec,))

@@ -37,6 +37,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, List, Sequence, Tuple, Union
 
 __all__ = [
@@ -105,6 +106,63 @@ def workprec(bits: int):
             sys.modules["mpmath"].mp.prec = _deferred[-1] if _deferred else _found_prec
             if not _deferred:
                 _found_prec = None
+
+
+# ---------------------------------------------------------------------------
+# value records
+
+
+class _Record:
+    """Base of the package's value types (targets, networks, reports).
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    ``__init__``.  Equality (only between objects of one class), hash, repr,
+    pickling and copying follow the fields in that order.  Written out once
+    here, they cost the package's import no module and no generated code.
+    Fields are frozen, and ``__init__`` sets them with :func:`_setfield`,
+    unless the class is declared with ``mutable=True``, which also makes it
+    unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, mutable: bool = False):
+        super().__init_subclass__()
+        cls.__match_args__ = cls.__slots__
+        get = attrgetter(*cls.__slots__)
+        # the tuple of field values, also of a class with one field
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
+        if mutable:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        # rebuilt through __init__, which a frozen object's state cannot bypass
+        return type(self), self._fields(self)
+
+
+# sets a field of a frozen _Record in its __init__
+_setfield = object.__setattr__
 
 
 # ---------------------------------------------------------------------------

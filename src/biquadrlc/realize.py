@@ -58,7 +58,6 @@ re-verification decides: a network that misses the target by more than
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -71,6 +70,8 @@ from .network import (
 from .ratpoly import (
     Poly,
     QuadraticRational,
+    _Record,
+    _setfield,
     field_of,
     gcd,
     is_exact_scalar,
@@ -153,23 +154,39 @@ class RealizationClass(Enum):
     UNKNOWN_WITHIN_SCOPE = "UnknownWithinScope"
 
 
-@dataclass(frozen=True)
-class ConditionRecord:
-    name: str
-    value: str
-    passed: bool
+class ConditionRecord(_Record):
+    __slots__ = ("name", "value", "passed")
+
+    def __init__(self, name: str, value: str, passed: bool):
+        _setfield(self, "name", name)
+        _setfield(self, "value", value)
+        _setfield(self, "passed", passed)
 
 
-@dataclass
-class RealizationReport:
-    target: CanonicalBiquad
-    klass: RealizationClass
-    config: Optional[str]
-    transform: Optional[str]
-    conditions: List[ConditionRecord]
-    network: Optional[SPNet]
-    residual: Optional[object]
-    precision_bits: int
+class RealizationReport(_Record, mutable=True):
+    __slots__ = (
+        "target", "klass", "config", "transform", "conditions", "network", "residual", "precision_bits"
+    )
+
+    def __init__(
+        self,
+        target: CanonicalBiquad,
+        klass: RealizationClass,
+        config: Optional[str],
+        transform: Optional[str],
+        conditions: List[ConditionRecord],
+        network: Optional[SPNet],
+        residual: Optional[object],
+        precision_bits: int,
+    ):
+        self.target = target
+        self.klass = klass
+        self.config = config
+        self.transform = transform
+        self.conditions = conditions
+        self.network = network
+        self.residual = residual
+        self.precision_bits = precision_bits
 
     def to_json(self) -> dict:
         out = {

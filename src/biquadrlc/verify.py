@@ -21,7 +21,6 @@ of the CLI commands only ``falsify`` imports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence
 
@@ -38,7 +37,7 @@ from .network import (
     parse_filters,
     to_netlist_json,
 )
-from .ratpoly import RationalFn, to_mpf, workprec
+from .ratpoly import RationalFn, _Record, to_mpf, workprec
 
 __all__ = [
     "verify_exact",
@@ -50,16 +49,18 @@ __all__ = [
 ]
 
 
-@dataclass
-class FitResult:
+class FitResult(_Record, mutable=True):
     """Outcome of ``fit_topology``.  ``iterations`` counts every evaluation
     over all starts: residual evaluations (nfev) plus Jacobian evaluations
     (njev), and the one or two of ``_to_limit``."""
 
-    success: bool
-    values: Dict[str, float]
-    residual: float
-    iterations: int
+    __slots__ = ("success", "values", "residual", "iterations")
+
+    def __init__(self, success: bool, values: Dict[str, float], residual: float, iterations: int):
+        self.success = success
+        self.values = values
+        self.residual = residual
+        self.iterations = iterations
 
 
 def _slot_names(template: SPNet) -> List[str]:

@@ -65,6 +65,26 @@ def test_enumerate_labeled_filters(capsys):
     assert data["count"] == 4
 
 
+@pytest.mark.parametrize("count", ["-1", "x", "1_0", "+2", "", " 3", "2.0", "\u0663"])
+@pytest.mark.parametrize("name", ["min-resistors", "reactive-count"])
+def test_enumerate_filter_counts_must_be_plain_digits(capsys, name, count):
+    spec = "%s=%s" % (name, count)
+    assert main(["enumerate", "--n", "3", "--filters", "cutset," + spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "filter %r: expected %s=N with N a count in plain digits" % (spec.strip(), name)
+    }
+
+
+def test_enumerate_filter_counts_read_plain_digits(capsys):
+    _, plain = run_json(capsys, "enumerate", "--n", "3", "--filters", "reactive-count=2,min-resistors=1")
+    _, padded = run_json(capsys, "enumerate", "--n", "3", "--filters", "reactive-count=02,min-resistors=001")
+    assert plain["count"] == padded["count"] > 0
+    _, none = run_json(capsys, "enumerate", "--n", "3", "--filters", "min-resistors=4")
+    assert none["count"] == 0
+
+
 def test_synth_verify_roundtrip(capsys):
     code, data = run_json(capsys, "synth", "--k", "1", "--z", "1", "--p", "5")
     assert code == 0

@@ -1,6 +1,7 @@
 """Which modules the package, the CLI and each kind of command load:
 mpmath only once a value needs an mpf, numpy only with the fitter in
-``verify``, and scipy, a test oracle, never.  Checked in a fresh
+``verify``, scipy, a test oracle, never, and neither ``dataclasses`` nor
+``inspect`` beyond what a bare interpreter has.  Checked in a fresh
 interpreter, by the modules it has loaded, so the tests do not depend on
 timings.  Loading mpmath late changes no output: a command prints the same
 whether mpmath comes in on its way or was there before, and a caller's own
@@ -51,6 +52,7 @@ report = {"after_import": loaded()}
 with contextlib.redirect_stdout(io.StringIO()):
     report["codes"] = [biquadrlc.cli.main(argv) for argv in json.loads(sys.argv[1])]
 report["after_commands"] = loaded()
+report["modules"] = sorted(sys.modules)
 from biquadrlc import verify
 report["served"] = {
     name: getattr(biquadrlc, name) is getattr(verify, name)
@@ -83,6 +85,20 @@ def test_package_and_cli_load_without_numpy_and_scipy():
     assert report["after_commands"] == []
     assert report["served"] == {"fit_topology": True, "falsify_small": True, "FitResult": True}
     assert report["unbound"] == []
+
+
+BARE = 'import sys; print(" ".join(sorted(sys.modules)))'
+
+
+def test_package_and_cli_load_neither_dataclasses_nor_inspect():
+    # the value types are plain classes; counted on top of what a bare
+    # interpreter loads, so that what ``site`` brings in does not matter
+    bare = set(_fresh(BARE).split())
+    report = _probe([argv for argv, _ in EXACT_COMMANDS])
+    assert report["codes"] == [code for _, code in EXACT_COMMANDS]
+    added = set(report["modules"]) - bare
+    assert "biquadrlc.cli" in added
+    assert sorted(added & {"dataclasses", "inspect"}) == []
 
 
 @pytest.mark.parametrize("argv", NUMERIC_COMMANDS, ids=lambda argv: argv[0])

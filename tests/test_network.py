@@ -29,6 +29,7 @@ from biquadrlc.network import (
     impedance_coeffs,
     leaves,
     parallel,
+    parse_filters,
     reactive_count,
     series,
     to_netlist_json,
@@ -378,6 +379,22 @@ def test_enumerate_labeled_cutset_filter_two_elements():
     # mixed parallel pair: its only minimal cut {L, C} spans both kinds
     assert canonical_key(parallel(Leaf("L"), Leaf("C"))) in keys
     assert canonical_key(parallel(Leaf("C"), Leaf("C"))) not in keys
+
+
+def test_parse_filters_takes_counts_in_plain_digits_only():
+    (name, pred), = parse_filters([" min-resistors=2 "])
+    assert name == "min-resistors=2"
+    assert pred(series(Leaf("R"), Leaf("R"), Leaf("C"))) and not pred(series(Leaf("R"), Leaf("C")))
+    assert [name for name, _ in parse_filters(["reactive-count=0", "reactive-count=10"])] == [
+        "reactive-count=0", "reactive-count=10"
+    ]
+    for spec in ("min-resistors=-1", "min-resistors=+2", "reactive-count=1_0", "reactive-count=x",
+                 "reactive-count=", "min-resistors=1.5", "min-resistors=\u0662"):
+        with pytest.raises(ValueError, match="plain digits") as info:
+            parse_filters([spec])
+        assert repr(spec) in str(info.value)
+    with pytest.raises(ValueError, match="unknown filter"):
+        parse_filters(["max-resistors=1"])
 
 
 def test_enumerate_labeled_pins_two_reactive_three_element_catalog():
