@@ -372,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--filters",
         default=None,
-        help="comma-separated labeling filters (cutset, reactive-arm, "
-        "mergeable, min-resistors=N, reactive-count=N); labeled output",
+        help="comma-separated labeling filters (cutset, reactive-path, "
+        "reactive-arm, reactive-branch, mergeable, min-resistors=N, "
+        "reactive-count=N); labeled output",
     )
     p.set_defaults(func=_cmd_enumerate)
 

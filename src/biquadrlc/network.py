@@ -12,14 +12,19 @@ L(x) <-> C(1/x)), the impedance (``dual``, Z -> 1/Z: the graph dual, i.e.
 Series <-> Parallel, with R(x) -> R(1/x) and L(x) <-> C(x)) or both
 (``gdu``: the graph dual with every value reciprocated and kinds kept);
 exhaustive topology/labeling enumeration with the structural filters used by
-the realizability arguments (cut-set rule, no pure-reactive series arm), and
-the catalog of named configurations used by the seven-element syntheses.
-Enumeration and the cut-set rule both follow the series/parallel recursion
-by which Riordan & Shannon count these networks, so each canonical network
-is built once and the cut-set rule needs no search.  The catalog writes each
-configuration once, as a nested shape from which its slots, valued network
-and template are built (the tests check each shape against its closed-form
-impedance, transcribed independently from the paper).
+the realizability arguments, and the catalog of named configurations used by
+the seven-element syntheses.  The filters come in dual pairs: no all-L or
+all-C cut set and no all-L or all-C path between the terminals, no
+all-reactive arm of a top-level series connection and no all-reactive
+branch of a top-level parallel connection; a network that fails one puts a
+pole or a zero of Z(s) on the jw axis (s = 0 and s = inf included), so each
+rule is sound only for targets without one there.  Enumeration and the
+cut-set and path rules all follow the series/parallel recursion by which
+Riordan & Shannon count these networks, so each canonical network is built
+once and no rule needs a search.  The catalog writes each configuration
+once, as a nested shape from which its slots, valued network and template
+are built (the tests check each shape against its closed-form impedance,
+transcribed independently from the paper).
 """
 
 from __future__ import annotations
@@ -59,7 +64,9 @@ __all__ = [
     "enumerate_topologies",
     "enumerate_labeled",
     "violates_cutset_rule",
+    "violates_path_rule",
     "has_pure_reactive_series_arm",
+    "has_pure_reactive_parallel_branch",
     "has_mergeable_siblings",
     "parse_filters",
     "config_ids",
@@ -371,7 +378,9 @@ def violates_cutset_rule(net: SPNet) -> bool:
     A minimal cut of a series connection is a minimal cut of one arm, and a
     minimal cut of a parallel connection is one minimal cut per branch.  So
     an all-K minimal cut exists at a leaf of kind K, at a series node when
-    some arm has one, and at a parallel node when every branch has one.
+    some arm has one, and at a parallel node when every branch has one.  An
+    all-L cut opens the terminals at s = inf and an all-C cut at s = 0, so a
+    network that fails this rule has Z(inf) = inf or Z(0) = inf.
     """
 
     def has_cut(n: SPNet, kind: str) -> bool:
@@ -383,14 +392,55 @@ def violates_cutset_rule(net: SPNet) -> bool:
     return any(has_cut(net, kind) for kind in REACTIVE)
 
 
-def has_pure_reactive_series_arm(net: SPNet) -> bool:
-    """True iff the top-level series decomposition has an all-reactive arm."""
-    if not isinstance(net, Series):
+def violates_path_rule(net: SPNet) -> bool:
+    """True iff some path between the terminals is all-L or all-C: the
+    cut-set rule of the dual network, whose minimal cuts are this
+    network's paths.
+
+    A path through a series connection runs through every arm, and a path
+    through a parallel connection through one branch.  So an all-K path
+    exists at a leaf of kind K, at a series node when every arm has one, and
+    at a parallel node when some branch has one.  An all-L path shorts the
+    terminals at s = 0 and an all-C path at s = inf, so a network that fails
+    this rule has Z(0) = 0 or Z(inf) = 0.
+    """
+
+    def has_path(n: SPNet, kind: str) -> bool:
+        if isinstance(n, Leaf):
+            return n.kind == kind
+        test = all if isinstance(n, Series) else any
+        return test(has_path(c, kind) for c in n.children)
+
+    return any(has_path(net, kind) for kind in REACTIVE)
+
+
+def _has_reactive_child(net: SPNet, node: type) -> bool:
+    """True iff ``net`` is a ``node`` with a child of L and C leaves only."""
+    if not isinstance(net, node):
         return False
-    for arm in net.children:
-        if all(lf.kind in REACTIVE for lf in leaves(arm)):
-            return True
-    return False
+    return any(all(lf.kind in REACTIVE for lf in leaves(child)) for child in net.children)
+
+
+def has_pure_reactive_series_arm(net: SPNet) -> bool:
+    """True iff the top-level series decomposition has an all-reactive arm.
+
+    The arm's impedance is a nonzero reactance function, which has a pole
+    at s = 0, at s = inf or elsewhere on the jw axis.  The other arms'
+    impedance is positive real, whose poles there have positive residues,
+    so it cannot cancel that pole: Z(s) has it too.
+    """
+    return _has_reactive_child(net, Series)
+
+
+def has_pure_reactive_parallel_branch(net: SPNet) -> bool:
+    """True iff the top-level parallel decomposition has an all-reactive
+    branch: the series-arm rule of the dual network.
+
+    By the argument of ``has_pure_reactive_series_arm`` applied to
+    admittances, Y(s) then has a pole on the jw axis (s = 0 and s = inf
+    included), which is a zero of Z(s).
+    """
+    return _has_reactive_child(net, Parallel)
 
 
 def has_mergeable_siblings(net: SPNet) -> bool:
@@ -411,6 +461,8 @@ _FILTER_PREDICATES: Dict[str, Callable[[SPNet], bool]] = {
     "cutset": lambda n: not violates_cutset_rule(n),
     "reactive-arm": lambda n: not has_pure_reactive_series_arm(n),
     "mergeable": lambda n: not has_mergeable_siblings(n),
+    "reactive-path": lambda n: not violates_path_rule(n),
+    "reactive-branch": lambda n: not has_pure_reactive_parallel_branch(n),
 }
 
 
@@ -426,7 +478,8 @@ def parse_filters(specs: Iterable[str]) -> List[Tuple[str, Callable[[SPNet], boo
     """Parse filter names into (name, predicate) pairs.
 
     Supported: ``cutset``, ``reactive-arm``, ``mergeable``,
-    ``min-resistors=N``, ``reactive-count=N``, N in plain digits.
+    ``reactive-path``, ``reactive-branch``, ``min-resistors=N``,
+    ``reactive-count=N``, N in plain digits.
     """
     out: List[Tuple[str, Callable[[SPNet], bool]]] = []
     for spec in specs:

@@ -37,7 +37,7 @@ from .network import (
     parse_filters,
     to_netlist_json,
 )
-from .ratpoly import RationalFn, _Record, to_mpf, workprec
+from .ratpoly import Poly, QuadraticRational, RationalFn, _Record, gcd, sturm_count, to_mpf, workprec
 
 __all__ = [
     "verify_exact",
@@ -316,8 +316,10 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
 
     When the last start of template t stops, ``finish(t, x, f, evaluations)``
     gets its starts' last points, residuals and summed residual and Jacobian
-    evaluations, once per template (in template order within a round).  If
-    it returns True, the templates after t stop and no more of them join.
+    evaluations, once per template (in template order among the templates
+    whose last starts stop together), before the Jacobians of the starts
+    that run on.  If it returns True, the templates after t stop at once,
+    so their starts take no further evaluation, and no more of them join.
     """
     x0 = np.asarray(x0, dtype=float)
     rows = np.asarray(rows)
@@ -340,6 +342,20 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
             if finish is not None and t <= limit and stopped[own].all() and finish(
                     t, result_x[own], result_f[own], int(nfev[own].sum() + njev[own].sum())):
                 limit = t
+
+    def retire(state, done):
+        """Keep the last accepted points and evaluation counts of the running
+        starts and stop the done ones; a template that they finish may stop
+        the templates after it, whose starts leave too.  The state of the
+        starts that run on, and which of the starts in ``state`` they are."""
+        keep = ~done
+        if done.any():
+            start, r, x, f, *_, count = state
+            result_x[start], result_f[start], nfev[start] = x, f, count
+            stop(start[done])
+            keep &= r <= limit
+            state = [a[keep] for a in state]
+        return state, keep
 
     def linearize(x, rows, f, fsq, scale):
         """At the rows x: the new scaling, the singular values s and
@@ -371,8 +387,9 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
             result_f = np.full((len(x0), f.shape[1]), np.inf)  # inf: a start that never ran
         result_f[first:last] = f
         nfev[first:last] = 1
-        live = ~exact_stop(r, f)
-        stop(first + np.flatnonzero(~live))
+        exact = exact_stop(r, f)
+        stop(first + np.flatnonzero(exact))
+        live = ~exact & (r <= limit)  # a certified success stops the templates after it
         if not live.any():
             return None, None
         start = first + np.flatnonzero(live)
@@ -388,15 +405,9 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
     state = done = None
     while True:
         if done is not None and done.any():
-            start, _, x, f, *_, count = state
-            result_x[start[done]], result_f[start[done]] = x[done], f[done]
-            nfev[start[done]] = count[done]
-            stop(start[done])
-            state, done = [a[~done] for a in state], done[~done]
+            state, keep = retire(state, done)
+            done = done[keep]
         running = 0 if done is None else len(done)
-        if running and state[1][-1] > limit:  # the running starts are in template order
-            done = state[1] > limit
-            continue
         # the next templates join while they leave at most BATCH_ROWS running;
         # they come after the running ones, so their exact fits stop none of these
         last = queued
@@ -446,8 +457,11 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
         first &= ~accept
         done = ((np.abs(actred) <= ftol) & (prered <= ftol) & (ratio <= 2.0)) | (delta <= xtol * xnorm)
         done |= (count >= max_nfev) | exact_stop(r, f)
-        state = [start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count]
-        j = accept & ~done
+        # the done starts leave first: a success that they certify stops the
+        # templates after it before their starts take this round's Jacobians
+        state, keep = retire([start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count], done)
+        start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count = state
+        j, done = accept[keep], np.zeros(len(start), dtype=bool)
         if j.any():
             scale[j], s[j], sg[j], Vs[j], done[j] = linearize(x[j], r[j], f[j], fsq[j], scale[j])
             njev[start[j]] += 1
@@ -546,7 +560,56 @@ def fit_topology(
 # falsification harness
 
 
-FALSIFY_FILTERS = ("cutset", "reactive-arm", "mergeable")
+# The falsify rules, in the order in which an entry names the first that it
+# fails, and what a network that fails each has: a pole or a zero of Z(s) at
+# s = 0 or s = inf ("ends"), or there or elsewhere on the jw axis ("axis").
+# A rule applies to a target that has no such pole or zero; merging two
+# like siblings keeps Z, so "mergeable" applies to every target.
+FALSIFY_FILTERS = ("cutset", "reactive-arm", "mergeable", "reactive-path", "reactive-branch")
+_PREMISES = {
+    "cutset": ("pole", "ends"),
+    "reactive-arm": ("pole", "axis"),
+    "reactive-path": ("zero", "ends"),
+    "reactive-branch": ("zero", "axis"),
+}
+
+
+def _exact_value(c):
+    """A coefficient as an exact scalar: an mpf or a float is the dyadic
+    rational it stores."""
+    if isinstance(c, QuadraticRational):
+        return c
+    if hasattr(c, "_mpf_"):
+        sign, man, exp, _ = c._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+    return Fraction(c)
+
+
+def _has_imaginary_root(p: Poly) -> bool:
+    """Whether p(jw) = 0 for some real w > 0, decided exactly.
+
+    For p(s) = E(s^2) + s O(s^2) and x = w^2, p(jw) = E(-x) + jw O(-x): the
+    real and imaginary parts vanish together at the roots of the gcd of
+    E(-x) and O(-x), whose positive roots ``sturm_count`` counts up to the
+    Cauchy bound of the monic gcd."""
+    even, odd = (Poly(c if k % 2 == 0 else -c for k, c in enumerate(p.coeffs[i::2])) for i in (0, 1))
+    g = gcd(even, odd)
+    return g.degree > 0 and sturm_count(g, 0, 1 + max(abs(c) for c in g.coeffs[:-1])) > 0
+
+
+def _jw_axis_points(target: RationalFn) -> set:
+    """Where the target, reduced exactly, has a pole or a zero on the jw
+    axis: the pairs of ``_PREMISES`` that it has."""
+    z = RationalFn(*(Poly(_exact_value(c) for c in poly.coeffs) for poly in (target.num, target.den)))
+    if z.num.is_zero:  # Z = 0: a zero everywhere, a pole nowhere
+        return {("zero", "ends"), ("zero", "axis")}
+    out = set()
+    for kind, p, q in (("pole", z.den, z.num), ("zero", z.num, z.den)):
+        if p.coeffs[0] == 0 or q.degree > p.degree:  # at s = 0 or s = inf
+            out |= {(kind, "ends"), (kind, "axis")}
+        elif _has_imaginary_root(p):
+            out.add((kind, "axis"))
+    return out
 
 
 def falsify_small(
@@ -560,22 +623,31 @@ def falsify_small(
 ) -> dict:
     """Exhaustive multistart fitting over all labeled topologies up to n_max.
 
-    Topologies failing a ``FALSIFY_FILTERS`` filter are skipped and reported
-    as filtered (they cannot realize a biquadratic with finite nonzero Z(0)
-    and Z(inf)).  The others are fitted side by side in one batch of
-    templates x starts (``_fit``), so every entry is what ``fit_topology``
-    gives for it, up to the rounding of the batch's padding; with
-    ``stop_at_first_success`` a certified success stops the templates after
-    it, and the report ends there.  A uniform residual floor is evidence
-    consistent with non-realizability, not a proof.  ``budget`` bounds the
-    residual evaluations of each fit (see ``fit_topology``).  Raises
+    Each rule of ``FALSIFY_FILTERS`` applies when the target meets its
+    premise, decided exactly on the reduced target (mpf coefficients taken
+    as the dyadic rationals they are): ``cutset`` needs finite Z(0) and
+    Z(inf), ``reactive-path`` nonzero Z(0) and Z(inf), ``reactive-arm`` no
+    pole and ``reactive-branch`` no zero on the jw axis, s = 0 and s = inf
+    included; ``mergeable`` needs nothing.  A network that fails a rule
+    that applies cannot realize the target, so it is skipped and reported
+    as filtered, with the first such rule in ``filter``; the report's
+    ``filters`` lists the rules ``applied`` and those ``skipped`` because
+    the target fails their premise.  The other networks are fitted side by
+    side in one batch of templates x starts (``_fit``), so every entry is
+    what ``fit_topology`` gives for it, up to the rounding of the batch's
+    padding; with ``stop_at_first_success`` a certified success stops the
+    templates after it, and the report ends there.  A uniform residual
+    floor is evidence consistent with non-realizability, not a proof.
+    ``budget`` bounds the residual evaluations of each fit (see
+    ``fit_topology``).  Raises
     ValueError for n_max outside 1..5, for a start count below 1 and for a
     budget below two evaluations per start.
     """
     if not 1 <= n_max <= 5:
         raise ValueError("n_max must be between 1 and 5 (the brute force's limit)")
     _check_budget(budget, starts)
-    preds = parse_filters(FALSIFY_FILTERS)
+    has = _jw_axis_points(target)
+    preds = [(name, pred) for name, pred in parse_filters(FALSIFY_FILTERS) if _PREMISES.get(name) not in has]
     labeled = [(n, net, next((name for name, pred in preds if not pred(net)), None))
                for n in range(1, n_max + 1) for net in enumerate_labeled(n)]
     kept = [net for _, net, skip in labeled if skip is None]
@@ -606,4 +678,8 @@ def falsify_small(
         "any_success": any_success,
         "best_residual": min(fit.residual for fit in fits),
         "complete": not (any_success and stop_at_first_success),
+        "filters": {
+            "applied": [name for name, _ in preds],
+            "skipped": [name for name in FALSIFY_FILTERS if _PREMISES.get(name) in has],
+        },
     }

@@ -167,6 +167,17 @@ def test_falsify_cli_small(capsys):
     assert data["any_success"] is False
 
 
+def test_falsify_runs_only_the_filters_whose_premise_holds(capsys):
+    # Z = s + 1 is R + L: its pole at s = inf switches off the two rules
+    # that assume finite Z(0) and Z(inf), one of which dropped R + L
+    target = json.dumps({"num": ["1", "1"], "den": ["1"]})
+    code, data = run_json(capsys, "falsify", "--target", target, "--nmax", "2")
+    assert code == 0 and data["any_success"] is True
+    assert data["filters"]["skipped"] == ["cutset", "reactive-arm"]
+    wins = [e for e in data["entries"] if e["success"]]
+    assert [w["topology"]["type"] for w in wins] == ["series"]
+
+
 def test_falsify_defaults_to_a_tolerance_a_fit_can_meet(capsys):
     # the fits are float64, certified at 128 bits: without --tol, falsify
     # takes falsify_small's 1e-8, not the 1e-20 of the other commands

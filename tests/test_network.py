@@ -24,6 +24,7 @@ from biquadrlc.network import (
     enumerate_topologies,
     from_netlist_json,
     has_mergeable_siblings,
+    has_pure_reactive_parallel_branch,
     has_pure_reactive_series_arm,
     impedance,
     impedance_coeffs,
@@ -35,6 +36,7 @@ from biquadrlc.network import (
     to_netlist_json,
     to_spice,
     violates_cutset_rule,
+    violates_path_rule,
 )
 from biquadrlc.ratpoly import Poly, QuadraticRational, RationalFn
 from formulas import config_formula
@@ -475,6 +477,37 @@ def test_reactive_series_arm_examples():
     assert has_pure_reactive_series_arm(series(L(1), R(1))) is True
     assert has_pure_reactive_series_arm(parallel(L(1), R(1))) is False
     assert has_pure_reactive_series_arm(series(parallel(L(1), C(2)), R(1))) is True
+
+
+def test_path_rule_and_parallel_branch_examples():
+    assert violates_path_rule(parallel(L(1), R(1))) is True
+    assert violates_path_rule(series(L(1), R(1))) is False
+    assert violates_path_rule(series(L(1), L(2))) is True
+    assert violates_path_rule(series(L(1), C(2))) is False
+    assert violates_path_rule(parallel(R(1), series(L(1), parallel(L(2), C(1))))) is True
+    assert has_pure_reactive_parallel_branch(parallel(L(1), R(1))) is True
+    assert has_pure_reactive_parallel_branch(series(L(1), R(1))) is False
+    assert has_pure_reactive_parallel_branch(parallel(series(L(1), C(2)), R(1))) is True
+
+
+_DUAL_RULES = [
+    # (rule, its dual rule): the dual rule holds of X iff the rule holds of dual(X)
+    (violates_cutset_rule, violates_path_rule),
+    (violates_path_rule, violates_cutset_rule),
+    (has_pure_reactive_series_arm, has_pure_reactive_parallel_branch),
+    (has_pure_reactive_parallel_branch, has_pure_reactive_series_arm),
+]
+
+
+def test_dual_rules_are_the_rules_of_the_dual_network():
+    # over every labeling up to five elements; inv keeps every rule, so the
+    # rules are closed under inv, dual and gdu
+    for n in range(1, 6):
+        for net in enumerate_labeled(n):
+            dual, inv = apply_transform(net, "dual"), apply_transform(net, "inv")
+            for rule, dual_rule in _DUAL_RULES:
+                assert dual_rule(net) == rule(dual), (rule.__name__, net)
+                assert rule(inv) == rule(net), (rule.__name__, net)
 
 
 def test_mergeable_siblings():

@@ -29,7 +29,10 @@ from biquadrlc.network import (
 from biquadrlc.ratpoly import Poly, QuadraticRational, RationalFn
 from biquadrlc.realize import lemma_four_element, lemma_three_element, synth_fig3a
 from biquadrlc.verify import (
+    EXACT_FIT,
+    FALSIFY_FILTERS,
     _CompiledTemplate,
+    _jw_axis_points,
     coefficient_residual,
     falsify_small,
     fit_topology,
@@ -397,25 +400,34 @@ def test_uncertified_exact_fits_stop_only_their_own_template(monkeypatch):
         assert type(res.nfev) is int and type(res.njev) is int
 
 
-def test_least_squares_finishes_each_template_once():
-    # four templates against eta = 3; one start of template 1 begins at its
-    # exact fit R + (L | (R + C)) = 1/9, 4/27, 8/9, 3/4, so template 1
-    # finishes as it joins, ahead of the others
+_ETA_3_FOUR = series(Leaf("R"), parallel(Leaf("L"), series(Leaf("R"), Leaf("C"))))  # realizes eta = 3
+_ETA_3_OTHERS = [
+    series(Leaf("R"), parallel(Leaf("L"), Leaf("C"))),
+    parallel(Leaf("R"), series(Leaf("L"), Leaf("C"))),
+    series(Leaf("R"), parallel(Leaf("R"), Leaf("L")), Leaf("C")),
+]
+
+
+def _eta_3_batch(templates, starts=6):
+    """The compiled templates against eta = 3, their rows and seeded starts
+    (template t from seed t)."""
     target = to_rational_fn(CanonicalBiquad(1, 1, 3))
     tnum, tden = (np.array([float(c) for c in poly.coeffs]) for poly in (target.num, target.den))
-    templates = [
-        series(Leaf("R"), parallel(Leaf("L"), Leaf("C"))),
-        series(Leaf("R"), parallel(Leaf("L"), series(Leaf("R"), Leaf("C")))),
-        parallel(Leaf("R"), series(Leaf("L"), Leaf("C"))),
-        series(Leaf("R"), parallel(Leaf("R"), Leaf("L")), Leaf("C")),
-    ]
     compiled = _CompiledTemplate(templates, tnum, tden)
-    starts = 6
     rows = np.repeat(np.arange(len(templates)), starts)
     x0 = np.zeros((len(rows), 4))
     for t, tpl in enumerate(templates):
         x0[t * starts:(t + 1) * starts, :len(leaves(tpl))] = np.random.default_rng(t).normal(
             0.0, 2.0, (starts, len(leaves(tpl))))
+    return compiled, rows, x0
+
+
+def test_least_squares_finishes_each_template_once():
+    # four templates against eta = 3; one start of template 1 begins at its
+    # exact fit R + (L | (R + C)) = 1/9, 4/27, 8/9, 3/4, so template 1
+    # finishes as it joins, ahead of the others
+    starts = 6
+    compiled, rows, x0 = _eta_3_batch(_ETA_3_OTHERS[:1] + [_ETA_3_FOUR] + _ETA_3_OTHERS[1:], starts)
     x0[starts + 2] = np.log([1 / 9, 4 / 27, 8 / 9, 3 / 4])
 
     def run(success):
@@ -445,6 +457,89 @@ def test_least_squares_finishes_each_template_once():
     stopped, seen = run(1)
     assert [t for t, *_ in seen] == [1, 0]
     assert stopped.nfev + stopped.njev < res.nfev + res.njev
+
+
+def test_a_certified_success_spares_the_later_templates_their_jacobians():
+    # template 0, R + (L | (R + C)), fits eta = 3 exactly in a round in which
+    # the other templates' starts run on: once finish certifies it, those
+    # starts take no Jacobian, and template 0 finishes as it does when no
+    # success stops anything
+    compiled, rows, x0 = _eta_3_batch([_ETA_3_FOUR] + _ETA_3_OTHERS)
+
+    def run(certify):
+        events = []
+
+        def fun(x, r):
+            events.append(("fun", r.copy()))
+            return compiled.residual(x, r)
+
+        def jac(x, r):
+            events.append(("jac", r.copy()))
+            return compiled.jacobian(x, r)
+
+        def finish(t, x, f, evaluations):
+            ok = certify and np.abs(f).max(axis=1).min() < EXACT_FIT
+            events.append(("finish", t, ok, x.copy(), f.copy(), evaluations))
+            return ok
+
+        res = verify.least_squares(fun, x0, jac=jac, rows=rows, max_nfev=40, finish=finish, **LM_TOLERANCES)
+        return res, events
+
+    stopped, events = run(True)
+    success = next(i for i, e in enumerate(events) if e[0] == "finish" and e[2])
+    assert events[success][1] == 0
+    round_start = max(i for i in range(success) if events[i][0] == "fun")
+    assert (events[round_start][1] > 0).any()  # the later templates ran in that round
+    assert all(e[0] != "jac" or (e[1] == 0).all() for e in events[round_start:])
+    full, full_events = run(False)
+    alone = next(e for e in full_events if e[0] == "finish" and e[1] == 0)
+    for a, b in zip(events[success][3:], alone[3:]):
+        assert np.array_equal(a, b)
+    assert stopped.njev < full.njev
+
+
+def test_falsify_filters_keep_the_labelings_no_image_rules_out():
+    # the rules and their duals, closed under inv, dual and gdu
+    assert [len(enumerate_labeled(n, FALSIFY_FILTERS)) for n in range(1, 6)] == [1, 0, 4, 14, 80]
+
+
+def test_filter_premises_are_decided_exactly_on_the_reduced_target():
+    ends = {("pole", "ends"), ("pole", "axis")}
+    assert _jw_axis_points(RF((1, 1), (1,))) == ends  # Z(inf) = inf
+    assert _jw_axis_points(RF((1, 1), (0, 1))) == ends  # Z(0) = inf
+    assert _jw_axis_points(RF((0, 2), (1, 2, 1))) == {("zero", "ends"), ("zero", "axis")}
+    # poles at s = +-j, read from mpf coefficients as from Fractions
+    poles = RationalFn(Poly([mpf(1), mpf(1), mpf(1)]), Poly([mpf(1), mpf(0), mpf(1)]))
+    assert _jw_axis_points(poles) == _jw_axis_points(RF((1, 1, 1), (1, 0, 1))) == {("pole", "axis")}
+    assert _jw_axis_points(RF((1, 0, 1), (1, 1, 1))) == {("zero", "axis")}
+    # (s^2 + 1)(s + 1) / (s + 1)^3 reduces to (s^2 + 1) / (s + 1)^2
+    assert _jw_axis_points(RF((1, 1, 1, 1), (1, 3, 3, 1))) == {("zero", "axis")}
+    # s^2 - 1 has real roots only, and (s + 2)^2 none on the axis
+    assert _jw_axis_points(RF((-1, 0, 1), (4, 4, 1))) == set()
+    # an mpf coefficient is the dyadic rational it stores: a damping of
+    # 2^-100 takes the poles off the axis
+    with mp.workprec(128):
+        damped = RationalFn(Poly([mpf(1), mpf(1), mpf(1)]), Poly([mpf(1), mpf(2) ** -100, mpf(1)]))
+    assert _jw_axis_points(damped) == set()
+
+
+_SKIPPED_RULE_TARGETS = [
+    # (num, den, n_max, the first success, the rules that do not hold for the target)
+    ((1, 1), (1,), 2, series(Leaf("R"), Leaf("L")), ["cutset", "reactive-arm"]),  # Z(inf) = inf
+    ((1, 1, 1), (1, 0, 1), 3, series(Leaf("R"), parallel(Leaf("L"), Leaf("C"))), ["reactive-arm"]),
+    ((1, 0, 1), (1, 1, 1), 3, parallel(Leaf("R"), series(Leaf("L"), Leaf("C"))), ["reactive-branch"]),
+]
+
+
+@pytest.mark.parametrize("num, den, n_max, winner, skipped", _SKIPPED_RULE_TARGETS)
+def test_falsify_skips_the_rules_whose_premise_fails(num, den, n_max, winner, skipped):
+    # R + L realizes s + 1, R + (L | C) realizes (s^2 + s + 1)/(s^2 + 1) and
+    # R | (L + C) its reciprocal; the rules that these break must not run
+    report = falsify_small(RF(num, den), n_max, stop_at_first_success=True)
+    assert report["any_success"]
+    assert report["entries"][-1]["topology"] == to_netlist_json(winner)
+    assert report["filters"] == {"applied": [f for f in FALSIFY_FILTERS if f not in skipped], "skipped": skipped}
+    assert not {e["filter"] for e in report["entries"]} & set(skipped)
 
 
 def test_falsify_small_rejects_large_n():
