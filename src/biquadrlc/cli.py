@@ -5,7 +5,8 @@ Every operation is exposed as a subcommand with machine-readable JSON output
 listing).  Exit codes: 0 success; 1 for NotPositiveReal / UnknownWithinScope
 outcomes and verification failures; 2 for invalid input; 3 when the program
 fails its own checks, for example when a synthesized network does not
-re-verify at the working precision.
+re-verify at the working precision; 141 when stdout is closed before the
+output is written, as by ``| head``.
 
 Only ``falsify`` loads numpy (through ``verify``).  mpmath is loaded by
 ``ratpoly`` when a value needs an mpf: in ``classify`` on a catalog hit,
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -71,6 +73,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 
 class CliError(Exception):
@@ -413,7 +416,14 @@ def main(argv=None) -> int:
                     raise CliError("--tol must be positive")
             elif args.func is not _cmd_falsify:
                 args.tol = _default_tol(args.precision_bits)
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a reader that has gone (``| head``) shows here, not at exit
+            return code
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: stdout goes to devnull, so that
+        # the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return exc.code

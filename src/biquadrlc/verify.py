@@ -4,15 +4,23 @@ oracles live in ``check``, which this module re-exports.
 
 Fitting is damped least squares on log-element values (positivity for free),
 multistarted with a deterministic seed; a failed fit means "not found within
-the budget", never "not realizable".  Each template is compiled once into a
+the budget", never "not realizable".  Each template is compiled into a
 table of monomial terms by running the impedance builder that
 ``network.impedance`` uses on symbolic leaf values.  ``least_squares``,
 MINPACK ``lmder``'s Levenberg-Marquardt written in numpy, advances the
 starts of many templates as one batch on the residuals and exact Jacobians
-of a stack of these tables: ``falsify_small`` fits all its templates in one
-call (at most ``BATCH_ROWS`` starts in flight), and ``fit_topology`` is the
-case of one template.  Every template keeps its own seed, budget, early exit
-and evaluation count; a certified success stops the templates after it.
+of a stack of these tables against the target (``_CompiledTemplate``), each
+Jacobian taken from the evaluation that accepted its point:
+``falsify_small`` fits all its templates in one call (at most ``BATCH_ROWS``
+starts in flight), and ``fit_topology`` is the case of one template.  Every
+template keeps its own seed, budget, early exit and evaluation count; a
+certified success stops the templates after it.
+
+What does not depend on the target is prepared once per process and cached:
+the terms of each template, and for ``falsify_small`` the labelings of each
+size with their filter verdicts.  The first call in a process pays for them
+(a one-shot CLI call always does); the reports do not share the cached
+objects.
 
 Only this module loads numpy.  Nothing else in the package imports it at
 load time: the package root serves the fitting names on first access, and
@@ -21,6 +29,7 @@ of the CLI commands only ``falsify`` imports it.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence
 
@@ -116,22 +125,65 @@ class _Multilinear:
         return _Multilinear({0: 1})
 
 
+@functools.lru_cache(maxsize=4096)  # every labeling up to five elements fits
+def _term_table(template: SPNet):
+    """A template's coefficients of num and den as monomial terms in its leaf
+    values, from ``impedance_coeffs`` run once on ``_Multilinear`` leaves:
+    the terms' exponents (0/1 per leaf), integer weights, coefficient
+    numbers and whether they add to den, and the lengths of num and den.
+    Cached per process, as it does not depend on the target."""
+    n = len(leaves(template))
+    num, den = impedance_coeffs(template, [_Multilinear({1 << i: 1}) for i in range(n)])
+    terms = [(side, i, mask, count) for side, poly in enumerate((num, den))
+             for i, c in enumerate(poly) for mask, count in c.terms.items()]
+    exponents = np.array([[(mask >> j) & 1 for j in range(n)] for _, _, mask, _ in terms], dtype=float)
+    side, index, _, weight = (np.array(column) for column in zip(*terms))
+    table = exponents.reshape(len(terms), n), weight, index, side.astype(bool)
+    for array in table:  # shared by every caller
+        array.flags.writeable = False
+    return table + (len(num), len(den))
+
+
+class _Point(NamedTuple):
+    """A batch as ``_CompiledTemplate.evaluate`` leaves it for ``jacobian_at``."""
+
+    rows: np.ndarray
+    exponents: np.ndarray
+    position: np.ndarray
+    unclipped: np.ndarray
+    terms: np.ndarray
+    sides: np.ndarray
+    scale: np.ndarray
+    out: np.ndarray
+    finite: object  # which rows are finite, or None for all
+
+
 class _CompiledTemplate:
     """Fit residuals of one template or a stack of templates against a float
     target, with their exact Jacobians, on a batch of log element values
     theta: one row per start, evaluated against the template that ``rows``
     names for it (every row against the first template if ``rows`` is None).
 
-    ``impedance_coeffs`` runs once per template on ``_Multilinear`` leaves,
-    giving every coefficient of num and den as a sum of leaf-value
-    monomials.  A template's table lists these terms: the monomial's
-    exponents (0/1 per leaf), its integer weight and the coefficient it
-    adds to.  With term = weight * exp(exponents @ clip(theta)), the
-    coefficients are sums of terms, one map shared by all templates
-    cross-multiplies them into num * tden (first ``size`` rows) and tnum *
-    den (last ``size`` rows), and the residual is (lhs - rhs) / scale for
-    scale the largest |coefficient| of either side.  d term / d theta_i =
-    term * exponents_i (zero for a clipped theta_i).
+    ``impedance_coeffs`` runs once per template on ``_Multilinear`` leaves
+    (``_term_table``, cached per process), giving every coefficient of num
+    and den as a sum of leaf-value monomials.  A template's table lists
+    these terms: the monomial's exponents (0/1 per leaf), its integer weight
+    and the coefficient it adds to.  With term = weight * exp(exponents @
+    clip(theta)), the coefficients are sums of terms, one map shared by all
+    templates cross-multiplies them into num * tden (first ``size`` rows)
+    and tnum * den (last ``size`` rows), and the residual is (lhs - rhs) /
+    scale for scale the largest |coefficient| of either side.  d term / d
+    theta_i = term * exponents_i (zero for a clipped theta_i).
+
+    The sums add each coefficient's terms in order (``np.bincount``), and
+    that order matters, because the fits follow rounding-level changes into
+    other minima: a matrix from the terms straight to both sides sums in
+    another order and moves some floors by more than 1%, and a dense matrix
+    from the terms to the coefficients that keeps the order does terms x
+    coefficients work per row, more than the scatter at five elements.
+    ``evaluate`` returns the residuals of a batch and the point that
+    ``jacobian_at`` continues from, so that the Jacobian of a point just
+    evaluated costs no second evaluation.
 
     The stack pads every table with zeros to the largest term count, num
     and den length and element count: a padded term has weight 0, padded
@@ -140,13 +192,10 @@ class _CompiledTemplate:
     """
 
     def __init__(self, templates: Sequence[SPNet], tnum: np.ndarray, tden: np.ndarray):
-        coeffs = []
-        for template in templates:
-            n = len(leaves(template))
-            coeffs.append((n, impedance_coeffs(template, [_Multilinear({1 << i: 1}) for i in range(n)])))
-        self.elements = [n for n, _ in coeffs]
-        n_num = max(len(num) for _, (num, _) in coeffs)
-        n_den = max(len(den) for _, (_, den) in coeffs)
+        tables = [_term_table(template) for template in templates]
+        self.elements = [exponents.shape[1] for exponents, *_ in tables]
+        n_num = max(num_len for *_, num_len, _ in tables)
+        n_den = max(den_len for *_, den_len in tables)
         self.size = max(n_num + len(tden) - 1, n_den + len(tnum) - 1)
         self.cross = np.zeros((n_num + n_den, 2 * self.size))
         for i in range(n_num):
@@ -154,23 +203,20 @@ class _CompiledTemplate:
         for i in range(n_den):
             self.cross[n_num + i, self.size + i:self.size + i + len(tnum)] = tnum
         self.diff_cross = self.cross[:, : self.size] - self.cross[:, self.size:]
-        terms = [[(i, mask, count) for i, c in enumerate(num) for mask, count in c.terms.items()]
-                 + [(n_num + i, mask, count) for i, c in enumerate(den) for mask, count in c.terms.items()]
-                 for _, (num, den) in coeffs]
-        shape = (len(terms), max(map(len, terms)))
+        shape = (len(tables), max(len(weight) for _, weight, *_ in tables))
         self.exponents = np.zeros(shape + (max(self.elements),), dtype=np.uint8)
         self.weight, self.position = np.zeros(shape), np.zeros(shape, dtype=np.intp)
-        self.real_rows = np.zeros((len(terms), self.size))
-        for t, (n, (num, den)) in enumerate(coeffs):
-            for k, (i, mask, count) in enumerate(terms[t]):
-                self.position[t, k], self.weight[t, k] = i, count
-                self.exponents[t, k, :n] = [(mask >> j) & 1 for j in range(n)]
-            self.real_rows[t, : max(len(num) + len(tden), len(den) + len(tnum)) - 1] = 1.0
+        self.real_rows = np.zeros((len(tables), self.size))
+        for t, (exponents, weight, index, den, num_len, den_len) in enumerate(tables):
+            k, n = exponents.shape
+            self.exponents[t, :k, :n], self.weight[t, :k] = exponents, weight
+            self.position[t, :k] = index + n_num * den
+            self.real_rows[t, : max(num_len + len(tden), den_len + len(tnum)) - 1] = 1.0
 
-    def _evaluate(self, theta: np.ndarray, rows):
-        """The templates' exponents and coefficient numbers, the clipped
-        theta, the terms, both sides, scale and residual of every row, and
-        which rows are finite."""
+    def evaluate(self, theta: np.ndarray, rows=None):
+        """Residuals (B x size) of a batch theta (B x n), and the point from
+        which ``jacobian_at`` continues.  A row whose residual is not finite
+        reads 1e6 on the template's real entries."""
         if rows is None:
             rows = np.zeros(len(theta), dtype=np.intp)
         exponents, position = self.exponents.take(rows, axis=0), self.position.take(rows, axis=0)
@@ -185,42 +231,49 @@ class _CompiledTemplate:
             sides = coeffs.reshape(len(theta), -1) @ self.cross
             scale = np.maximum(np.abs(sides).max(axis=1), 1e-300)
             out = (sides[:, : self.size] - sides[:, self.size:]) / scale[:, None]
-        finite = np.isfinite(out).all(axis=1)
-        return rows, exponents, position, clipped, terms, sides, scale, out, finite
+        finite = None
+        if not np.isfinite(out).all():
+            finite = np.isfinite(out).all(axis=1)
+            out[~finite] = 1e6 * self.real_rows[rows[~finite]]
+        return out, _Point(rows, exponents, position, clipped == theta, terms, sides, scale, out, finite)
+
+    def jacobian_at(self, point: _Point, index=None) -> np.ndarray:
+        """Jacobians (B x size x n) of the rows ``index`` (a mask, or None
+        for all) of an evaluated batch; zero on rows whose residual is not
+        finite."""
+        _, exponents, position, unclipped, terms, sides, scale, out, finite = point
+        if index is not None:
+            exponents, position, unclipped, terms, sides, scale, out = (a[index] for a in point[1:-1])
+            finite = None if finite is None else finite[index]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # entry (b * n + j) * width + i of the sums is d coefficient i / d
+            # theta_j of row b: the sum of the coefficient's terms that hold j
+            (batch, n), width = unclipped.shape, len(self.cross)
+            slots = position[:, :, None] + width * np.arange(batch * n).reshape(batch, 1, n)
+            dcoeffs = np.bincount(slots.ravel(), (terms[:, :, None] * exponents).ravel(), batch * n * width)
+            dcoeffs = dcoeffs.reshape(batch, n, width)
+            dcoeffs *= unclipped[:, :, None]  # zero for a clipped theta_j
+            # d scale / d theta: the signed derivative of the coefficient of
+            # either side that sets the scale (argmax takes the first maximum:
+            # lhs on a tie), or zero at the 1e-300 floor
+            k = np.abs(sides).argmax(axis=1)
+            top = sides[np.arange(len(k)), k]
+            sign = np.sign(top) * (np.abs(top) == scale)
+            dscale = np.einsum("bji,ib->bj", dcoeffs, self.cross[:, k]) * sign[:, None]
+            jac = (dcoeffs.reshape(batch * n, width) @ self.diff_cross).reshape(batch, n, self.size)
+            jac -= dscale[:, :, None] * out[:, None, :]
+            jac /= scale[:, None, None]
+        if finite is not None:
+            jac[~finite] = 0.0
+        return jac.transpose(0, 2, 1)
 
     def residual(self, theta: np.ndarray, rows=None) -> np.ndarray:
         """Residuals (B x size) of a batch theta (B x n)."""
-        rows, *_, out, finite = self._evaluate(theta, rows)
-        if not finite.all():
-            out[~finite] = 1e6 * self.real_rows[rows[~finite]]
-        return out
+        return self.evaluate(theta, rows)[0]
 
     def jacobian(self, theta: np.ndarray, rows=None) -> np.ndarray:
-        """Jacobians (B x size x n) of a batch theta (B x n); zero on rows
-        whose residual is not finite."""
-        _, exponents, position, clipped, terms, sides, scale, out, finite = self._evaluate(theta, rows)
-        if not finite.all():
-            keep = finite[:, None]
-            terms, sides, out = (np.where(keep, a, 0.0) for a in (terms, sides, out))
-            scale = np.where(finite, scale, 1.0)
-        # entry (b * n + j) * width + i of the sums is d coefficient i / d
-        # theta_j of row b: the sum of the coefficient's terms that hold j
-        width = len(self.cross)
-        slots = position[:, :, None] + width * np.arange(theta.size).reshape(theta.shape)[:, None, :]
-        dcoeffs = np.bincount(slots.ravel(), (terms[:, :, None] * exponents).ravel(), theta.size * width)
-        dcoeffs = dcoeffs.reshape(theta.shape + (width,))
-        dcoeffs *= (clipped == theta)[:, :, None]  # zero for a clipped theta_j
-        # d scale / d theta: the signed derivative of the coefficient of
-        # either side that sets the scale (argmax takes the first maximum:
-        # lhs on a tie), or zero at the 1e-300 floor
-        k = np.abs(sides).argmax(axis=1)
-        top = sides[np.arange(len(k)), k]
-        sign = np.sign(top) * (np.abs(top) == scale)
-        dscale = np.einsum("bji,ib->bj", dcoeffs, self.cross[:, k]) * sign[:, None]
-        jac = (dcoeffs.reshape(theta.size, width) @ self.diff_cross).reshape(theta.shape + (self.size,))
-        jac -= dscale[:, :, None] * out[:, None, :]
-        jac /= scale[:, None, None]
-        return jac.transpose(0, 2, 1)
+        """Jacobians (B x size x n) of a batch theta (B x n)."""
+        return self.jacobian_at(self.evaluate(theta, rows)[1])
 
 
 def _check_budget(budget: int, starts: int) -> None:
@@ -274,23 +327,24 @@ def _lm_step(s, sg, delta, par):
     s2 = np.where(s > 0, s * s, np.inf)
     lam = np.zeros(len(s))
     t = s2
-    active = np.ones(len(s), dtype=bool)
+    tenth = 0.1 * delta
     for i in range(11):
         p = sg / t
         pp = p * p
         pn2 = np.add.reduce(pp, axis=1)
         pnorm = np.sqrt(pn2)
         fp = pnorm - delta
-        active &= np.abs(fp) > 0.1 * delta
-        if i == 0:
-            active &= fp > 0  # the Gauss-Newton step
+        # |fp| > delta / 10, and at first also fp > 0 (else the Gauss-Newton step)
+        active = fp > tenth if i == 0 else active & (np.abs(fp) > tenth)
         if i == 10 or not active.any():
             break
         # Newton's correction fp / delta * |p|^2 / sum(p^2 / (s^2 + lam))
-        step = lam + fp * pn2 / (delta * np.add.reduce(pp / t, axis=1) + _TINY)
+        step = fp * pn2 / (delta * np.add.reduce(pp / t, axis=1) + _TINY)
         if i == 0:
             lower = step
             step = np.maximum(par, lower)
+        else:
+            step += lam
         lam = np.where(active, np.maximum(lower, step), lam)
         t = s2 + lam[:, None]
     return lam, p, pnorm
@@ -302,14 +356,17 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
     in template order.
 
     ``fun`` maps a (B x n) batch and the templates of its rows to the
-    (B x m) residuals and ``jac`` to the (B x m x n) Jacobians.  Each start
-    follows MINPACK ``lmder`` (Moré, LNM 630, 1978) with ``factor`` 100 and
-    the scaling D the running maximum of the Jacobian's column norms: its
-    own trust radius and parameter, step acceptance, stop tests on
-    ``xtol``, ``ftol`` and ``gtol`` and at most ``max_nfev`` residual
-    evaluations.  Each round evaluates one trial step of every running
-    start in one call, and the Jacobians of those whose step was accepted
-    in another; finished starts leave the batch.  The starts of a template
+    (B x m) residuals and a point, and ``jac`` maps a point and a mask of
+    its rows (None for all of them) to their (B' x m x n) Jacobians, so
+    that the Jacobian of an accepted step reuses the evaluation that
+    accepted it.  Each start follows MINPACK ``lmder`` (Moré, LNM 630,
+    1978) with ``factor`` 100 and the scaling D the running maximum of the
+    Jacobian's column norms: its own trust radius and parameter, step
+    acceptance, stop tests on ``xtol``, ``ftol`` and ``gtol`` and at most
+    ``max_nfev`` residual evaluations.  Each round evaluates one trial step
+    of every running start in one call, and takes the Jacobians of those
+    whose step was accepted from that evaluation; finished starts leave the
+    batch.  The starts of a template
     join it together, in template order, as soon as at most ``BATCH_ROWS``
     starts are then running (or none).  Once a start's largest |residual|
     is below ``EXACT_FIT``, the other starts of its template stop.
@@ -347,21 +404,22 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
         """Keep the last accepted points and evaluation counts of the running
         starts and stop the done ones; a template that they finish may stop
         the templates after it, whose starts leave too.  The state of the
-        starts that run on, and which of the starts in ``state`` they are."""
-        keep = ~done
-        if done.any():
-            start, r, x, f, *_, count = state
-            result_x[start], result_f[start], nfev[start] = x, f, count
-            stop(start[done])
-            keep &= r <= limit
-            state = [a[keep] for a in state]
-        return state, keep
+        starts that run on, and which of the starts in ``state`` they are
+        (None for all)."""
+        if not done.any():
+            return state, None
+        start, r, x, f, *_, count = state
+        result_x[start], result_f[start], nfev[start] = x, f, count
+        stop(start[done])
+        keep = ~done & (r <= limit)
+        return [a[keep] for a in state], keep
 
-    def linearize(x, rows, f, fsq, scale):
-        """At the rows x: the new scaling, the singular values s and
-        s * U^T f of the scaled Jacobian, its right singular vectors divided
-        by the scaling, and where the gradient test stops."""
-        J = jac(x, rows)
+    def linearize(point, index, f, fsq, scale):
+        """At the rows ``index`` of an evaluated point, whose residuals are
+        f: the new scaling, the singular values s and s * U^T f of the
+        scaled Jacobian, its right singular vectors divided by the scaling,
+        and where the gradient test stops."""
+        J = jac(point, index)
         colnorm = np.sqrt(np.einsum("bmn,bmn->bn", J, J))
         # lmder starts D at the column norms, with 1 for a zero column
         scale = np.where(colnorm > 0, colnorm, 1.0) if scale is None else np.maximum(scale, colnorm)
@@ -382,7 +440,7 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
         which of them stop at once."""
         nonlocal result_f
         x, r = x0[first:last], rows[first:last]
-        f = fun(x, r)
+        f, point = fun(x, r)
         if result_f is None:
             result_f = np.full((len(x0), f.shape[1]), np.inf)  # inf: a start that never ran
         result_f[first:last] = f
@@ -395,7 +453,7 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
         start = first + np.flatnonzero(live)
         x, f, r = x[live], f[live], r[live]
         fsq = np.add.reduce(f * f, axis=1)
-        scale, s, sg, Vs, done = linearize(x, r, f, fsq, None)
+        scale, s, sg, Vs, done = linearize(point, None if live.all() else live, f, fsq, None)
         njev[start] = 1
         xnorm = _norms(scale * x)
         delta = np.where(xnorm > 0, 100.0 * xnorm, 100.0)
@@ -404,9 +462,9 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
 
     state = done = None
     while True:
-        if done is not None and done.any():
+        if done is not None:
             state, keep = retire(state, done)
-            done = done[keep]
+            done = done if keep is None else done[keep]
         running = 0 if done is None else len(done)
         # the next templates join while they leave at most BATCH_ROWS running;
         # they come after the running ones, so their exact fits stop none of these
@@ -427,10 +485,11 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
             break
         start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count = state
         par, p, pnorm = _lm_step(s, sg, delta, par)
-        if first.any():  # lmder's first iteration: no radius beyond the first step
+        firsts = first.any()
+        if firsts:  # lmder's first iteration: no radius beyond the first step
             delta = np.where(first, np.minimum(delta, pnorm), delta)
         xt = x - (p[:, None, :] @ Vs)[:, 0, :]
-        ft = fun(xt, r)
+        ft, point = fun(xt, r)
         count += 1
         fsq1 = np.add.reduce(ft * ft, axis=1)
         # actual and predicted reductions of |f|^2 and the directional
@@ -454,16 +513,24 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
         np.copyto(f, ft, where=accept[:, None])
         fsq = np.where(accept, fsq1, fsq)
         xnorm = np.where(accept, _norms(scale * x), xnorm)
-        first &= ~accept
+        if firsts:
+            first &= ~accept
         done = ((np.abs(actred) <= ftol) & (prered <= ftol) & (ratio <= 2.0)) | (delta <= xtol * xnorm)
         done |= (count >= max_nfev) | exact_stop(r, f)
         # the done starts leave first: a success that they certify stops the
         # templates after it before their starts take this round's Jacobians
         state, keep = retire([start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count], done)
         start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count = state
-        j, done = accept[keep], np.zeros(len(start), dtype=bool)
-        if j.any():
-            scale[j], s[j], sg[j], Vs[j], done[j] = linearize(x[j], r[j], f[j], fsq[j], scale[j])
+        j, done = accept if keep is None else accept[keep], np.zeros(len(start), dtype=bool)
+        if not j.any():
+            continue
+        if j.all():  # the whole state, with no copies
+            scale, s, sg, Vs, done = linearize(point, keep, f, fsq, scale)
+            njev[start] += 1
+            state = [start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count]
+        else:
+            index = accept if keep is None else keep & accept
+            scale[j], s[j], sg[j], Vs[j], done[j] = linearize(point, index, f[j], fsq[j], scale[j])
             njev[start[j]] += 1
     return LMResult(result_x, result_f, int(nfev.sum()), int(njev.sum()))
 
@@ -522,7 +589,7 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
         return stop_at_first_success and bool(ok)
 
     rows = np.repeat(np.arange(len(templates)), starts)
-    least_squares(compiled.residual, x0, jac=compiled.jacobian, rows=rows, max_nfev=budget // starts,
+    least_squares(compiled.evaluate, x0, jac=compiled.jacobian_at, rows=rows, max_nfev=budget // starts,
                   xtol=1e-15, ftol=1e-15, gtol=1e-15, finish=finish)
     if stop_at_first_success:
         return fits[:next((t + 1 for t, fit in enumerate(fits) if fit.success), len(fits))]
@@ -598,11 +665,9 @@ def _has_imaginary_root(p: Poly) -> bool:
 
 
 def _jw_axis_points(target: RationalFn) -> set:
-    """Where the target, reduced exactly, has a pole or a zero on the jw
-    axis: the pairs of ``_PREMISES`` that it has."""
+    """Where a nonzero target, reduced exactly, has a pole or a zero on the
+    jw axis: the pairs of ``_PREMISES`` that it has."""
     z = RationalFn(*(Poly(_exact_value(c) for c in poly.coeffs) for poly in (target.num, target.den)))
-    if z.num.is_zero:  # Z = 0: a zero everywhere, a pole nowhere
-        return {("zero", "ends"), ("zero", "axis")}
     out = set()
     for kind, p, q in (("pole", z.den, z.num), ("zero", z.num, z.den)):
         if p.coeffs[0] == 0 or q.degree > p.degree:  # at s = 0 or s = inf
@@ -610,6 +675,16 @@ def _jw_axis_points(target: RationalFn) -> set:
         elif _has_imaginary_root(p):
             out.add((kind, "axis"))
     return out
+
+
+@functools.lru_cache(maxsize=None)  # n in 1..5, rules a subset of FALSIFY_FILTERS
+def _labelings(n: int, rules: tuple) -> tuple:
+    """The labelings of n elements, each with the first of ``rules`` that it
+    fails, or None.  Cached per process, as they do not depend on the
+    target."""
+    preds = parse_filters(rules)
+    return tuple((net, next((name for name, pred in preds if not pred(net)), None))
+                 for net in enumerate_labeled(n))
 
 
 def falsify_small(
@@ -640,16 +715,18 @@ def falsify_small(
     floor is evidence consistent with non-realizability, not a proof.
     ``budget`` bounds the residual evaluations of each fit (see
     ``fit_topology``).  Raises
-    ValueError for n_max outside 1..5, for a start count below 1 and for a
-    budget below two evaluations per start.
+    ValueError for n_max outside 1..5, for a start count below 1, for a
+    budget below two evaluations per start and for the target Z = 0, which
+    no network of positive elements has.
     """
     if not 1 <= n_max <= 5:
         raise ValueError("n_max must be between 1 and 5 (the brute force's limit)")
     _check_budget(budget, starts)
+    if target.num.is_zero:
+        raise ValueError("the target Z = 0 is no network of positive elements")
     has = _jw_axis_points(target)
-    preds = [(name, pred) for name, pred in parse_filters(FALSIFY_FILTERS) if _PREMISES.get(name) not in has]
-    labeled = [(n, net, next((name for name, pred in preds if not pred(net)), None))
-               for n in range(1, n_max + 1) for net in enumerate_labeled(n)]
+    applied = tuple(name for name in FALSIFY_FILTERS if _PREMISES.get(name) not in has)
+    labeled = [(n, net, skip) for n in range(1, n_max + 1) for net, skip in _labelings(n, applied)]
     kept = [net for _, net, skip in labeled if skip is None]
     fits = _fit(kept, target, budget, starts, [seed * 1000003 + index for index in range(len(kept))], tol,
                 stop_at_first_success)
@@ -679,7 +756,7 @@ def falsify_small(
         "best_residual": min(fit.residual for fit in fits),
         "complete": not (any_success and stop_at_first_success),
         "filters": {
-            "applied": [name for name, _ in preds],
+            "applied": list(applied),
             "skipped": [name for name in FALSIFY_FILTERS if _PREMISES.get(name) in has],
         },
     }

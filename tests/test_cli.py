@@ -1,7 +1,12 @@
-"""CLI tests (in-process via main())."""
+"""CLI tests (in-process via main(), and in a subprocess where the
+process's own streams matter)."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +181,14 @@ def test_falsify_runs_only_the_filters_whose_premise_holds(capsys):
     assert data["filters"]["skipped"] == ["cutset", "reactive-arm"]
     wins = [e for e in data["entries"] if e["success"]]
     assert [w["topology"]["type"] for w in wins] == ["series"]
+
+
+def test_falsify_rejects_the_zero_target(capsys):
+    # Z = 0 is no network of positive elements; a fit at the log-value clip
+    # would certify a limit network that does not exist
+    code = main(["falsify", "--target", json.dumps({"num": ["0"], "den": ["1"]}), "--nmax", "3"])
+    assert code == 2
+    assert "Z = 0" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_falsify_defaults_to_a_tolerance_a_fit_can_meet(capsys):
@@ -407,3 +420,17 @@ def test_decimal_netlist_values_are_exact(capsys):
     code, data = run_json(capsys, "impedance", _leaf("0.5"))
     assert code == 0
     assert data == {"num": ["1/2"], "den": ["1"]}
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that is gone before the output is written, as with
+    # ``enumerate --n 4 | head -c 10``: no traceback, the documented code
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "biquadrlc.cli", "enumerate", "--n", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the child can have written anything
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and "Exception ignored" not in err, err

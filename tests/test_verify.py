@@ -233,6 +233,35 @@ def test_compiled_template_clips_theta_without_warnings():
         assert np.array_equal(jac[1], wide.jacobian(batch[1:])[0])
 
 
+def test_stacked_template_rows_match_each_template_alone():
+    # every template that falsify fits against target_12 up to four
+    # elements, in one stack: each row gives the residual and Jacobian of
+    # its template compiled alone, on random, clipped and overflowing theta
+    templates = [net for n in range(1, 5) for net in enumerate_labeled(n, FALSIFY_FILTERS)]
+    stack = _CompiledTemplate(templates, TNUM_12, TDEN_12)
+    rng = np.random.default_rng(13)
+    overflows = 0
+    for t, tpl in enumerate(templates):
+        n = len(leaves(tpl))
+        alone = _CompiledTemplate([tpl], TNUM_12, TDEN_12)
+        theta = np.vstack([rng.normal(0.0, 2.0, (2, n)), np.linspace(-320.0, 250.0, n), np.full(n, 250.0)])
+        padded = np.zeros((len(theta), stack.exponents.shape[2]))
+        padded[:, :n] = theta
+        rows = np.full(len(theta), t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res, jac = stack.residual(padded, rows), stack.jacobian(padded, rows)
+            res_alone, jac_alone = alone.residual(theta), alone.jacobian(theta)
+        m = alone.size
+        assert not res[:, m:].any() and not jac[:, m:].any() and not jac[:, :, n:].any(), tpl
+        for got, want in ((res[:, :m], res_alone), (jac[:, :m, :n], jac_alone)):
+            scale = np.maximum(np.abs(want).max(axis=tuple(range(1, want.ndim))), 1e-300)
+            error = np.abs(got - want).max(axis=tuple(range(1, want.ndim)))
+            assert np.all(error <= 1e-12 * scale), tpl
+        overflows += bool(np.all(res_alone[-1] == 1e6))
+    assert overflows  # the degree-4 monomials at the clip overflow
+
+
 def test_fit_counts_residual_and_jacobian_evaluations(monkeypatch):
     seen = []
 
@@ -273,7 +302,7 @@ def test_least_squares_floors_match_minpack():
         jac = lambda theta: compiled.jacobian(theta[None])[0]
         x0 = np.random.default_rng(index).normal(0.0, 2.0, (24, len(leaves(tpl))))
         mine = verify.least_squares(
-            compiled.residual, x0, jac=compiled.jacobian, rows=np.zeros(24, dtype=int), max_nfev=166,
+            compiled.evaluate, x0, jac=compiled.jacobian_at, rows=np.zeros(24, dtype=int), max_nfev=166,
             **LM_TOLERANCES
         )
         # full_output returns quietly at maxfev; the covariance it adds
@@ -298,7 +327,7 @@ def test_least_squares_returns_quietly_at_max_nfev():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = verify.least_squares(
-            compiled.residual, np.zeros((1, 4)), jac=compiled.jacobian, rows=[0], max_nfev=5, **LM_TOLERANCES
+            compiled.evaluate, np.zeros((1, 4)), jac=compiled.jacobian_at, rows=[0], max_nfev=5, **LM_TOLERANCES
         )
     assert res.nfev == 5 and np.all(np.isfinite(res.x))
 
@@ -312,7 +341,7 @@ def test_least_squares_nearly_singular_fit_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = verify.least_squares(
-            compiled.residual, x0, jac=compiled.jacobian, rows=[0], max_nfev=166, **LM_TOLERANCES
+            compiled.evaluate, x0, jac=compiled.jacobian_at, rows=[0], max_nfev=166, **LM_TOLERANCES
         )
     assert np.all(np.isfinite(res.fun))
 
@@ -437,7 +466,7 @@ def test_least_squares_finishes_each_template_once():
             seen.append((t, x.copy(), f.copy(), evaluations))
             return t == success
 
-        res = verify.least_squares(compiled.residual, x0, jac=compiled.jacobian, rows=rows, max_nfev=40,
+        res = verify.least_squares(compiled.evaluate, x0, jac=compiled.jacobian_at, rows=rows, max_nfev=40,
                                    finish=finish, **LM_TOLERANCES)
         return res, seen
 
@@ -471,11 +500,11 @@ def test_a_certified_success_spares_the_later_templates_their_jacobians():
 
         def fun(x, r):
             events.append(("fun", r.copy()))
-            return compiled.residual(x, r)
+            return compiled.evaluate(x, r)
 
-        def jac(x, r):
-            events.append(("jac", r.copy()))
-            return compiled.jacobian(x, r)
+        def jac(point, index):
+            events.append(("jac", point.rows.copy() if index is None else point.rows[index]))
+            return compiled.jacobian_at(point, index)
 
         def finish(t, x, f, evaluations):
             ok = certify and np.abs(f).max(axis=1).min() < EXACT_FIT
@@ -540,6 +569,14 @@ def test_falsify_skips_the_rules_whose_premise_fails(num, den, n_max, winner, sk
     assert report["entries"][-1]["topology"] == to_netlist_json(winner)
     assert report["filters"] == {"applied": [f for f in FALSIFY_FILTERS if f not in skipped], "skipped": skipped}
     assert not {e["filter"] for e in report["entries"]} & set(skipped)
+
+
+def test_falsify_small_rejects_the_zero_target():
+    # Z = 0 is no network of positive elements: at the log-value clip a fit
+    # would certify a limit network that does not exist
+    for zero in (RF((0,), (1,)), RationalFn(Poly([mpf(0)]), Poly([mpf(1), mpf(2)]))):
+        with pytest.raises(ValueError, match="Z = 0"):
+            falsify_small(zero, 3)
 
 
 def test_falsify_small_rejects_large_n():
@@ -653,6 +690,22 @@ def _fresh_stdout(args, hash_seed):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True, check=True)
     return proc.stdout
+
+
+def test_cached_preparation_leaves_reports_as_in_a_fresh_process():
+    # falsify_small keeps the labelings, their verdicts and the templates'
+    # terms per process: after other targets, and after their reports are
+    # mutated, target_12 gets the report of a fresh process
+    fresh = json.loads(_fresh_stdout(["-c", FALSIFY_T12], 0))
+    for other in (RF((1, 1), (1,)), to_rational_fn(CanonicalBiquad(1, 1, 3)), RF((1, 2, 1), (4, 4, 1))):
+        report = falsify_small(other, 3, seed=7)
+        for entry in report["entries"]:
+            entry["topology"].clear()
+            entry["filter"] = "mutated"
+        report["entries"].clear()
+        report["filters"]["applied"].append("mutated")
+    target = RF((1, 2, 1), (4, 4, 1))
+    assert json.loads(json.dumps(falsify_small(target, 3, seed=7))) == fresh
 
 
 def test_fits_repeat_across_processes_and_hash_seeds():
