@@ -6,7 +6,15 @@ listing).  Exit codes: 0 success; 1 for NotPositiveReal / UnknownWithinScope
 outcomes and verification failures; 2 for invalid input; 3 when the program
 fails its own checks, for example when a synthesized network does not
 re-verify at the working precision; 141 when stdout is closed before the
-output is written, as by ``| head``.
+output is written, as by ``| head``.  ``--precision-bits`` runs from 64 to
+14280: above that, a 50-digit print of an mpf can fail inside mpmath.
+
+A command run as a process (``python -m biquadrlc.cli`` or the
+``biquadrlc`` script) exits as soon as its atexit handlers have run and its
+output is flushed, without the interpreter's teardown (``run_and_exit``).
+A tool that wraps the module in its own process, such as
+``python -m cProfile -m biquadrlc.cli``, therefore never gets to report;
+profile ``main(argv)`` in-process instead.
 
 Only ``falsify`` loads numpy (through ``verify``).  mpmath is loaded by
 ``ratpoly`` when a value needs an mpf: in ``classify`` on a catalog hit,
@@ -23,11 +31,13 @@ rationals, and a non-finite or unparseable number ("inf", "nan", "1/0",
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from .biquad import (
     CanonicalBiquad,
@@ -74,6 +84,11 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
+
+MIN_PRECISION_BITS = 64
+# a 50-digit print of an mpf with a mantissa of more bits can exceed
+# Python's 4300-digit limit on int-to-str conversion inside mpmath.nstr
+MAX_PRECISION_BITS = 14280
 
 
 class CliError(Exception):
@@ -313,7 +328,8 @@ def _add_global_options(parser, suppress: bool):
         "--precision-bits",
         type=int,
         default=default(256),
-        help="working precision for numeric synthesis/verification (>= 64)",
+        help="working precision for numeric synthesis/verification "
+        "(%d to %d)" % (MIN_PRECISION_BITS, MAX_PRECISION_BITS),
     )
     parser.add_argument(
         "--tol",
@@ -403,10 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code: the library and test entry.
+    The process entry is ``run_and_exit``."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision_bits < 64:
-        print(json.dumps({"error": "--precision-bits must be >= 64"}), file=sys.stderr)
+    bits = args.precision_bits
+    if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
+        bound = ">= %d" % MIN_PRECISION_BITS if bits < MIN_PRECISION_BITS else "<= %d" % MAX_PRECISION_BITS
+        print(json.dumps({"error": "--precision-bits must be " + bound}), file=sys.stderr)
         return EXIT_INVALID
     try:
         with workprec(args.precision_bits):
@@ -417,12 +437,9 @@ def main(argv=None) -> int:
             elif args.func is not _cmd_falsify:
                 args.tol = _default_tol(args.precision_bits)
             code = args.func(args)
-            sys.stdout.flush()  # a reader that has gone (``| head``) shows here, not at exit
+            sys.stdout.flush()  # a reader that has gone (``| head``) shows here
             return code
     except BrokenPipeError:
-        # the recipe of Python's signal docs: stdout goes to devnull, so that
-        # the flush at exit does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
@@ -438,5 +455,31 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run_and_exit() -> NoReturn:
+    """The process entry of ``python -m biquadrlc.cli`` and the ``biquadrlc``
+    console script: ``main``, then what CPython's finalization does first,
+    in its order (the atexit handlers, then a flush of stdout and stderr),
+    then ``os._exit``.  The interpreter's teardown of modules and its last
+    garbage collections do nothing a command's output needs.
+
+    ``SystemExit`` from argparse and an uncaught exception leave through
+    Python's normal exit."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        _flush(sys.stdout)
+    except BrokenPipeError:
+        code = EXIT_CLOSED_STDOUT
+    _flush(sys.stderr)
+    os._exit(code)
+
+
+def _flush(stream) -> None:
+    # the streams that CPython's finalization flushes: a stream set to None
+    # (its descriptor was closed at start) or closed since is skipped
+    if stream is not None and not stream.closed:
+        stream.flush()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

@@ -3,6 +3,8 @@ process's own streams matter)."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +14,7 @@ import pytest
 
 from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
 from biquadrlc.check import verify_numeric
-from biquadrlc.cli import _default_tol, main
+from biquadrlc.cli import MAX_PRECISION_BITS, _default_tol, main
 from biquadrlc.network import from_netlist_json
 from biquadrlc.realize import N4A_QUARTIC
 
@@ -422,15 +424,173 @@ def test_decimal_netlist_values_are_exact(capsys):
     assert data == {"num": ["1/2"], "den": ["1"]}
 
 
+# ---------------------------------------------------------------------------
+# the process: ``python -m biquadrlc.cli`` and the console script end in
+# ``run_and_exit``, which runs the atexit handlers, flushes and calls os._exit
+
+ROOT = Path(__file__).resolve().parent.parent
+# buffered streams, as a shell gives them: PYTHONUNBUFFERED would hide a
+# missing flush
+PROCESS_ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+PROCESS_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+FIG3A_TARGET = ["--k", "1", "--z", "1", "--p", "5"]
+
+
+def cli_process(argv):
+    return subprocess.run([sys.executable, "-m", "biquadrlc.cli"] + argv, env=PROCESS_ENV, capture_output=True)
+
+
+def in_process(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def readme_commands():
+    """The command lines of the README's CLI block, a placeholder netlist
+    replaced by the network that ``synth`` gives for the fig3a target."""
+    text = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+    assert len(commands) >= 12 and all(commands)
+    return commands
+
+
+def fill_netlist(argv, capsys):
+    if not any(arg.startswith("<") for arg in argv):
+        return argv
+    capsys.readouterr()
+    _, synth = run_json(capsys, "synth", *FIG3A_TARGET)
+    netlist = json.dumps(synth["netlist"])
+    return [netlist if arg.startswith("<") else arg for arg in argv]
+
+
+PROCESS_COMMANDS = readme_commands() + [
+    ["classify", "--k", "1", "--z", "1", "--p", "6"],  # exit 1
+    ["classify", "--k", "1", "--z", "1", "--p", "1"],  # exit 2
+    ["--precision-bits", "64", "--tol", "1e-20", "synth"] + FIG3A_TARGET,  # exit 3
+    ["--precision-bits", str(MAX_PRECISION_BITS + 1), "classify"] + FIG3A_TARGET,  # exit 2
+]
+
+
+SUBCOMMANDS = {"classify", "synth", "impedance", "transform", "verify", "enumerate", "roots", "pr-check", "falsify"}
+
+
+@pytest.mark.parametrize("argv", PROCESS_COMMANDS, ids=[
+    "%02d-%s" % (i, next(arg for arg in argv if arg in SUBCOMMANDS)) for i, argv in enumerate(PROCESS_COMMANDS)])
+def test_a_process_prints_and_exits_as_main_returns(capsys, argv):
+    argv = fill_netlist(argv, capsys)
+    proc = cli_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process(capsys, argv)
+
+
+def test_the_process_commands_cover_every_exit_code_but_141(capsys):
+    assert {main(fill_netlist(argv, capsys)) for argv in PROCESS_COMMANDS} == {0, 1, 2, 3}
+
+
+def test_the_console_script_exits_through_run_and_exit(capsys):
+    # the wrapper that pip writes for [project.scripts]: import the entry
+    # point and sys.exit() what it returns
+    entry = re.search(r'^biquadrlc = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert entry.groups() == ("biquadrlc.cli", "run_and_exit")
+    wrapper = "import sys; from %s import %s as entry; sys.argv[0] = 'biquadrlc'; sys.exit(entry())" % entry.groups()
+    for argv in (["classify"] + FIG3A_TARGET, ["pr-check", "--target", '{"k":"1","z":"1","p":"6"}'],
+                 ["classify", "--k", "1", "--z", "1", "--p", "1"]):
+        proc = subprocess.run([sys.executable, "-c", wrapper] + argv, env=PROCESS_ENV, capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == in_process(capsys, argv)
+
+
+def test_an_output_larger_than_a_pipe_buffer_arrives_whole(capsys):
+    proc = cli_process(["enumerate", "--n", "7"])
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert len(proc.stdout) == 233061
+    assert proc.stdout == in_process(capsys, ["enumerate", "--n", "7"])[1]
+    assert json.loads(proc.stdout)["count"] == len(json.loads(proc.stdout)["topologies"])
+
+
 def test_closed_stdout_exits_quietly():
     # a reader that is gone before the output is written, as with
     # ``enumerate --n 4 | head -c 10``: no traceback, the documented code
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen([sys.executable, "-m", "biquadrlc.cli", "enumerate", "--n", "4"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=PROCESS_ENV)
     proc.stdout.close()  # before the child can have written anything
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait() == 141
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_closed_stdout_with_the_output_still_in_the_buffer_exits_quietly():
+    # ``enumerate --n 2`` fits in the stream's buffer: the write succeeds and
+    # each flush that follows fails again
+    proc = subprocess.Popen([sys.executable, "-m", "biquadrlc.cli", "enumerate", "--n", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=PROCESS_ENV)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+
+
+def test_a_reader_that_leaves_early_gets_exit_141_and_an_empty_stderr():
+    # ``enumerate --n 7 | head -c 1``: more than a pipe buffer is still to
+    # be written when the reader goes
+    proc = subprocess.Popen([sys.executable, "-m", "biquadrlc.cli", "enumerate", "--n", "7"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=PROCESS_ENV)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+
+
+ATEXIT_PROBE = """
+import atexit, runpy, sys
+def goodbye():
+    sys.stdout.write("stdout after main\\n")
+    sys.stderr.write("stderr after main")  # no newline: held in the buffer
+atexit.register(goodbye)
+class Teardown:
+    def __del__(self):  # runs when the interpreter's teardown clears this module
+        sys.stderr.write("torn down")
+kept = Teardown()
+sys.argv = ["biquadrlc"] + sys.argv[1:]
+runpy.run_module("biquadrlc.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_a_process_runs_atexit_handlers_then_flushes_and_skips_teardown(capsys):
+    argv = ["pr-check", "--target", '{"k":"1","z":"1","p":"6"}']
+    proc = subprocess.run([sys.executable, "-c", ATEXIT_PROBE] + argv, env=PROCESS_ENV, capture_output=True)
+    code, out, err = in_process(capsys, argv)
+    assert proc.returncode == code == 1
+    assert proc.stdout == out + b"stdout after main\n"
+    assert proc.stderr == err + b"stderr after main"
+
+
+@pytest.mark.parametrize("command", ["classify", "synth"])
+def test_precision_bits_has_a_maximum(capsys, command):
+    assert main(["--precision-bits", str(MAX_PRECISION_BITS), command] + FIG3A_TARGET) == 0
+    capsys.readouterr()
+    assert main(["--precision-bits", str(MAX_PRECISION_BITS + 1), command] + FIG3A_TARGET) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "--precision-bits must be <= %d" % MAX_PRECISION_BITS}
+
+
+def test_a_full_mantissa_at_the_maximum_precision_prints():
+    # what the maximum guards: mpmath.nstr(x, 50) of an mpf whose mantissa
+    # has more bits builds a decimal integer above Python's 4300-digit limit
+    import mpmath
+
+    from biquadrlc.ratpoly import scalar_to_str, workprec
+
+    mantissas = [2**MAX_PRECISION_BITS - 1, 2 ** (MAX_PRECISION_BITS - 1) + 1]
+    with workprec(MAX_PRECISION_BITS):
+        for man in mantissas:
+            for magnitude in (-100000, -MAX_PRECISION_BITS, -3501, 3501, MAX_PRECISION_BITS, 100000):
+                x = mpmath.mpf((man, magnitude - MAX_PRECISION_BITS))
+                assert x.man == man
+                assert len(scalar_to_str(x)) < 60
