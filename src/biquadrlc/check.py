@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .network import SPNet, impedance, leaves
-from .ratpoly import Poly, RationalFn, field_of, is_exact_scalar, workprec
+from .ratpoly import Poly, RationalFn, field_of, is_exact_scalar, workprec, working_tol
 
 __all__ = ["verify_exact", "verify_numeric", "coefficient_residual"]
 
@@ -69,7 +69,7 @@ def verify_exact(net: SPNet, target: RationalFn) -> bool:
 def verify_numeric(
     net: SPNet,
     target: RationalFn,
-    tol=Fraction(1, 10**20),
+    tol=None,
     precision_bits: int = 256,
 ) -> Tuple[bool, object]:
     """Residual check of impedance(net) against the target.
@@ -79,6 +79,7 @@ def verify_numeric(
     impedance and target coefficients: an exactly matching network of exact
     values reports residual 0.
     """
+    tol = working_tol(precision_bits) if tol is None else tol
     with workprec(precision_bits):
         z = impedance(net)
         polys = (z.num, z.den, target.num, target.den)

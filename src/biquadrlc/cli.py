@@ -6,8 +6,9 @@ listing).  Exit codes: 0 success; 1 for NotPositiveReal / UnknownWithinScope
 outcomes and verification failures; 2 for invalid input; 3 when the program
 fails its own checks, for example when a synthesized network does not
 re-verify at the working precision; 141 when stdout is closed before the
-output is written, as by ``| head``.  ``--precision-bits`` runs from 64 to
-14280: above that, a 50-digit print of an mpf can fail inside mpmath.
+output is written, as by ``| head`` or ``>&-``.  ``--precision-bits``
+runs from 64 to 14280: above that, a 50-digit print of an mpf can fail
+inside mpmath.
 
 A command run as a process (``python -m biquadrlc.cli`` or the
 ``biquadrlc`` script) exits as soon as its atexit handlers have run and its
@@ -35,7 +36,6 @@ import atexit
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
@@ -135,7 +135,7 @@ def _emit(obj, args) -> None:
 
 def _emit_netlist(net, args, extra=None) -> None:
     if args.format == "spice":
-        sys.stdout.write(to_spice(net))
+        print(to_spice(net), end="")
         return
     payload = {"netlist": to_netlist_json(net)}
     if extra:
@@ -295,8 +295,7 @@ def _cmd_falsify(args) -> int:
     from .verify import falsify_small  # the one command that needs numpy
 
     target = _target_rational(args.target)
-    # without --tol, falsify_small's default of 1e-8: a float64 fit cannot
-    # meet the 1e-20 that the other commands default to
+    # without --tol, falsify_small's 1e-8, which a float64 fit can meet
     tol = {} if args.tol is None else {"tol": args.tol}
     report = falsify_small(
         target,
@@ -314,14 +313,6 @@ def _cmd_falsify(args) -> int:
 # parser
 
 
-def _default_tol(precision_bits: int) -> Fraction:
-    """Verification tolerance of every command but falsify when --tol is
-    not given: 1e-20, raised to 2^(16 - precision_bits) where that is larger
-    (below 83 bits), so that it never asks for less than 2^16 units in the
-    last place of the working precision."""
-    return max(Fraction(1, 10**20), Fraction(1, 2 ** (precision_bits - 16)))
-
-
 def _add_global_options(parser, suppress: bool):
     default = lambda v: argparse.SUPPRESS if suppress else v
     parser.add_argument(
@@ -336,8 +327,8 @@ def _add_global_options(parser, suppress: bool):
         type=str,
         default=default(None),
         help="verification tolerance (max relative coefficient error); "
-        "default 1e-20, or 2^(16 - precision bits) where that is larger; "
-        "falsify: 1e-8",
+        "default max(1e-20, 2^(16 - precision bits)), which is also the band "
+        "of the equalities decided inexactly; falsify: 1e-8",
     )
     parser.add_argument(
         "--format", choices=("json", "spice", "text"), default=default("json")
@@ -434,10 +425,10 @@ def main(argv=None) -> int:
                 args.tol = scalar_from_str(args.tol)
                 if not args.tol > 0:
                     raise CliError("--tol must be positive")
-            elif args.func is not _cmd_falsify:
-                args.tol = _default_tol(args.precision_bits)
             code = args.func(args)
-            sys.stdout.flush()  # a reader that has gone (``| head``) shows here
+            if sys.stdout is None:  # closed at start: the output went nowhere
+                return EXIT_CLOSED_STDOUT
+            _flush(sys.stdout)  # a reader that has gone (``| head``) shows here
             return code
     except BrokenPipeError:
         return EXIT_CLOSED_STDOUT

@@ -38,7 +38,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Poly",
@@ -56,6 +56,7 @@ __all__ = [
     "field_of",
     "load_mpmath",
     "workprec",
+    "working_tol",
 ]
 
 
@@ -106,6 +107,17 @@ def workprec(bits: int):
             sys.modules["mpmath"].mp.prec = _deferred[-1] if _deferred else _found_prec
             if not _deferred:
                 _found_prec = None
+
+
+def working_tol(bits: Optional[int] = None) -> Fraction:
+    """max(1e-20, 2^(16 - bits)), never less than 2^16 units in the last place:
+    the default verification tolerance and the band of the equalities decided
+    inexactly.  ``bits`` defaults to the working precision, read without
+    loading mpmath (the innermost :func:`workprec`'s until it is loaded)."""
+    if bits is None:
+        mpmath = sys.modules.get("mpmath")
+        bits = mpmath.mp.prec if mpmath is not None else _deferred[-1] if _deferred else 53
+    return max(Fraction(1, 10**20), Fraction(2) ** (16 - bits))
 
 
 # ---------------------------------------------------------------------------

@@ -45,14 +45,16 @@ re-verifies it with ``verify_numeric``, raising RuntimeError when it fails.
 Every condition is a polynomial in eta = p/z (z normalized to 1).  An
 equality is decided exactly (value == 0) wherever an exact input can satisfy
 it: Fraction inputs on the rational loci (p = 3z, p = z/3 and the lemma
-conditions) and QuadraticRational inputs on every locus.  The band
-|value| <= 1e-20 decides the rest: Fraction inputs on the irrational loci
-(eta = 2 + sqrt2, 1/(2 + sqrt2), the n4a and n5a roots), so that
+conditions) and QuadraticRational inputs on every locus.  The band |value| <=
+``ratpoly.working_tol()`` decides the rest: Fraction inputs on the irrational
+loci (eta = 2 + sqrt2, 1/(2 + sqrt2), the n4a and n5a roots), so that
 isolating-interval midpoints (see n4a_root_interval / n5a_root_interval) and
-long decimal literals can be fed back in, and every mpf input.  A target the
-band puts on the n4a or n5a locus lies off it by up to the band, so the
-re-verification decides: a network that misses the target by more than
-``tol`` rejects it (NotRealizableError).
+long decimal literals can be fed back in, and every mpf input.  That one rule,
+max(1e-20, 2^(16 - bits)) at the working precision, is also the default
+``tol`` (``tol=None``) of ``classify``, ``synthesize`` and ``verify_numeric``.
+A target the band puts on the n4a or n5a locus lies off it by up to the band,
+so the re-verification decides: a network that misses the target by more
+than ``tol`` rejects it (NotRealizableError).
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ from .ratpoly import (
     sturm_count,
     to_mpf,
     workprec,
+    working_tol,
 )
 
 __all__ = [
@@ -108,10 +111,7 @@ __all__ = [
     "n4a_root_interval",
     "n5a_root_interval",
     "count_roots_below_sqrt5_bound",
-    "EQUALITY_TOL",
 ]
-
-EQUALITY_TOL = Fraction(1, 10**20)
 
 # condition polynomials in eta = p/z (z normalized to 1), ascending degree
 FIG3A_QUARTIC = Poly([Fraction(5), Fraction(-14), Fraction(6), Fraction(-6), Fraction(1)])
@@ -209,19 +209,17 @@ class RealizationReport(_Record, mutable=True):
 
 
 def _eq_zero(value, rational_locus: bool = True) -> bool:
-    """Whether a condition value is 0: exactly where an exact input can lie
-    on the locus, else within |value| <= 1e-20.
-
-    A QuadraticRational value, or an exact value on a locus with rational
-    points, is decided with ``== 0``.  A rational value on an irrational
-    locus (``rational_locus=False``) can never be 0 there, so it gets the
-    band, which lets callers supply isolating-interval midpoints or long
-    decimal literals for the irrational roots; so does every mpf value.
+    """Whether a condition value is 0: with ``== 0`` for a QuadraticRational
+    value and for an exact value on a locus with rational points, else within
+    the band |value| <= ``working_tol()``, max(1e-20, 2^(16 - bits)) at the
+    working precision.  A rational value on an irrational locus
+    (``rational_locus=False``) is never 0 there, so the band lets callers
+    supply isolating-interval midpoints or long decimal literals of its roots.
     """
     if isinstance(value, QuadraticRational) or (rational_locus and is_exact_scalar(value)):
         return value == 0
     f = field_of(value)
-    return abs(f(value)) <= f(EQUALITY_TOL)
+    return abs(f(value)) <= f(working_tol())
 
 
 def _record(name, value, passed) -> ConditionRecord:
@@ -584,7 +582,7 @@ def synthesize(
     config: str,
     transform: Optional[str] = None,
     precision_bits: int = 256,
-    tol=Fraction(1, 10**20),
+    tol=None,
 ) -> Tuple[SPNet, object]:
     """Synthesize ``config`` for b and re-verify the network against b.
 
@@ -596,6 +594,7 @@ def synthesize(
     irrational loci accept lies off them by up to the band.  A fig3a network
     that does not verify is a fault of the program (RuntimeError).
     """
+    tol = working_tol(precision_bits) if tol is None else tol
     with workprec(precision_bits):
         bt = b if transform is None else transform_params(b, transform)
         net_t = synth_config(config, bt, precision_bits=precision_bits)
@@ -605,9 +604,9 @@ def synthesize(
     if not ok:
         if _report_name(config) in _LOCI:
             raise NotRealizableError(
-                "the target lies within the 1e-20 band of the %s locus, but the network "
+                "the target lies within the %g band of the %s locus, but the network "
                 "synthesized for it misses it (residual %s, tolerance %s)"
-                % (config, scalar_to_str(residual), scalar_to_str(tol))
+                % (working_tol(precision_bits), config, scalar_to_str(residual), scalar_to_str(tol))
             )
         raise RuntimeError(
             "synthesized network failed verification (residual %s)" % scalar_to_str(residual)
@@ -622,7 +621,7 @@ def synthesize(
 def classify(
     b: CanonicalBiquad,
     precision_bits: int = 256,
-    tol=Fraction(1, 10**20),
+    tol=None,
 ) -> RealizationReport:
     """Classify a canonical biquadratic target and synthesize when the
     seven-element catalog (closed under inv/dual/gdu) applies.
@@ -691,6 +690,12 @@ def classify(
 # the three / four / five element lemma evaluators
 
 
+def _first_hit(conds) -> Tuple[bool, Optional[int]]:
+    """A lemma's verdict: (True, the number of its first condition that holds) or (False, None)."""
+    hit = next((i for i, ok in enumerate(conds, start=1) if ok), None)
+    return hit is not None, hit
+
+
 def lemma_three_element(f) -> Tuple[bool, Optional[int]]:
     """Three-element realizability of (a s^2 + b s + g)/(s+p)^2.
 
@@ -706,44 +711,39 @@ def lemma_three_element(f) -> Tuple[bool, Optional[int]]:
         _eq_zero(a) and _eq_zero(2 * bb * p - g),
         _eq_zero(a * p * p - bb * p + g),
     ]
-    for i, ok in enumerate(conds, start=1):
-        if ok:
-            return True, i
-    return False, None
+    return _first_hit(conds)
+
+
+def _lemma_polys(a, bb, g, p):
+    """The four polynomials of lemma_four_element's conditions 5 and 4 (= 0)
+    and lemma_five_element_two_reactive's 1 to 4 (< 0), two per sign of a p^2 - g."""
+    return (
+        a * p * p + 3 * g - 2 * bb * p,
+        a * a * p * p + bb * bb - 2 * a * bb * p - a * g,
+        3 * a * p * p + g - 2 * bb * p,
+        bb * bb * p * p + g * g - a * g * p * p - 2 * bb * g * p,
+    )
 
 
 def lemma_four_element(f) -> Tuple[bool, Optional[int]]:
     """Four-element realizability; requires lemma_three_element false."""
-    ok3, _ = lemma_three_element(f)
-    if ok3:
+    if lemma_three_element(f)[0]:
         raise ValueError("four-element lemma requires the three-element condition false")
     a, bb, g, p = f.alpha, f.beta, f.gamma, f.p
     pos = a > 0 and bb > 0 and g > 0
+    above1, above2, below1, below2 = _lemma_polys(a, bb, g, p)
     conds = [
         _eq_zero(a) and g < 2 * bb * p,
         _eq_zero(g) and a * p < 2 * bb,
         pos and _eq_zero(a * p * p - g),
-        pos
-        and a * p * p < g
-        and (
-            _eq_zero(3 * a * p * p + g - 2 * bb * p)
-            or _eq_zero(bb * bb * p * p + g * g - a * g * p * p - 2 * bb * g * p)
-        ),
-        pos
-        and a * p * p > g
-        and (
-            _eq_zero(a * p * p + 3 * g - 2 * bb * p)
-            or _eq_zero(a * a * p * p + bb * bb - 2 * a * bb * p - a * g)
-        ),
+        pos and a * p * p < g and (_eq_zero(below1) or _eq_zero(below2)),
+        pos and a * p * p > g and (_eq_zero(above1) or _eq_zero(above2)),
         pos
         and _eq_zero(
             a * a * p**4 - 2 * a * bb * p**3 + 6 * a * g * p * p - 2 * bb * g * p + g * g
         ),
     ]
-    for i, ok in enumerate(conds, start=1):
-        if ok:
-            return True, i
-    return False, None
+    return _first_hit(conds)
 
 
 def lemma_five_element_two_reactive(f) -> Tuple[bool, Optional[int]]:
@@ -752,19 +752,15 @@ def lemma_five_element_two_reactive(f) -> Tuple[bool, Optional[int]]:
     a, bb, g, p = f.alpha, f.beta, f.gamma, f.p
     if not (a > 0 and bb > 0 and g > 0):
         raise ValueError("five-element lemma requires alpha, beta, gamma > 0")
-    ok3, _ = lemma_three_element(f)
-    if ok3:
+    if lemma_three_element(f)[0]:
         raise ValueError("five-element lemma requires the three-element condition false")
-    ok4, _ = lemma_four_element(f)
-    if ok4:
+    if lemma_four_element(f)[0]:
         raise ValueError("five-element lemma requires the four-element condition false")
+    above1, above2, below1, below2 = _lemma_polys(a, bb, g, p)
     conds = [
-        a * p * p > g and a * p * p + 3 * g - 2 * bb * p < 0,
-        a * p * p > g and a * a * p * p + bb * bb - 2 * a * bb * p - a * g < 0,
-        a * p * p < g and 3 * a * p * p + g - 2 * bb * p < 0,
-        a * p * p < g and bb * bb * p * p + g * g - a * g * p * p - 2 * bb * g * p < 0,
+        a * p * p > g and above1 < 0,
+        a * p * p > g and above2 < 0,
+        a * p * p < g and below1 < 0,
+        a * p * p < g and below2 < 0,
     ]
-    for i, ok in enumerate(conds, start=1):
-        if ok:
-            return True, i
-    return False, None
+    return _first_hit(conds)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from biquadrlc.biquad import (
@@ -54,6 +56,67 @@ def test_is_positive_real_examples():
     assert is_positive_real(GeneralBiquad(1, 1, 4, 1, 1, 4)) is True
     # (sqrt(16) - sqrt(1))^2 = 9 > 1*1
     assert is_positive_real(GeneralBiquad(4, 1, 1, 1, 1, 4)) is False
+
+
+def _positive_real_by_definition(coeffs) -> bool:
+    """The definition of a positive-real Z(s) = (A s^2 + B s + C)/(D s^2 +
+    E s + F), decided exactly by sympy on Z in lowest terms: no pole or zero
+    in Re s > 0, every pole and zero on the jw axis simple (s = 0 and s = oo
+    included), a real positive residue at each finite pole there, and
+    Re Z(jw) >= 0 for every real w."""
+    sympy = pytest.importorskip("sympy")
+    s, w = sympy.Symbol("s"), sympy.Symbol("w", real=True)
+    A, B, C, D, E, F_ = (sympy.Rational(c.numerator, c.denominator) for c in coeffs)
+    num, den = sympy.Poly(A * s**2 + B * s + C, s), sympy.Poly(D * s**2 + E * s + F_, s)
+    common = sympy.gcd(num, den)
+    num, den = num.exquo(common), den.exquo(common)
+    if abs(num.degree() - den.degree()) > 1:  # a multiple pole or zero at s = oo
+        return False
+    for poly in (num, den):
+        for root, multiplicity in sympy.roots(poly).items():
+            if sympy.re(root) > 0 or (sympy.re(root) == 0 and multiplicity > 1):
+                return False
+            if poly is den and sympy.re(root) == 0:
+                residue = sympy.simplify(num.eval(root) / den.diff(s).eval(root))
+                if not (sympy.im(residue) == 0 and sympy.re(residue) > 0):
+                    return False
+    # Re Z(jw) = Re(num(jw) conj(den(jw))) / |den(jw)|^2 >= 0 for every real w
+    # exactly when this even polynomial in w has no real root of odd
+    # multiplicity and a positive value away from its roots
+    re_part = sympy.Poly(sympy.re(sympy.expand(num.as_expr().subs(s, sympy.I * w)
+                                               * den.as_expr().subs(s, -sympy.I * w))), w)
+    if re_part.is_zero:
+        return True
+    roots = re_part.real_roots()
+    if any(roots.count(r) % 2 for r in roots):
+        return False
+    away = 1 + max((abs(r) for r in roots), default=0)
+    return bool(re_part.eval(away) > 0)
+
+
+_COEFFICIENT = st.one_of(st.just(F(0)), st.fractions(F(0), F(9), max_denominator=4))
+
+
+@st.composite
+def _general_biquads(draw):
+    """Nonnegative rational coefficients, zeros included, half of them on
+    the boundary (sqrt(AF) - sqrt(CD))^2 = BE of the positive-real test or
+    1/7 off it."""
+    if draw(st.booleans()):
+        coeffs = [draw(_COEFFICIENT) for _ in range(6)]
+    else:
+        a, c, d, f, e = (draw(st.integers(0, 4)) for _ in range(5))
+        gap = max(F(0), (a * f - c * d) ** 2 + draw(st.sampled_from([F(0), F(0), F(1, 7), F(-1, 7)])))
+        b = gap / e if e else draw(_COEFFICIENT)
+        coeffs = [F(a * a), b, F(c * c), F(d * d), F(e), F(f * f)]
+    assume(any(coeffs[:3]) and any(coeffs[3:]))
+    return coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_general_biquads())
+def test_is_positive_real_agrees_with_the_definition(coeffs):
+    assert is_positive_real(GeneralBiquad(*coeffs)) is _positive_real_by_definition(coeffs), coeffs
 
 
 def test_canonical_positive_real_examples():

@@ -1,6 +1,8 @@
 """CLI tests (in-process via main(), and in a subprocess where the
 process's own streams matter)."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,13 +12,18 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
 from biquadrlc.check import verify_numeric
-from biquadrlc.cli import MAX_PRECISION_BITS, _default_tol, main
+from biquadrlc.cli import MAX_PRECISION_BITS, main
 from biquadrlc.network import from_netlist_json
+from biquadrlc.ratpoly import working_tol, workprec
 from biquadrlc.realize import N4A_QUARTIC
+from boundaries import BOUNDARIES
 
 
 def run(capsys, *argv):
@@ -320,14 +327,19 @@ def test_precision_64_synthesis_self_verifies(capsys, command, p):
     assert code == 0
     net = from_netlist_json(data["network" if command == "classify" else "netlist"])
     target = to_rational_fn(CanonicalBiquad(Fraction(1), Fraction(1), Fraction(p)))
-    ok, residual = verify_numeric(net, target, tol=_default_tol(64), precision_bits=64)
+    ok, residual = verify_numeric(net, target, tol=working_tol(64), precision_bits=64)
     assert ok and residual > 0
 
 
 def test_default_tol_follows_precision():
-    assert _default_tol(64) == Fraction(1, 2**48)
+    assert working_tol(64) == Fraction(1, 2**48)
+    assert working_tol(82) == Fraction(1, 2**66)
     for bits in (83, 128, 256, 1024):
-        assert _default_tol(bits) == Fraction(1, 10**20)
+        assert working_tol(bits) == Fraction(1, 10**20)
+    # without bits, the working precision
+    for bits in (64, 256):
+        with workprec(bits):
+            assert working_tol() == working_tol(bits)
 
 
 @pytest.mark.parametrize("bits", ["128", "256"])
@@ -342,6 +354,43 @@ def test_band_accepted_decimal_off_the_locus_exits_1(capsys, config, p, bits):
         captured = capsys.readouterr()
         error = json.loads(captured.err or captured.out)["error"]
         assert "band of the %s locus" % config in error
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(BOUNDARIES)),
+    st.sampled_from(["classify", "synth"]),
+    st.integers(64, 256),
+    st.integers(6, 60),
+    st.one_of(st.just(0), st.integers(3, 80)),
+    st.sampled_from([1, -1]),
+)
+def test_decimals_near_every_boundary_end_in_a_documented_exit_code(name, command, bits, places, digits,
+                                                                    sign):
+    # p a decimal of `places` significant digits of eta, or of eta 10^-digits
+    # off it relatively: exit 0 with a class on either side of the boundary
+    # (and a network from synth), or exit 1 with a negative class, a class
+    # that synth has no network for, or a target that the band puts on an
+    # n4a/n5a locus and that its network misses; never 2 or 3
+    eta_at, on_boundary, near = BOUNDARIES[name]
+    with mpmath.mp.workprec(300):
+        eta = eta_at() * (1 + sign * (mpmath.mpf(10) ** -digits if digits else 0))
+        p = mpmath.nstr(eta, places, min_fixed=-mpmath.inf, max_fixed=mpmath.inf)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--precision-bits", str(bits), command, "--k", "1", "--z", "1", "--p", p])
+    if err.getvalue():
+        assert code == 1 and out.getvalue() == ""
+        assert on_boundary and "band of the %s locus" % on_boundary[1] in json.loads(err.getvalue())["error"]
+        return
+    data = json.loads(out.getvalue())
+    if command == "classify":
+        assert data["class"] in near
+        assert code == (1 if data["class"] in ("NotPositiveReal", "UnknownWithinScope") else 0)
+    elif code == 1:
+        assert data["class"] in near and data["error"].startswith("no closed-form synthesis")
+    else:
+        assert code == 0 and data["config"] in ("fig3a", "n4a", "n5a") and data["netlist"]
 
 
 def test_failed_self_verification_exits_3(capsys):
@@ -531,6 +580,21 @@ def test_closed_stdout_with_the_output_still_in_the_buffer_exits_quietly():
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--n", "2"], ["classify", "--k", "1", "--z", "1", "--p", "3"],
+                                  ["--format", "spice", "synth"] + FIG3A_TARGET])
+def test_stdout_closed_at_start_exits_141_quietly(argv):
+    # ``>&-``: the interpreter starts with sys.stdout set to None
+    command = "exec %s -m biquadrlc.cli %s >&-" % (shlex.quote(sys.executable), shlex.join(argv))
+    proc = subprocess.run(["sh", "-c", command], env=PROCESS_ENV, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_stdout_closed_at_start_still_reports_invalid_input():
+    command = "exec %s -m biquadrlc.cli classify --k 1 --z 1 --p 1 >&-" % shlex.quote(sys.executable)
+    proc = subprocess.run(["sh", "-c", command], env=PROCESS_ENV, capture_output=True)
+    assert proc.returncode == 2 and "error" in json.loads(proc.stderr)
 
 
 def test_a_reader_that_leaves_early_gets_exit_141_and_an_empty_stderr():

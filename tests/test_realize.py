@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from biquadrlc.biquad import CanonicalBiquad, PoleSquaredForm, to_rational_fn, transform_params
@@ -24,9 +26,9 @@ from biquadrlc.ratpoly import (
     resultant,
     scalar_to_str,
     squarefree_part,
+    working_tol,
 )
 from biquadrlc.realize import (
-    EQUALITY_TOL,
     N4A_QUARTIC,
     N5A_DEGREE10,
     NotRealizableError,
@@ -51,6 +53,7 @@ from biquadrlc.realize import (
     synth_n5a,
 )
 from biquadrlc.verify import verify_exact, verify_numeric
+from boundaries import BOUNDARIES
 from eliminations import ELIMINATIONS
 
 F = Fraction
@@ -87,7 +90,7 @@ def test_classify_decides_exact_four_element_loci_exactly(bits):
     # exact targets just off p = 3z and p = z/3, inside the 1e-20 band; the
     # fig3a values there come from nearly cancelling terms, so this also
     # checks the synthesis at low working precision
-    tol = max(F(1, 10**20), F(2) ** (16 - bits))
+    tol = working_tol(bits)
     for p in (3 + F(1, 10**25), F(1, 3) - F(1, 10**35)):
         rep = classify(B(F(7, 25), F(19, 5), F(19, 5) * p), precision_bits=bits, tol=tol)
         assert rep.klass is RealizationClass.SEVEN_ELEMENT_CATALOG, p
@@ -654,4 +657,57 @@ def test_equality_tolerance_on_floats():
     with mp.workprec(256):
         assert check_n4a_condition(mpf(1), p) is True
         assert check_n4a_condition(mpf(1), p + mpf("1e-6")) is False
-    assert EQUALITY_TOL == F(1, 10**20)
+        assert working_tol() == F(1, 10**20)
+
+
+# ---------------------------------------------------------------------------
+# the band follows the working precision
+
+
+@pytest.mark.parametrize("bits", [64, 80, 128])
+def test_four_element_targets_rounded_to_the_working_precision_stay_four_element(bits):
+    # rational k and z with p = 3z or z/3, each rounded to a bits-bit mpf: the
+    # band is 2^(16 - bits) below 83 bits, so every target lies in it (a
+    # fixed 1e-20, below one unit in the last place at 64 bits, missed a
+    # third of them, and some of those raised RuntimeError)
+    rng = random.Random(20)
+    for _ in range(200):
+        k, z = (F(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(2))
+        p = 3 * z if rng.random() < 0.5 else z / 3
+        with mp.workprec(bits):
+            b = CanonicalBiquad(*(mpf(v.numerator) / v.denominator for v in (k, z, p)))
+        assert classify(b, precision_bits=bits).klass is RealizationClass.FOUR_ELEMENT, (k, z, p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(BOUNDARIES)),
+    st.integers(64, 256),
+    st.fractions(F(1, 100), F(100), max_denominator=100),
+    st.fractions(F(1, 100), F(100), max_denominator=100),
+    st.one_of(st.just(0), st.integers(3, 80)),
+    st.sampled_from([1, -1]),
+)
+def test_mpf_targets_near_every_boundary_get_a_documented_answer(name, bits, k, z, digits, sign):
+    # eta on a boundary, or 10^-digits off it relatively, with every value an
+    # mpf of the working precision: the class is one of those on either side,
+    # a target the band puts on an n4a/n5a locus may be rejected
+    # (NotRealizableError), and no other error is raised; on the boundary
+    # itself the band always holds the target
+    eta_at, on_boundary, near = BOUNDARIES[name]
+    with mp.workprec(bits + 64):
+        eta = eta_at() * (1 + sign * (mpf(10) ** -digits if digits else 0))
+    with mp.workprec(bits):
+        zz = mpf(z.numerator) / z.denominator
+        b = CanonicalBiquad(mpf(k.numerator) / k.denominator, zz, +(eta * zz))
+    try:
+        rep = classify(b, precision_bits=bits)
+    except NotRealizableError as exc:
+        assert on_boundary and "band of the %s locus" % on_boundary[1] in str(exc)
+        assert digits, "a target rounded from the locus verifies"
+        return
+    assert rep.klass.value in near
+    if not digits and on_boundary is not None:
+        assert (rep.klass.value, rep.config) == on_boundary
+    if rep.config is not None:
+        assert rep.network is not None and float(rep.residual) <= working_tol(bits)

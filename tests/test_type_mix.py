@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 from biquadrlc.biquad import CanonicalBiquad, PoleSquaredForm, to_rational_fn, transform_params
 from biquadrlc.network import TRANSFORMS, Leaf, apply_transform, impedance, leaves, parallel, series
 from biquadrlc.ratpoly import QuadraticRational, is_exact_scalar
-from biquadrlc.realize import classify
+from biquadrlc.realize import RealizationClass, classify
 
 # (k, z, eta = p/z): every class, and catalog hits with and without a transform
 _BASES = [
@@ -95,11 +95,12 @@ def test_mixed_types_stay_in_their_field(base, hows):
 
 
 def test_mpf_boundary_hits_are_ones_synthesis_accepts():
-    # at 64 bits the 1e-20 band is below an ulp, so mpf targets at eta = 3 and
-    # 1/3 can miss the four-element band and sit on the fig3a boundary; the
-    # closure decides on the parameters synthesize uses, so none raises
+    # at 64 bits the band is 2^-48, so mpf targets at eta = 3 and 1/3 lie in
+    # the four-element band (a fixed 1e-20, below an ulp, put some on the
+    # fig3a boundary, where the closure decides on the parameters synthesize
+    # uses, so none raises)
     for z in (F(1, 3), F(1, 6), F(3, 5), F(5, 2)):
         for eta in (F(3), F(1, 3)):
             with mp.workprec(64):
                 b = CanonicalBiquad(mpf(1), _spell(z, "mpf"), _spell(eta * z, "mpf"))
-                classify(b, precision_bits=64, tol=F(1, 2**48))
+                assert classify(b, precision_bits=64, tol=F(1, 2**48)).klass is RealizationClass.FOUR_ELEMENT
