@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     bits = args.precision_bits
     if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
         bound = ">= %d" % MIN_PRECISION_BITS if bits < MIN_PRECISION_BITS else "<= %d" % MAX_PRECISION_BITS
-        print(json.dumps({"error": "--precision-bits must be " + bound}), file=sys.stderr)
+        _report_error("--precision-bits must be " + bound)
         return EXIT_INVALID
     try:
         with workprec(args.precision_bits):
@@ -433,16 +433,16 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return EXIT_CLOSED_STDOUT
     except CliError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        _report_error(str(exc))
         return exc.code
     except NotRealizableError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        _report_error(str(exc))
         return EXIT_NEGATIVE
     except (ValueError, KeyError, ZeroDivisionError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        _report_error(str(exc))
         return EXIT_INVALID
     except RuntimeError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        _report_error(str(exc))
         return EXIT_INTERNAL
 
 
@@ -463,6 +463,18 @@ def run_and_exit() -> NoReturn:
         code = EXIT_CLOSED_STDOUT
     _flush(sys.stderr)
     os._exit(code)
+
+
+def _report_error(message: str) -> None:
+    # the error's JSON line on stderr, skipped where stderr is None or closed
+    # (as in _flush) or where the write fails (its descriptor was closed at
+    # start, ``2>&-``), so that the exit code stays the documented one
+    stream = sys.stderr
+    if stream is not None and not stream.closed:
+        try:
+            print(json.dumps({"error": message}), file=stream)
+        except OSError:
+            pass
 
 
 def _flush(stream) -> None:

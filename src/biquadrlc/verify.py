@@ -16,6 +16,17 @@ starts in flight), and ``fit_topology`` is the case of one template.  Every
 template keeps its own seed, budget, early exit and evaluation count; a
 certified success stops the templates after it.
 
+A start stops, as in MINPACK, when a step changes its sum of squares or its
+scaled point by at most ``SETTLED`` = 1e-10 relative (``ftol``, ``xtol``),
+when the residuals are orthogonal to every Jacobian column to within a
+cosine of 1e-15 (``gtol``), at an exact fit or at its budget.  1e-10 is one
+decade below ``SAME_COST``, the band in which ``_to_limit`` takes two fits
+as equal.  Iterating on to 1e-15 takes a floor problem at n <= 3 about
+twice as many rounds (mostly its whole budget of 166) and moves no n <= 5
+floor of (s+1)^2/(s+2)^2 or (s+1)^2/(s+3)^2 by 0.1%.  At 1e-9 the best
+start of one floor stops with an element near e^-31 that ``_to_limit``
+then takes to the clip, and the certified floor rises from 0.92 to 1.0.
+
 What does not depend on the target is prepared once per process and cached:
 the terms of each template, and for ``falsify_small`` the labelings of each
 size with their filter verdicts.  The first call in a process pays for them
@@ -286,11 +297,15 @@ def _check_budget(budget: int, starts: int) -> None:
 # Starts that least_squares advances together at most.  A round costs about
 # 200 numpy calls whatever its size, so fitting templates side by side saves
 # rounds; the arrays of a round, and the process's peak memory, grow with the
-# rows.  Most starts stop within a few dozen rounds and the next templates
-# take their place, so 144 rows (6 templates of 24 starts) fit the 12
-# templates of up to three elements about as fast as 288 rows at once.
+# rows.  The 5 templates of up to three elements that the filters keep for a
+# double-root target (120 starts) run in one batch.  With more templates,
+# most starts stop within a few dozen rounds and the next templates take
+# their place, so 144 rows (6 templates of 24 starts) fitted 12 templates
+# about as fast as 288 rows at once.
 BATCH_ROWS = 144
 EXACT_FIT = 1e-14  # a start whose largest |residual| falls below this ends its template's fit
+SAME_COST = 1e-9  # relative band in which _to_limit takes two costs (largest |residual|) as equal
+SETTLED = 1e-10  # ftol and xtol of every start: one decade below SAME_COST (module docstring)
 
 
 class LMResult(NamedTuple):
@@ -363,7 +378,10 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
     1978) with ``factor`` 100 and the scaling D the running maximum of the
     Jacobian's column norms: its own trust radius and parameter, step
     acceptance, stop tests on ``xtol``, ``ftol`` and ``gtol`` and at most
-    ``max_nfev`` residual evaluations.  Each round evaluates one trial step
+    ``max_nfev`` residual evaluations.  ``_fit`` passes ``SETTLED`` (1e-10)
+    as ``xtol`` and ``ftol``, so a start stops once its cost has settled one
+    decade inside ``SAME_COST``, the band in which ``_to_limit`` takes two
+    fits as equal, and 1e-15 as ``gtol``.  Each round evaluates one trial step
     of every running start in one call, and takes the Jacobians of those
     whose step was accepted from that evaluation; finished starts leave the
     batch.  The starts of a template
@@ -545,7 +563,7 @@ def _to_limit(compiled: _CompiledTemplate, t: int, theta: np.ndarray, cost: floa
     where the certification may still see them.  Their Jacobian columns
     have faded; their log-values are shifted outwards together until the
     largest reaches the clip, where the limit network is, if that leaves
-    the residual within a relative 1e-9 or an exact fit."""
+    the residual within a relative ``SAME_COST`` or an exact fit."""
     rows, n = np.array([t]), compiled.elements[t]
     theta = np.clip(theta, -THETA_CLIP, THETA_CLIP)
     colnorm = np.abs(compiled.jacobian(theta[None], rows)[0]).max(axis=0)
@@ -555,7 +573,7 @@ def _to_limit(compiled: _CompiledTemplate, t: int, theta: np.ndarray, cost: floa
     if not inside.any():
         return theta[:n], 1
     trial = theta + inside * np.sign(theta) * (THETA_CLIP - np.abs(theta[inside]).max())
-    if np.abs(compiled.residual(trial[None], rows)).max() <= max(cost * (1 + 1e-9), EXACT_FIT):
+    if np.abs(compiled.residual(trial[None], rows)).max() <= max(cost * (1 + SAME_COST), EXACT_FIT):
         theta = trial
     return theta[:n], 2
 
@@ -590,7 +608,7 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
 
     rows = np.repeat(np.arange(len(templates)), starts)
     least_squares(compiled.evaluate, x0, jac=compiled.jacobian_at, rows=rows, max_nfev=budget // starts,
-                  xtol=1e-15, ftol=1e-15, gtol=1e-15, finish=finish)
+                  xtol=SETTLED, ftol=SETTLED, gtol=1e-15, finish=finish)
     if stop_at_first_success:
         return fits[:next((t + 1 for t, fit in enumerate(fits) if fit.success), len(fits))]
     return fits

@@ -597,6 +597,16 @@ def test_stdout_closed_at_start_still_reports_invalid_input():
     assert proc.returncode == 2 and "error" in json.loads(proc.stderr)
 
 
+@pytest.mark.parametrize("argv", [["classify", "--k", "1", "--z", "1", "--p", "1"],
+                                  ["falsify", "--target", '{"num":["0"],"den":["1"]}', "--nmax", "3"]])
+def test_stderr_closed_at_start_keeps_the_exit_code_of_invalid_input(argv):
+    # ``2>&-``: sys.stderr wraps a descriptor that fails on write, and the
+    # error line that cannot be written must not turn exit 2 into 1
+    command = "exec %s -m biquadrlc.cli %s 2>&-" % (shlex.quote(sys.executable), shlex.join(argv))
+    proc = subprocess.run(["sh", "-c", command], env=PROCESS_ENV, capture_output=True)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 def test_a_reader_that_leaves_early_gets_exit_141_and_an_empty_stderr():
     # ``enumerate --n 7 | head -c 1``: more than a pipe buffer is still to
     # be written when the reader goes

@@ -31,6 +31,7 @@ from biquadrlc.realize import lemma_four_element, lemma_three_element, synth_fig
 from biquadrlc.verify import (
     EXACT_FIT,
     FALSIFY_FILTERS,
+    SETTLED,
     _CompiledTemplate,
     _jw_axis_points,
     coefficient_residual,
@@ -168,6 +169,15 @@ def test_fit_takes_a_runaway_element_to_its_limit():
         assert res.residual < 0.557 and res.values["L1"] == np.exp(verify.THETA_CLIP)
 
 
+def test_fit_stops_late_enough_to_keep_a_floor_finite():
+    # at eta = 3 the best start of R + (C || (R + L)) ends with R1 = 0.08 and
+    # the floor 0.9199; a start stopped sooner (ftol = xtol = 1e-9) leaves R1
+    # near e^-31, _to_limit takes it to the clip and the floor reads 1.0
+    tpl = series(Leaf("R"), parallel(Leaf("C"), series(Leaf("R"), Leaf("L"))))
+    res = fit_topology(tpl, RF((1, 2, 1), (9, 6, 1)), budget=4000, starts=24, seed=7000031)
+    assert res.residual < 0.93
+
+
 TNUM_12, TDEN_12 = np.array([1.0, 2.0, 1.0]), np.array([4.0, 4.0, 1.0])
 
 
@@ -288,12 +298,15 @@ def _certified(tpl, theta, target):
     return verify_numeric(net, target, tol=F(1, 10**8), precision_bits=verify.FIT_PRECISION_BITS)[0]
 
 
-def test_least_squares_floors_match_minpack():
+@pytest.mark.parametrize("tolerances", [LM_TOLERANCES, dict(LM_TOLERANCES, xtol=SETTLED, ftol=SETTLED)],
+                         ids=["1e-15", "SETTLED"])
+def test_least_squares_floors_match_minpack(tolerances):
     # oracle: MINPACK lmder through scipy's leastsq, one start at a time from
-    # the starts of the batch.  Every labeled template of up to three
-    # elements against target_12: the batch's floor (smallest largest
-    # |residual| over the starts) is within 1% of MINPACK's, and the best
-    # starts of the two agree on certification
+    # the starts of the batch, with the same stop tests: 1e-15, and those
+    # that _fit passes.  Every labeled template of up to three elements
+    # against target_12: the batch's floor (smallest largest |residual| over
+    # the starts) is within 1% of MINPACK's, and the best starts of the two
+    # agree on certification
     optimize = pytest.importorskip("scipy.optimize")
     target = RF((1, 2, 1), (4, 4, 1))
     for index, tpl in enumerate(_labeled_templates(3)):
@@ -303,14 +316,14 @@ def test_least_squares_floors_match_minpack():
         x0 = np.random.default_rng(index).normal(0.0, 2.0, (24, len(leaves(tpl))))
         mine = verify.least_squares(
             compiled.evaluate, x0, jac=compiled.jacobian_at, rows=np.zeros(24, dtype=int), max_nfev=166,
-            **LM_TOLERANCES
+            **tolerances
         )
         # full_output returns quietly at maxfev; the covariance it adds
         # overflows on nearly singular fits
         with np.errstate(over="ignore", invalid="ignore"):
             theirs = np.array([
                 optimize.leastsq(fun, start, Dfun=jac, full_output=True, maxfev=166, factor=100,
-                                 **LM_TOLERANCES)[0]
+                                 **tolerances)[0]
                 for start in x0
             ])
         costs_mine = np.abs(mine.fun).max(axis=1)
@@ -720,3 +733,9 @@ def test_fits_repeat_across_processes_and_hash_seeds():
     eta_3 = json.dumps({"k": "1", "z": "1", "p": "3"})
     cli = ["-m", "biquadrlc.cli", "falsify", "--target", eta_3, "--nmax", "4", "--stop-at-first-success"]
     assert _fresh_stdout(cli, 0) == _fresh_stdout(cli, 1)
+
+
+def test_floor_report_is_independent_of_the_hash_seed():
+    # set and dict orders follow PYTHONHASHSEED; the fits must not
+    first, second = (json.loads(_fresh_stdout(["-c", FALSIFY_T12], h)) for h in (0, 12345))
+    assert first == second
