@@ -4,11 +4,10 @@ Every operation is exposed as a subcommand with machine-readable JSON output
 (``--format spice`` switches netlist-producing commands to a SPICE-like
 listing).  Exit codes: 0 success; 1 for NotPositiveReal / UnknownWithinScope
 outcomes and verification failures; 2 for invalid input; 3 when the program
-fails its own checks, for example when a synthesized network does not
-re-verify at the working precision; 141 when stdout is closed before the
-output is written, as by ``| head`` or ``>&-``.  ``--precision-bits``
-runs from 64 to 14280: above that, a 50-digit print of an mpf can fail
-inside mpmath.
+fails its own checks, for example when a synthesized fig3a network does
+not re-verify; 141 when stdout is closed before the output is written, as
+by ``| head`` or ``>&-``.  ``--precision-bits`` runs from 64 to 14280:
+above that, a 50-digit print of an mpf can fail inside mpmath.
 
 A command run as a process (``python -m biquadrlc.cli`` or the
 ``biquadrlc`` script) exits as soon as its atexit handlers have run and its
@@ -18,9 +17,10 @@ A tool that wraps the module in its own process, such as
 profile ``main(argv)`` in-process instead.
 
 Only ``falsify`` loads numpy (through ``verify``).  mpmath is loaded by
-``ratpoly`` when a value needs an mpf: in ``classify`` on a catalog hit,
-``synth``, ``roots`` with a root to isolate and ``falsify``.  The other
-commands, whose values stay exact, never load it.
+``ratpoly`` when a value needs an mpf: in ``classify`` and ``synth`` on an
+inexact target or an n4a/n5a locus, and in ``falsify``.  The other
+commands, ``classify`` and ``synth`` on a rational fig3a target among them,
+keep their values exact and never load it.
 
 Every number read from an option, a netlist, a target or a ``--poly`` array
 goes through ``ratpoly.scalar_from_str``: "3/2", "0.25" and "1e-6" are exact
@@ -64,11 +64,11 @@ from .network import (
 from .ratpoly import (
     Poly,
     RationalFn,
+    decimal_str,
     isolate_root,
     scalar_from_str,
     scalar_to_str,
     sturm_count,
-    to_mpf,
     workprec,
 )
 from .realize import (
@@ -272,7 +272,7 @@ def _cmd_roots(args) -> int:
     if count == 1:
         ilo, ihi = isolate_root(poly, lo, hi, width)
         payload["interval"] = [scalar_to_str(ilo), scalar_to_str(ihi)]
-        payload["midpoint"] = scalar_to_str(to_mpf((ilo + ihi) / 2))
+        payload["midpoint"] = decimal_str((ilo + ihi) / 2)
     _emit(payload, args)
     return EXIT_OK
 

@@ -15,9 +15,10 @@ every one is exact, mpf at the working precision otherwise.
 
 This is the one module of the package that imports mpmath, and only when a
 value needs it (:func:`load_mpmath`): exact arithmetic never loads it, and
-neither does a rational value; the decimal string of a quadratic irrational
-(:func:`scalar_to_str`, which also keys the canonical order of networks) is
-an mpf's.  :func:`workprec` sets the working precision with or without it.
+neither does printing an exact value: the decimal string of a quadratic
+irrational (:func:`scalar_to_str`, which also keys the canonical order of
+networks) comes from integers (:func:`decimal_str`).  :func:`workprec` sets
+the working precision with or without it.
 
 Conventions:
 
@@ -34,6 +35,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -50,6 +52,7 @@ __all__ = [
     "sturm_count",
     "isolate_root",
     "scalar_to_str",
+    "decimal_str",
     "scalar_from_str",
     "is_exact_scalar",
     "to_mpf",
@@ -362,19 +365,75 @@ def field_of(*xs):
     return _exact if all(is_exact_scalar(x) for x in xs) else to_mpf
 
 
+# significant digits of a decimal string
+DIGITS = 50
+
+
+def decimal_str(x) -> str:
+    """The string ``mpmath.nstr(x, 50)`` gives for an exact x (int, Fraction
+    or QuadraticRational), from integer arithmetic alone: 50 significant
+    digits, correctly rounded (half away from zero, a tie that only a
+    rational can make), in fixed notation for decimal exponents -15 to 49
+    and as d.ddd...e+N otherwise, trailing zeros stripped."""
+    x = x if isinstance(x, QuadraticRational) else QuadraticRational(x, 0, 1)
+    sign = x.sign()
+    if sign == 0:
+        return "0.0"
+    # |x| = (P + root_sign sqrt(Q)) / D in integers
+    a, c = sign * x.a, x.b * x.b * x.d
+    P, D = a.numerator * c.denominator, a.denominator * c.denominator
+    Q = c.numerator * c.denominator * a.denominator**2
+    root_sign = sign * ((x.b > 0) - (x.b < 0))
+    shift = DIGITS + 1
+    while True:
+        # m = floor(|x| 10^shift) = floor((P up + root_sign sqrt(Qs)) / (D down)):
+        # r = floor(root_sign sqrt(Qs)) from isqrt, and floor((t + r') / M)
+        # = floor((t + floor(r')) / M) for integers t and M > 0
+        up, down = (10**shift, 1) if shift >= 0 else (1, 10**-shift)
+        Qs = Q * up * up
+        r = math.isqrt(Qs)
+        if root_sign < 0:
+            r = -r if r * r == Qs else -r - 1
+        m = (P * up + r) // (D * down)
+        extra = len(str(m)) - DIGITS
+        if extra > 0:
+            break
+        shift += 1 - extra
+    # m is exact, so one digit past the 50th decides the rounding:
+    # floor(t + 1/2) from floor(t) alone, as 10^extra / 2 is an integer
+    n = (m + 5 * 10 ** (extra - 1)) // 10**extra
+    exponent = DIGITS + extra - 1 - shift
+    if n == 10**DIGITS:
+        n, exponent = n // 10, exponent + 1
+    digits = str(n)
+    if -16 < exponent < DIGITS:
+        if exponent < 0:
+            text = "0." + "0" * (-exponent - 1) + digits
+        else:
+            text = digits[: exponent + 1] + "." + digits[exponent + 1 :]
+        suffix = ""
+    else:
+        text = digits[0] + "." + digits[1:]
+        suffix = "e%+d" % exponent
+    text = text.rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return "-" * (sign < 0) + text + suffix
+
+
 def scalar_to_str(x) -> str:
-    """Stable string form: 'n/d' for exact rationals, decimal otherwise."""
+    """Stable string form: 'n/d' for exact rationals, a decimal of
+    ``DIGITS`` significant digits otherwise (:func:`decimal_str` for a
+    quadratic irrational, ``mpmath.nstr`` for an mpf)."""
     if isinstance(x, int):
         return str(x)
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
     if isinstance(x, QuadraticRational):
-        if x.b == 0:
-            return scalar_to_str(x.a)
-        return load_mpmath().nstr(x.to_mpf(), 50)
+        return scalar_to_str(x.a) if x.b == 0 else decimal_str(x)
     mpmath = load_mpmath()
     if isinstance(x, (mpmath.mpf, float)):
-        return mpmath.nstr(mpmath.mpf(x), 50)
+        return mpmath.nstr(mpmath.mpf(x), DIGITS)
     raise TypeError("cannot serialize %r" % (x,))
 
 

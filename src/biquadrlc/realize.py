@@ -407,12 +407,15 @@ def _positive_or_bug(values: dict, context: str) -> None:
         )
 
 
-def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256, exact: bool = False) -> SPNet:
+def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
     """Closed-form fig3a synthesis (seven elements, four reactive).
 
-    With ``exact=True`` (rational k, z, p only) the element values are exact
-    quadratic-extension scalars and the result verifies exactly; otherwise
-    values are mpf at the requested precision.
+    The inputs pick the field.  Rational k, z, p (ints, Fractions, or
+    QuadraticRationals with b = 0) give exact element values in Q(sqrt d),
+    d = 2(p^2 - 4pz + 5z^2): QuadraticRationals, or Fractions where d is a
+    rational square, so the network verifies exactly at any precision.  Any
+    other input (an mpf, or a quadratic irrational, whose sqrt d would be a
+    nested radical) gives mpf values at ``precision_bits``.
     """
     with workprec(precision_bits):
         if not check_fig3a_condition(b.z, b.p):
@@ -445,16 +448,15 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256, exact: bool = Fal
             "C21": 1 / beta,
         }
 
-    if exact:
-        if not all(isinstance(v, (int, Fraction)) for v in (b.k, b.z, b.p)):
-            raise ValueError("exact synthesis requires rational k, z, p")
+    rational = [v.a if isinstance(v, QuadraticRational) and v.b == 0 else v for v in (b.k, b.z, b.p)]
+    if all(isinstance(v, (int, Fraction)) for v in rational):
 
         def exact_sqrt(d):
             # adjoining sqrt(d) only gives a field when d is not a rational square
             root = _exact_sqrt(d)
             return QuadraticRational(0, 1, d) if root is None else root
 
-        values = values_at(Fraction(b.k), Fraction(b.z), Fraction(b.p), exact_sqrt)
+        values = values_at(*map(Fraction, rational), exact_sqrt)
     else:
         # near p = 3z, p1 and then R2 and C1 come from differences of nearly
         # equal terms, which lose about twice the bits of |p/z - 3|: the mpf

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biquadrlc import realize
 from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
-from biquadrlc.check import verify_numeric
+from biquadrlc.check import verify_exact, verify_numeric
 from biquadrlc.cli import MAX_PRECISION_BITS, main
 from biquadrlc.network import from_netlist_json
 from biquadrlc.ratpoly import working_tol, workprec
@@ -165,6 +166,15 @@ def test_roots_count_and_isolation(capsys):
     lo, hi = data["interval"]
     assert "/" in lo or "." in lo  # exact rational endpoints
     assert float(data["midpoint"]) == pytest.approx(0.175002518, abs=1e-8)
+
+
+@pytest.mark.parametrize("bits", ["64", "256"])
+def test_roots_prints_the_readme_midpoint_at_every_precision(capsys, bits):
+    # the exact midpoint's 50 digits, from integers, whatever the precision
+    code, data = run_json(capsys, "--precision-bits", bits, "roots", "--poly", '["1","-10","31","-40","16"]',
+                          "--lo", "0.15", "--hi", "0.2")
+    assert code == 0
+    assert data["midpoint"] == "0.17500251816359951415268532946279524095174451899433"
 
 
 def test_pr_check(capsys):
@@ -331,6 +341,25 @@ def test_precision_64_synthesis_self_verifies(capsys, command, p):
     assert ok and residual > 0
 
 
+# p/z of rational fig3a targets, directly (p/z > 3) and through inv (p/z < 1/3)
+RATIONAL_FIG3A = ["5", "1/5", "31/7", "4", "9/2", "7/2", "21/4", "1/4", "2/7", "3/10", "53/10", "16/5", "5/16"]
+K_Z = [("1", "1"), ("3", "7/5"), ("137/100", "211/100"), ("2/9", "5")]
+
+
+@pytest.mark.parametrize("bits", ["64", "128", "256", str(MAX_PRECISION_BITS)])
+def test_rational_catalog_targets_verify_exactly_at_every_precision(capsys, bits):
+    # each p/z with two of the (k, z) pairs, every pair with every p/z twice
+    for i, eta in enumerate(RATIONAL_FIG3A):
+        for k, z in (K_Z[i % 4], K_Z[(i + 2) % 4]):
+            p = str(Fraction(eta) * Fraction(z))
+            target = ["--k", k, "--z", z, "--p", p]
+            for command in ("classify", "synth"):
+                code, data = run_json(capsys, "--precision-bits", bits, command, *target)
+                assert (code, data["config"], data["residual"]) == (0, "fig3a", "0"), (command, target)
+            b = CanonicalBiquad(*(Fraction(v) for v in (k, z, p)))
+            assert verify_exact(realize.classify(b, precision_bits=int(bits)).network, to_rational_fn(b))
+
+
 def test_default_tol_follows_precision():
     assert working_tol(64) == Fraction(1, 2**48)
     assert working_tol(82) == Fraction(1, 2**66)
@@ -393,10 +422,14 @@ def test_decimals_near_every_boundary_end_in_a_documented_exit_code(name, comman
         assert code == 0 and data["config"] in ("fig3a", "n4a", "n5a") and data["netlist"]
 
 
-def test_failed_self_verification_exits_3(capsys):
-    argv = ["--precision-bits", "64", "--tol", "1e-20", "synth", "--k", "1", "--z", "1", "--p", "5"]
-    for config in ([], ["--config", "fig3a"]):
-        assert main(argv + config) == 3
+def test_failed_self_verification_exits_3(capsys, monkeypatch):
+    # a rational catalog target verifies exactly at every precision, so no
+    # documented input fails the re-verification: the failure is injected
+    verify = realize.verify_numeric
+    monkeypatch.setattr(realize, "verify_numeric", lambda *args, **kw: (False, verify(*args, **kw)[1]))
+    target = ["--k", "1", "--z", "1", "--p", "5"]
+    for argv in (["synth"] + target, ["synth"] + target + ["--config", "fig3a"], ["classify"] + target):
+        assert main(argv) == 3, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "failed verification" in json.loads(captured.err)["error"]
@@ -518,7 +551,7 @@ def fill_netlist(argv, capsys):
 PROCESS_COMMANDS = readme_commands() + [
     ["classify", "--k", "1", "--z", "1", "--p", "6"],  # exit 1
     ["classify", "--k", "1", "--z", "1", "--p", "1"],  # exit 2
-    ["--precision-bits", "64", "--tol", "1e-20", "synth"] + FIG3A_TARGET,  # exit 3
+    ["--precision-bits", "64", "--tol", "1e-20", "synth"] + FIG3A_TARGET,  # exit 0: residual 0 at any precision
     ["--precision-bits", str(MAX_PRECISION_BITS + 1), "classify"] + FIG3A_TARGET,  # exit 2
 ]
 
@@ -535,7 +568,10 @@ def test_a_process_prints_and_exits_as_main_returns(capsys, argv):
 
 
 def test_the_process_commands_cover_every_exit_code_but_141(capsys):
-    assert {main(fill_netlist(argv, capsys)) for argv in PROCESS_COMMANDS} == {0, 1, 2, 3}
+    # nor 3: no documented input makes the program fail its own checks, as
+    # rational catalog targets verify exactly at every precision, so
+    # test_failed_self_verification_exits_3 injects the failure
+    assert {main(fill_netlist(argv, capsys)) for argv in PROCESS_COMMANDS} == {0, 1, 2}
 
 
 def test_the_console_script_exits_through_run_and_exit(capsys):

@@ -26,6 +26,7 @@ SRC = ROOT / "src"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 NET = '{"type":"series","children":[{"type":"element","kind":"R","value":"3"},{"type":"element","kind":"L","value":"2/5"}]}'
+ROOTS = ["roots", "--poly", '["-2", "0", "1"]', "--lo", "0", "--hi", "2"]
 # commands whose values stay exact, and the exit code of each
 EXACT_COMMANDS = [
     (["impedance", NET], 0),
@@ -36,13 +37,19 @@ EXACT_COMMANDS = [
     (["pr-check", "--target", '{"alpha": "1", "beta": "1", "gamma": "1", "p": "2"}'], 0),
     (["classify", "--k", "1", "--z", "1", "--p", "2"], 0),
     (["roots", "--poly", '["-2", "0", "1"]', "--lo", "0", "--hi", "1"], 0),
+    # a rational catalog target: fig3a values in Q(sqrt d), d = 2(p^2 - 4pz + 5z^2),
+    # printed from integers, directly and through inv
+    (["classify", "--k", "1", "--z", "1", "--p", "5"], 0),
+    (["synth", "--k", "1", "--z", "1", "--p", "1/5"], 0),
+    # d = (26/7)^2 at p = 31/7: every value rational, and no guard bits computed
+    (["synth", "--k", "1", "--z", "1", "--p", "31/7"], 0),
+    # a root to isolate, its rational midpoint printed from integers
+    (ROOTS, 0),
 ]
-# commands that print or verify an mpf
-NUMERIC_COMMANDS = [
-    ["classify", "--k", "1", "--z", "1", "--p", "5"],
-    ["synth", "--k", "1", "--z", "1", "--p", "1/5"],
-    ["roots", "--poly", '["-2", "0", "1"]', "--lo", "0", "--hi", "2"],
-]
+# commands that print or verify an mpf: at the n4a interval midpoint,
+# classify and synth synthesize n4a in mpf
+N4A_TARGET = ["--k", "1", "--z", "1", "--p", "0.17500251816359951415268532946279524095174451899433"]
+NUMERIC_COMMANDS = [["classify"] + N4A_TARGET, ["synth"] + N4A_TARGET]
 
 PROBE = """
 import contextlib, io, json, sys
@@ -116,15 +123,15 @@ from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
 from biquadrlc.check import verify_exact
 from biquadrlc.realize import synth_fig3a
 target = CanonicalBiquad(1, 1, Fraction(31, 7))
-ok = verify_exact(synth_fig3a(target, exact=True), to_rational_fn(target))
+ok = verify_exact(synth_fig3a(target), to_rational_fn(target))
 print(json.dumps({"ok": ok, "mpmath": "mpmath" in sys.modules}))
 """
 
 
 def test_exact_fig3a_synthesis_of_rational_values_loads_no_mpmath():
     # at p = 31/7 the radicand 2(p^2 - 4pz + 5z^2) = (26/7)^2 is a square,
-    # so every element value is rational; the guard bits of the mpf path
-    # are not computed on the exact one
+    # so every element value is rational; rational inputs take the exact
+    # path, and the guard bits of the mpf path are not computed on it
     assert json.loads(_fresh(EXACT_FIG3A_PROBE)) == {"ok": True, "mpmath": False}
 
 
@@ -158,7 +165,10 @@ PRECISION_COMMANDS = [
     for bits in ("64", "128", "256")
     for fmt in ("json", "text", "spice")
     for command, p in (("classify", "5"), ("synth", "1/5"))
-] + [pytest.param(["--precision-bits", bits] + NUMERIC_COMMANDS[2], id="roots-" + bits) for bits in ("64", "256")]
+] + [pytest.param(["--precision-bits", bits] + ROOTS, id="roots-" + bits) for bits in ("64", "256")] + [
+    # the command that loads mpmath late
+    pytest.param(["--precision-bits", bits] + NUMERIC_COMMANDS[0], id="classify-n4a-" + bits) for bits in ("64", "256")
+]
 
 
 @pytest.mark.parametrize("argv", PRECISION_COMMANDS)

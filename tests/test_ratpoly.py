@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biquadrlc.ratpoly import (
     Poly,
     QuadraticRational,
     RationalFn,
+    decimal_str,
     field_of,
     gcd,
     isolate_root,
@@ -461,6 +462,50 @@ def test_scalar_string_roundtrip():
     for text in ("inf", "-inf", "nan", "Infinity", "1/0", "abc", "", "0x10"):
         with pytest.raises(ValueError):
             scalar_from_str(text)
+
+
+_RATIONALS = st.fractions(-(10**6), 10**6, max_denominator=10**6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_RATIONALS, _RATIONALS, st.fractions(F(1, 1000), 1000, max_denominator=1000), st.integers(-70, 70))
+# decimal exponents -16, -15, 49 and 50 of sqrt2 10^e, where the layout
+# switches between fixed and exponent notation, and negative values
+@example(F(0), F(1), F(2), -16)
+@example(F(0), F(-1), F(2), -15)
+@example(F(0), F(1), F(2), 49)
+@example(F(0), F(-1), F(2), 50)
+@example(F(-1), F(0), F(1), 50)
+@example(F(1, 3), F(0), F(1), -16)
+# just below a power of ten: rounding carries into a new digit
+@example(F(10), F(-1, 10**60), F(2), 0)
+@example(F(-10), F(1, 10**60), F(2), 0)
+@example(F(10), F(-1, 10**60), F(1), 48)
+@example(F(0), F(1), F(10**98 - 1, 10**98), 0)
+# just below a tie at the 51st digit: rounds down, also where the root
+# sqrt(j^2 + 1) lies just above an integer (j = 10^100)
+@example(1 + F(5, 10**50), F(-1, 10**120), F(2), 0)
+@example(1 + F(5, 10**50) + 10**100, F(-1), F(10**200 + 1), 0)
+def test_decimal_str_matches_mpmath_nstr(a, b, d, e):
+    # a + b sqrt(d) times 10^e against mpmath.nstr(x, 50) at 1100 bits,
+    # where the mpf's own rounding moves no digit that prints
+    scale = F(10) ** e
+    x = QuadraticRational(a * scale, b * scale, d)
+    with mpmath.workprec(1100):
+        mpf = mpmath.mpf
+        oracle = (mpf(x.a.numerator) / x.a.denominator
+                  + mpf(x.b.numerator) / x.b.denominator * mpmath.sqrt(mpf(d.numerator) / d.denominator))
+        assert decimal_str(x) == mpmath.nstr(oracle, 50)
+    if b == 0:
+        assert decimal_str(x.a) == decimal_str(x)
+
+
+def test_decimal_str_rounds_a_tie_away_from_zero():
+    # only a rational ties; mpmath.nstr rounds an exact tie up in magnitude too
+    tie = 1 + F(5, 10**50)
+    assert decimal_str(tie) == "1.0000000000000000000000000000000000000000000000001"
+    assert decimal_str(-tie) == "-1.0000000000000000000000000000000000000000000000001"
+    assert decimal_str(QuadraticRational(tie, 1, 4) - 2) == decimal_str(tie)
 
 
 def test_poly_from_json_is_exact():

@@ -209,17 +209,13 @@ def test_fig3a_p1_unique_positive_root():
     # root product of the p1 quadratic is -p^2 < 0: exactly one positive root
     quad = fig3a_p1_quadratic(F(1), F(5))
     assert quad == Poly([F(50), F(-40), F(-2)])
-    with mp.workprec(256):
-        expected = -10 + 5 * mpmath.sqrt(5)  # quadratic-formula oracle
-        net = synth_fig3a(B(1, 1, 5))
-        # recover p1 from the synthesized L21 = alpha/(2p + p1), R21 = alpha
-        vals = {}
-        for lf in leaves(net):
-            vals.setdefault((lf.kind, float(lf.value)), lf.value)
-        r21 = max(v for (k, _), v in vals.items() if k == "R")
-        l21 = min(v for (k, _), v in vals.items() if k == "L")
-        p1 = r21 / l21 - 10
-        assert abs(p1 - expected) < mpf("1e-60")
+    net = synth_fig3a(B(1, 1, 5))
+    # recover p1 from the synthesized L21 = alpha/(2p + p1), R21 = alpha
+    r21 = max(lf.value for lf in leaves(net) if lf.kind == "R")
+    l21 = min(lf.value for lf in leaves(net) if lf.kind == "L")
+    # the quadratic-formula root -10 + 5 sqrt5, spelled in Q(sqrt20), the
+    # field the synthesis adjoins (a QuadraticRational compares within one radicand)
+    assert r21 / l21 - 10 == QuadraticRational(-10, F(5, 2), 20)
 
 
 def test_synth_fig3a_verifies_numerically():
@@ -232,7 +228,7 @@ def test_synth_fig3a_verifies_numerically():
 def test_synth_fig3a_exact_quadratic_extension():
     for p in (F(5), F(4), F(1, 2), F(9, 2)):
         b = CanonicalBiquad(F(1), F(1), p)
-        net = synth_fig3a(b, exact=True)
+        net = synth_fig3a(b)
         assert verify_exact(net, to_rational_fn(b))
         assert element_count(net) == 7
         assert reactive_count(net) == 4
@@ -244,7 +240,7 @@ def test_synth_fig3a_exact_with_rational_square_discriminant():
     # 2(p^2 - 4pz + 5z^2) = (26/7)^2 at p = 31/7, z = 1: p1 is rational and
     # the synthesis must stay in plain rational arithmetic
     b = CanonicalBiquad(F(1), F(1), F(31, 7))
-    net = synth_fig3a(b, exact=True)
+    net = synth_fig3a(b)
     assert all(isinstance(lf.value, Fraction) for lf in leaves(net))
     assert verify_exact(net, to_rational_fn(b))
 

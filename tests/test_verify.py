@@ -107,7 +107,7 @@ def test_verify_numeric_exact_quadratic_extension_values():
     # fig3a at (1, 1, 5) has element values in Q(sqrt 20); the exact
     # short-cut must compare them in their own field
     b = CanonicalBiquad(F(1), F(1), F(5))
-    assert verify_numeric(synth_fig3a(b, exact=True), to_rational_fn(b)) == (True, 0)
+    assert verify_numeric(synth_fig3a(b), to_rational_fn(b)) == (True, 0)
 
 
 def test_fit_series_rl():
