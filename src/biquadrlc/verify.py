@@ -155,12 +155,23 @@ def _term_table(template: SPNet):
     return table + (len(num), len(den))
 
 
+class _Batch(NamedTuple):
+    """A batch's per-row tables, gathered from the stack for the templates
+    that its rows name: exponents, weights, and the slots at which
+    ``evaluate`` adds terms to coefficients and ``jacobian_at`` adds term
+    derivatives to coefficient derivatives."""
+
+    exponents: np.ndarray
+    weight: np.ndarray
+    slots: np.ndarray
+    dslots: np.ndarray
+
+
 class _Point(NamedTuple):
     """A batch as ``_CompiledTemplate.evaluate`` leaves it for ``jacobian_at``."""
 
     rows: np.ndarray
-    exponents: np.ndarray
-    position: np.ndarray
+    batch: _Batch
     unclipped: np.ndarray
     terms: np.ndarray
     sides: np.ndarray
@@ -194,7 +205,11 @@ class _CompiledTemplate:
     coefficients work per row, more than the scatter at five elements.
     ``evaluate`` returns the residuals of a batch and the point that
     ``jacobian_at`` continues from, so that the Jacobian of a point just
-    evaluated costs no second evaluation.
+    evaluated costs no second evaluation.  The rows' tables and scatter
+    slots are gathered from the stack once per batch composition
+    (``_batch``), and ``jacobian_at`` differentiates every row of the point
+    before it selects rows, so that it gathers no table; each row's sums
+    are the same either way.
 
     The stack pads every table with zeros to the largest term count, num
     and den length and element count: a padded term has weight 0, padded
@@ -215,7 +230,7 @@ class _CompiledTemplate:
             self.cross[n_num + i, self.size + i:self.size + i + len(tnum)] = tnum
         self.diff_cross = self.cross[:, : self.size] - self.cross[:, self.size:]
         shape = (len(tables), max(len(weight) for _, weight, *_ in tables))
-        self.exponents = np.zeros(shape + (max(self.elements),), dtype=np.uint8)
+        self.exponents = np.zeros(shape + (max(self.elements),))
         self.weight, self.position = np.zeros(shape), np.zeros(shape, dtype=np.intp)
         self.real_rows = np.zeros((len(tables), self.size))
         for t, (exponents, weight, index, den, num_len, den_len) in enumerate(tables):
@@ -223,6 +238,25 @@ class _CompiledTemplate:
             self.exponents[t, :k, :n], self.weight[t, :k] = exponents, weight
             self.position[t, :k] = index + n_num * den
             self.real_rows[t, : max(num_len + len(tden), den_len + len(tnum)) - 1] = 1.0
+        self._rows = None  # the composition of the last batch, whose tables ``_batch`` keeps
+
+    def _batch(self, rows) -> _Batch:
+        """The tables of a batch whose rows name these templates, gathered
+        once per batch composition: the last ``rows`` array is kept, and a
+        batch that passes it again (least_squares does so until a start
+        leaves or joins) reuses its tables, so a rows array must not change
+        in place."""
+        if rows is not self._rows:
+            exponents = self.exponents.take(rows, axis=0)
+            position = self.position.take(rows, axis=0)
+            (batch, _, n), width = exponents.shape, len(self.cross)
+            # coefficient i of row b is entry b * width + i of the sums, and
+            # d coefficient i / d theta_j entry (b * n + j) * width + i
+            slots = position + width * np.arange(batch)[:, None]
+            dslots = position[:, :, None] + width * np.arange(batch * n).reshape(batch, 1, n)
+            self._rows, self._tables = rows, _Batch(exponents, self.weight.take(rows, axis=0),
+                                                    slots.ravel(), dslots.ravel())
+        return self._tables
 
     def evaluate(self, theta: np.ndarray, rows=None):
         """Residuals (B x size) of a batch theta (B x n), and the point from
@@ -230,15 +264,13 @@ class _CompiledTemplate:
         reads 1e6 on the template's real entries."""
         if rows is None:
             rows = np.zeros(len(theta), dtype=np.intp)
-        exponents, position = self.exponents.take(rows, axis=0), self.position.take(rows, axis=0)
+        batch = self._batch(rows)
         clipped = np.minimum(np.maximum(theta, -THETA_CLIP), THETA_CLIP)
         # exp overflows to inf on far-out starts, and inf * 0 in the sums
         # gives nan; both end in the finiteness check, which is the report
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = self.weight.take(rows, axis=0) * np.exp(np.einsum("bkn,bn->bk", exponents, clipped))
-            # coefficient i of row b is entry b * len(cross) + i of the sums
-            slots = position + len(self.cross) * np.arange(len(theta))[:, None]
-            coeffs = np.bincount(slots.ravel(), terms.ravel(), len(theta) * len(self.cross))
+            terms = batch.weight * np.exp(np.einsum("bkn,bn->bk", batch.exponents, clipped))
+            coeffs = np.bincount(batch.slots, terms.ravel(), len(theta) * len(self.cross))
             sides = coeffs.reshape(len(theta), -1) @ self.cross
             scale = np.maximum(np.abs(sides).max(axis=1), 1e-300)
             out = (sides[:, : self.size] - sides[:, self.size:]) / scale[:, None]
@@ -246,24 +278,23 @@ class _CompiledTemplate:
         if not np.isfinite(out).all():
             finite = np.isfinite(out).all(axis=1)
             out[~finite] = 1e6 * self.real_rows[rows[~finite]]
-        return out, _Point(rows, exponents, position, clipped == theta, terms, sides, scale, out, finite)
+        return out, _Point(rows, batch, clipped == theta, terms, sides, scale, out, finite)
 
     def jacobian_at(self, point: _Point, index=None) -> np.ndarray:
         """Jacobians (B x size x n) of the rows ``index`` (a mask, or None
         for all) of an evaluated batch; zero on rows whose residual is not
         finite."""
-        _, exponents, position, unclipped, terms, sides, scale, out, finite = point
-        if index is not None:
-            exponents, position, unclipped, terms, sides, scale, out = (a[index] for a in point[1:-1])
-            finite = None if finite is None else finite[index]
+        _, batch, unclipped, terms, sides, scale, out, finite = point
         with np.errstate(over="ignore", invalid="ignore"):
-            # entry (b * n + j) * width + i of the sums is d coefficient i / d
-            # theta_j of row b: the sum of the coefficient's terms that hold j
-            (batch, n), width = unclipped.shape, len(self.cross)
-            slots = position[:, :, None] + width * np.arange(batch * n).reshape(batch, 1, n)
-            dcoeffs = np.bincount(slots.ravel(), (terms[:, :, None] * exponents).ravel(), batch * n * width)
-            dcoeffs = dcoeffs.reshape(batch, n, width)
-            dcoeffs *= unclipped[:, :, None]  # zero for a clipped theta_j
+            # d coefficient / d theta_j of every row: the sum of the
+            # coefficient's terms that hold j, zero for a clipped theta_j
+            (count, n), width = unclipped.shape, len(self.cross)
+            dcoeffs = np.bincount(batch.dslots, (terms[:, :, None] * batch.exponents).ravel(), count * n * width)
+            dcoeffs = dcoeffs.reshape(count, n, width)
+            dcoeffs *= unclipped[:, :, None]
+            if index is not None:
+                dcoeffs, sides, scale, out = dcoeffs[index], sides[index], scale[index], out[index]
+                finite = None if finite is None else finite[index]
             # d scale / d theta: the signed derivative of the coefficient of
             # either side that sets the scale (argmax takes the first maximum:
             # lhs on a tie), or zero at the 1e-300 floor
@@ -271,7 +302,7 @@ class _CompiledTemplate:
             top = sides[np.arange(len(k)), k]
             sign = np.sign(top) * (np.abs(top) == scale)
             dscale = np.einsum("bji,ib->bj", dcoeffs, self.cross[:, k]) * sign[:, None]
-            jac = (dcoeffs.reshape(batch * n, width) @ self.diff_cross).reshape(batch, n, self.size)
+            jac = (dcoeffs.reshape(-1, width) @ self.diff_cross).reshape(len(k), n, self.size)
             jac -= dscale[:, :, None] * out[:, None, :]
             jac /= scale[:, None, None]
         if finite is not None:
