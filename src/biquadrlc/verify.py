@@ -17,15 +17,21 @@ template keeps its own seed, budget, early exit and evaluation count; a
 certified success stops the templates after it.
 
 A start stops, as in MINPACK, when a step changes its sum of squares or its
-scaled point by at most ``SETTLED`` = 1e-10 relative (``ftol``, ``xtol``),
+scaled point by at most ``SETTLED`` = 1e-8 relative (``ftol``, ``xtol``),
 when the residuals are orthogonal to every Jacobian column to within a
-cosine of 1e-15 (``gtol``), at an exact fit or at its budget.  1e-10 is one
-decade below ``SAME_COST``, the band in which ``_to_limit`` takes two fits
-as equal.  Iterating on to 1e-15 takes a floor problem at n <= 3 about
-twice as many rounds (mostly its whole budget of 166) and moves no n <= 5
-floor of (s+1)^2/(s+2)^2 or (s+1)^2/(s+3)^2 by 0.1%.  At 1e-9 the best
-start of one floor stops with an element near e^-31 that ``_to_limit``
-then takes to the clip, and the certified floor rises from 0.92 to 1.0.
+cosine of 1e-15 (``gtol``), at an exact fit or at its budget.  A start
+stopped that early may leave an element that runs off to 0 or infinity at
+some depth, from which ``_to_limit`` takes it to the clip, and the limit
+network can certify at residual 1 (a cross-multiplied coefficient vanished
+or flipped sign), a degenerate limit that the fit's scaled objective does
+not see.  So when the best start certifies at 1 or more, ``_fit`` also
+certifies the next distinct minima in fit-cost order, up to
+``CERTIFICATIONS`` in all, and reports the smallest certified residual.
+Against 1e-10 this takes a floor problem at n <= 3 about a fifth fewer
+rounds, moves no n <= 5 floor of (s+1)^2/(s+2)^2 or (s+1)^2/(s+3)^2 (seeds
+0 and 7) up by more than 0.1%, and lowers five of their floors of 1.0 to
+0.73-0.89.  1e-8 is the ceiling: at 3e-8 one of these floors rises by 12%,
+at 1e-7 one by 32%.
 
 What does not depend on the target is prepared once per process and cached:
 the terms of each template, and for ``falsify_small`` the labelings of each
@@ -72,7 +78,7 @@ __all__ = [
 class FitResult(_Record, mutable=True):
     """Outcome of ``fit_topology``.  ``iterations`` counts every evaluation
     over all starts: residual evaluations (nfev) plus Jacobian evaluations
-    (njev), and the one or two of ``_to_limit``."""
+    (njev), and the one or two of each ``_to_limit``."""
 
     __slots__ = ("success", "values", "residual", "iterations")
 
@@ -336,7 +342,8 @@ def _check_budget(budget: int, starts: int) -> None:
 BATCH_ROWS = 144
 EXACT_FIT = 1e-14  # a start whose largest |residual| falls below this ends its template's fit
 SAME_COST = 1e-9  # relative band in which _to_limit takes two costs (largest |residual|) as equal
-SETTLED = 1e-10  # ftol and xtol of every start: one decade below SAME_COST (module docstring)
+SETTLED = 1e-8  # ftol and xtol of every start: the loosest that keeps the floors (module docstring)
+CERTIFICATIONS = 3  # minima that _fit certifies at most per template, past a degenerate best one
 
 
 class LMResult(NamedTuple):
@@ -409,14 +416,12 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
     1978) with ``factor`` 100 and the scaling D the running maximum of the
     Jacobian's column norms: its own trust radius and parameter, step
     acceptance, stop tests on ``xtol``, ``ftol`` and ``gtol`` and at most
-    ``max_nfev`` residual evaluations.  ``_fit`` passes ``SETTLED`` (1e-10)
-    as ``xtol`` and ``ftol``, so a start stops once its cost has settled one
-    decade inside ``SAME_COST``, the band in which ``_to_limit`` takes two
-    fits as equal, and 1e-15 as ``gtol``.  Each round evaluates one trial step
-    of every running start in one call, and takes the Jacobians of those
-    whose step was accepted from that evaluation; finished starts leave the
-    batch.  The starts of a template
-    join it together, in template order, as soon as at most ``BATCH_ROWS``
+    ``max_nfev`` residual evaluations.  ``_fit`` passes ``SETTLED`` (1e-8)
+    as ``xtol`` and ``ftol``, and 1e-15 as ``gtol``.  Each round evaluates
+    one trial step of every running start in one call, and takes the
+    Jacobians of those whose step was accepted from that evaluation;
+    finished starts leave the batch.  The starts of a template join it
+    together, in template order, as soon as at most ``BATCH_ROWS``
     starts are then running (or none).  Once a start's largest |residual|
     is below ``EXACT_FIT``, the other starts of its template stop.
 
@@ -615,7 +620,17 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
     batch of templates x starts (at most ``BATCH_ROWS`` starts in flight),
     and certify each fit as soon as its last start stops; with
     ``stop_at_first_success`` a certified success stops the templates after
-    it, and the list ends at the first success."""
+    it, and the list ends at the first success.
+
+    A fit certifies its starts in order of cost (largest |residual|), each
+    at its limit (``_to_limit``): the first, and while the smallest
+    certified residual is 1 or more (to within ``SAME_COST``), the next
+    distinct minimum, up to ``CERTIFICATIONS`` in all.  A start is the same
+    minimum as one certified before when its cost is within a relative
+    ``SAME_COST`` of that one's, or when the same elements ran off to the
+    same ends (0 or infinity): such starts differ only in how deep they
+    stopped, and certify alike.  The fit reports the smallest certified
+    residual, its values and every evaluation spent."""
     with workprec(FIT_PRECISION_BITS):
         tnum, tden = (np.array([float(to_mpf(c)) for c in poly.coeffs])
                       for poly in (target.num, target.den))
@@ -628,14 +643,28 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
 
     def finish(t, x, f, evaluations):
         costs = np.abs(f).max(axis=1)
-        best = int(costs.argmin())  # the first start with the smallest largest |residual|
-        theta, evals = _to_limit(compiled, t, x[best], costs[best])
-        values = np.exp(theta).tolist()  # theta is clipped, so no value overflows
-        net = _instantiate(templates[t], [to_mpf(v) for v in values])
-        ok, residual = verify_numeric(net, target, tol=tol, precision_bits=FIT_PRECISION_BITS)
-        named = dict(zip(_slot_names(templates[t]), values))
-        fits[t] = FitResult(bool(ok), named, float(residual), evals + evaluations)
-        return stop_at_first_success and bool(ok)
+        fit, certified = None, []  # the cost and the run-off elements of each certified minimum
+        for i in np.argsort(costs, kind="stable"):  # on a tie, the first start first
+            theta, evals = _to_limit(compiled, t, x[i], costs[i])
+            evaluations += evals
+            # the elements beyond e^(+-THETA_CLIP / 2), which ran off to 0 (-1) or infinity (1)
+            ends = tuple(np.round(theta / THETA_CLIP).tolist())
+            if any(costs[i] <= cost * (1 + SAME_COST) or ends == other and any(ends)
+                   for cost, other in certified):
+                continue  # the same minimum as a certified one
+            certified.append((costs[i], ends))
+            values = np.exp(theta).tolist()  # theta is clipped, so no value overflows
+            net = _instantiate(templates[t], [to_mpf(v) for v in values])
+            ok, residual = verify_numeric(net, target, tol=tol, precision_bits=FIT_PRECISION_BITS)
+            if fit is None or residual < fit.residual:
+                fit = FitResult(bool(ok), dict(zip(_slot_names(templates[t]), values)), float(residual), 0)
+            # a residual of 1 or more is a degenerate limit, which the next
+            # distinct minimum may beat
+            if fit.residual < 1 - SAME_COST or len(certified) == CERTIFICATIONS:
+                break
+        fit.iterations = evaluations
+        fits[t] = fit
+        return stop_at_first_success and fit.success
 
     rows = np.repeat(np.arange(len(templates)), starts)
     least_squares(compiled.evaluate, x0, jac=compiled.jacobian_at, rows=rows, max_nfev=budget // starts,
@@ -660,7 +689,8 @@ def fit_topology(
     run as one batch and each has ``budget // starts`` residual evaluations
     (Jacobian evaluations, at most one fewer per start, come on top).  The
     best start's elements that run off to 0 or infinity go to the clip
-    (``_to_limit``).  Success is certified by verify_numeric at
+    (``_to_limit``); when that limit certifies at residual 1 or more, the
+    next distinct minima are certified too (``_fit``).  Success is certified by verify_numeric at
     ``FIT_PRECISION_BITS`` and ``tol``, so a success here always
     re-verifies.  This is the one-template case of ``_fit``, in which
     ``falsify_small`` fits all its templates side by side.  Raises

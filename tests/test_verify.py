@@ -178,6 +178,16 @@ def test_fit_stops_late_enough_to_keep_a_floor_finite():
     assert res.residual < 0.93
 
 
+def test_a_degenerate_best_fit_gives_way_to_the_next_distinct_minimum():
+    # against (s+1)^2/(s+3)^2 the five cheapest starts of R || (C + (R || L))
+    # let R1 run off to infinity, where the limit network certifies at
+    # residual 1; past them, the next distinct minimum certifies at 0.7422
+    report = falsify_small(RF((1, 2, 1), (9, 6, 1)), 4, seed=0)
+    tpl = to_netlist_json(parallel(Leaf("R"), series(Leaf("C"), parallel(Leaf("R"), Leaf("L")))))
+    entry = next(e for e in report["entries"] if e["topology"] == tpl)
+    assert not entry["filtered"] and entry["best_residual"] < 0.9
+
+
 TNUM_12, TDEN_12 = np.array([1.0, 2.0, 1.0]), np.array([4.0, 4.0, 1.0])
 
 
