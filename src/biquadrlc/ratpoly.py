@@ -190,28 +190,38 @@ class QuadraticRational:
     a, b, d are Fractions with d > 0.  Values with the same d form a field,
     so these can be used as Poly coefficients and as network element values;
     that is what makes boundary points like p = (3 + 2*sqrt(2))z and the
-    closed-form synthesis constants exactly representable.
+    closed-form synthesis constants exactly representable.  Radicands d and
+    d q^2 give one field, so such values mix and compare; values in two
+    different fields raise ValueError.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=2):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = Fraction(d)
-        if self.d <= 0:
+        # the arithmetic passes Fractions, which are kept as they are
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
+        self.d = d if type(d) is Fraction else Fraction(d)
+        if self.d.numerator <= 0:
             raise ValueError("radicand d must be positive")
 
     # -- helpers
 
     def _coerce(self, other):
+        """other in self's field: itself when the radicands match or self is
+        rational, else rewritten in self's radicand, which a rational needs
+        and another radicand d q^2 allows (sqrt(d q^2) = |q| sqrt(d))."""
         if isinstance(other, QuadraticRational):
-            if other.b != 0 and self.b != 0 and other.d != self.d:
+            if other.d == self.d or self.b == 0:
+                return other
+            if other.b == 0:
+                return QuadraticRational(other.a, other.b, self.d)
+            q = _exact_sqrt(other.d / self.d)
+            if q is None:
                 raise ValueError("cannot mix sqrt(%s) with sqrt(%s)" % (self.d, other.d))
-            d = self.d if self.b != 0 else other.d
-            return QuadraticRational(other.a, other.b, d)
+            return QuadraticRational(other.a, other.b * q, self.d)
         if isinstance(other, (int, Fraction)):
-            return QuadraticRational(other, 0, self.d)
+            return QuadraticRational(other, _ZERO, self.d)
         return NotImplemented
 
     def sign(self) -> int:
@@ -315,9 +325,13 @@ class QuadraticRational:
         return (self - self._coerce(other)).sign() >= 0
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        # equal values hash alike: a rational one (b = 0, or d a square) as
+        # the rational, any other by a and b sqrt(d) = sign(b) sqrt(b^2 d),
+        # which a radicand rewritten as d q^2 keeps
+        root = _ZERO if self.b == 0 else _exact_sqrt(self.d)
+        if root is not None:
+            return hash(self.a + self.b * root)
+        return hash((self.a, self.b * abs(self.b) * self.d))
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -333,6 +347,20 @@ class QuadraticRational:
         if self.b == 0:
             return "QuadraticRational(%s)" % (self.a,)
         return "QuadraticRational(%s, %s, d=%s)" % (self.a, self.b, self.d)
+
+
+_ZERO = Fraction(0)
+
+
+def _exact_sqrt(value: Fraction):
+    """Fraction square root if value is a perfect rational square, else None."""
+    if value < 0:
+        return None
+    num, den = value.numerator, value.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
 
 
 def is_exact_scalar(x) -> bool:

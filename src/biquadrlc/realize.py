@@ -59,7 +59,6 @@ than ``tol`` rejects it (NotRealizableError).
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -73,6 +72,7 @@ from .ratpoly import (
     Poly,
     QuadraticRational,
     _Record,
+    _exact_sqrt,
     _setfield,
     field_of,
     gcd,
@@ -385,17 +385,6 @@ def n5a_root_interval(width=Fraction(1, 10**30)) -> Tuple[Fraction, Fraction]:
 
 # ---------------------------------------------------------------------------
 # synthesis
-
-
-def _exact_sqrt(value: Fraction):
-    """Fraction square root if value is a perfect rational square, else None."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 def _positive_or_bug(values: dict, context: str) -> None:

@@ -453,6 +453,30 @@ def test_quadratic_rational_field_axioms(data):
         assert (approx > 0) == (x.sign() > 0)
 
 
+_POSITIVE = st.fractions(F(1, 6), 12, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(-20, 20, max_denominator=6), st.fractions(-20, 20, max_denominator=6),
+       st.sampled_from([1, 2, 3, 5, 6, F(13, 2)]), _POSITIVE, _POSITIVE)
+def test_equal_quadratic_rationals_hash_alike(a, b, d, q, r):
+    # one value in the radicands d q^2 and d r^2, as sqrt(d q^2) = q sqrt(d)
+    x, y = QuadraticRational(a, b / q, d * q * q), QuadraticRational(a, b / r, d * r * r)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x - y == 0 and x + y == 2 * x
+    if d == 1:  # a square radicand: the value is the rational a + b
+        assert x == a + b and hash(x) == hash(a + b)
+
+
+def test_quadratic_rationals_mix_only_within_one_field():
+    assert len({QuadraticRational(0, 1, 4), QuadraticRational(2)}) == 1
+    assert QuadraticRational(0, 1, 20) == QuadraticRational(0, 2, 5)
+    assert QuadraticRational(0, 1, 8) + QuadraticRational(0, 1, 2) == QuadraticRational(0, 3, 2)
+    for a, b in ((2, 3), (2, F(1, 3)), (5, 20 * 3)):
+        with pytest.raises(ValueError, match="cannot mix"):
+            QuadraticRational(0, 1, a) + QuadraticRational(0, 1, b)
+
+
 def test_scalar_string_roundtrip():
     assert scalar_to_str(F(3, 2)) == "3/2"
     assert scalar_from_str("3/2") == F(3, 2)

@@ -214,8 +214,8 @@ def test_fig3a_p1_unique_positive_root():
     r21 = max(lf.value for lf in leaves(net) if lf.kind == "R")
     l21 = min(lf.value for lf in leaves(net) if lf.kind == "L")
     # the quadratic-formula root -10 + 5 sqrt5, spelled in Q(sqrt20), the
-    # field the synthesis adjoins (a QuadraticRational compares within one radicand)
-    assert r21 / l21 - 10 == QuadraticRational(-10, F(5, 2), 20)
+    # field the synthesis adjoins, which is Q(sqrt5): sqrt20 = 2 sqrt5
+    assert r21 / l21 - 10 == QuadraticRational(-10, F(5, 2), 20) == QuadraticRational(-10, 5, 5)
 
 
 def test_synth_fig3a_verifies_numerically():
