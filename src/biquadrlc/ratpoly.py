@@ -210,16 +210,26 @@ class QuadraticRational:
     def _coerce(self, other):
         """other in self's field: itself when the radicands match or self is
         rational, else rewritten in self's radicand, which a rational needs
-        and another radicand d q^2 allows (sqrt(d q^2) = |q| sqrt(d))."""
+        and another radicand d q^2 allows (sqrt(d q^2) = |q| sqrt(d)).  An
+        operand whose radicand is a rational square is a rational: other is
+        rewritten as one, and self is put in that form in place (its value
+        and hash unchanged), so the operation takes other's field."""
         if isinstance(other, QuadraticRational):
             if other.d == self.d or self.b == 0:
                 return other
             if other.b == 0:
                 return QuadraticRational(other.a, other.b, self.d)
             q = _exact_sqrt(other.d / self.d)
-            if q is None:
+            if q is not None:
+                return QuadraticRational(other.a, other.b * q, self.d)
+            root = _exact_sqrt(other.d)
+            if root is not None:
+                return QuadraticRational(other.a + other.b * root, _ZERO, self.d)
+            root = _exact_sqrt(self.d)
+            if root is None:
                 raise ValueError("cannot mix sqrt(%s) with sqrt(%s)" % (self.d, other.d))
-            return QuadraticRational(other.a, other.b * q, self.d)
+            self.a, self.b = self.a + self.b * root, _ZERO
+            return other
         if isinstance(other, (int, Fraction)):
             return QuadraticRational(other, _ZERO, self.d)
         return NotImplemented

@@ -9,10 +9,11 @@ order and reports every condition it evaluates:
    p = z/(2+sqrt2), the algebraic points via the exact surrogates
    p^2 - 4zp + 2z^2 = 0 and 2p^2 - 4zp + z^2 = 0;
 4. the seven-element catalog conditions (fig3a, n4a, n5a), first on the
-   parameters themselves and then on their inv/dual/gdu images, so the
-   catalog is closed under the transform group (a transformed hit is
-   synthesized for the transformed parameters and the network is mapped
-   back through the same transform).
+   parameters themselves and then on their inv image.  Every condition
+   depends only on eta = p/z; inv and dual both send eta to 1/eta and gdu
+   keeps it, so these two passes close the catalog under the transform
+   group (an inv hit is synthesized for the inverted parameters and the
+   network is mapped back through inv).
 
 The three synthesizers return fully valued seven-element networks:
 
@@ -65,9 +66,7 @@ from typing import List, Optional, Tuple
 
 from .biquad import PR_POLY, CanonicalBiquad, pole_zero_ratio, to_rational_fn, transform_params
 from .check import verify_numeric
-from .network import (
-    TRANSFORMS, SPNet, apply_transform, build_config, canonical_config_id, to_netlist_json
-)
+from .network import SPNet, apply_transform, build_config, canonical_config_id, to_netlist_json
 from .ratpoly import (
     Poly,
     QuadraticRational,
@@ -387,12 +386,15 @@ def n5a_root_interval(width=Fraction(1, 10**30)) -> Tuple[Fraction, Fraction]:
 # synthesis
 
 
+def _nonpositive(values: dict) -> str:
+    return ", ".join(sorted(name for name, v in values.items() if not v > 0))
+
+
 def _positive_or_bug(values: dict, context: str) -> None:
-    bad = [name for name, v in values.items() if not v > 0]
+    bad = _nonpositive(values)
     if bad:
         raise RuntimeError(
-            "internal inconsistency in %s: nonpositive element value(s) %s"
-            % (context, ", ".join(sorted(bad)))
+            "internal inconsistency in %s: nonpositive element value(s) %s" % (context, bad)
         )
 
 
@@ -404,7 +406,9 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
     d = 2(p^2 - 4pz + 5z^2): QuadraticRationals, or Fractions where d is a
     rational square, so the network verifies exactly at any precision.  Any
     other input (an mpf, or a quadratic irrational, whose sqrt d would be a
-    nested radical) gives mpf values at ``precision_bits``.
+    nested radical) gives mpf values at ``precision_bits``; one that lies
+    within rounding of the boundary, where an element value rounds to 0 or
+    below, raises NotRealizableError.
     """
     with workprec(precision_bits):
         if not check_fig3a_condition(b.z, b.p):
@@ -446,6 +450,7 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
             return QuadraticRational(0, 1, d) if root is None else root
 
         values = values_at(*map(Fraction, rational), exact_sqrt)
+        _positive_or_bug(values, "fig3a synthesis")
     else:
         # near p = 3z, p1 and then R2 and C1 come from differences of nearly
         # equal terms, which lose about twice the bits of |p/z - 3|: the mpf
@@ -456,7 +461,16 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
             values = values_at(*(to_mpf(v) for v in (b.k, b.z, b.p)), load_mpmath().sqrt)
         with workprec(precision_bits):
             values = {name: +v for name, v in values.items()}
-    _positive_or_bug(values, "fig3a synthesis")
+        # R2 vanishes on the boundary quartic(eta) = 0 (alpha = k there, so
+        # m = 0): an input that passes the condition by rounding alone can
+        # round R2 to 0 or below
+        bad = _nonpositive(values)
+        if bad:
+            raise NotRealizableError(
+                "fig3a element value(s) %s round to 0 or below at %d bits: the target "
+                "lies within rounding of the fig3a boundary quartic(eta) = 0"
+                % (bad, precision_bits)
+            )
     return build_config("fig3a", values)
 
 
@@ -580,10 +594,12 @@ def synthesize(
     With a ``transform`` the configuration is synthesized for the
     transformed parameters and the network is mapped back through the same
     transform.  Returns (network, residual).  Raises NotRealizableError when
-    the configuration's condition fails, or when an n4a/n5a network misses
-    the target by more than ``tol`` at ``precision_bits``: every input those
-    irrational loci accept lies off them by up to the band.  A fig3a network
-    that does not verify is a fault of the program (RuntimeError).
+    the configuration's condition fails, when an inexact fig3a target lies
+    so close to its boundary that an element value rounds to 0 or below, or
+    when an n4a/n5a network misses the target by more than ``tol`` at
+    ``precision_bits``: every input those irrational loci accept lies off
+    them by up to the band.  A fig3a network that does not verify is a
+    fault of the program (RuntimeError).
     """
     tol = working_tol(precision_bits) if tol is None else tol
     with workprec(precision_bits):
@@ -618,13 +634,13 @@ def classify(
     seven-element catalog (closed under inv/dual/gdu) applies.
 
     Every condition consulted appears in the report, in the fixed order
-    positive-real, four-element, five-element, fig3a, n4a, n5a, then the
-    transform closure; the class is the first hit.  All conditions depend
-    only on eta = p/z, and a transform that inverts exactly one of s and Z
-    (inv, dual) maps eta to 1/eta while gdu fixes it, so for exact inputs a
-    transformed hit always reports the first transform in the order (the
-    synthesized networks would differ, but each maps back to a valid
-    realization of the input).  Raises what ``synthesize`` raises for a
+    positive-real, four-element, five-element, fig3a, n4a, n5a, then
+    fig3a, n4a, n5a on the inv image (names suffixed ``[inv]``): 18
+    records.  The class is the first hit.  All conditions depend only on
+    eta = p/z, and a transform that inverts exactly one of s and Z (inv,
+    dual) maps eta to 1/eta while gdu fixes it, so the dual and gdu images
+    would repeat the inv and untransformed records; a hit on the inv image
+    reports transform ``inv``.  Raises what ``synthesize`` raises for a
     catalog hit whose network does not verify.
     """
     conditions: List[ConditionRecord] = []
@@ -637,7 +653,7 @@ def classify(
         conditions.extend(recs)
 
         catalog_hit: Optional[Tuple[str, Optional[str]]] = None
-        for t in (None, *TRANSFORMS):
+        for t in (None, "inv"):
             # the parameters synthesize will use: with mpf inputs, 1/eta
             # rounded another way can fall on the other side of a boundary
             bt = b if t is None else transform_params(b, t)

@@ -1,5 +1,6 @@
 """Tests for the exact polynomial / rational-function layer."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -475,6 +476,32 @@ def test_quadratic_rationals_mix_only_within_one_field():
     for a, b in ((2, 3), (2, F(1, 3)), (5, 20 * 3)):
         with pytest.raises(ValueError, match="cannot mix"):
             QuadraticRational(0, 1, a) + QuadraticRational(0, 1, b)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                operator.eq, operator.lt])
+@pytest.mark.parametrize("d", [2, 5, F(13, 2)])
+def test_a_square_radicand_mixes_with_any_field(op, d):
+    # 2 sqrt(9/4) - 1/3 = 8/3 is rational, so it acts as 8/3 beside any
+    # radicand, in either order; each operand is built afresh, as the
+    # square-radicand one is rewritten as a rational in place
+    def rational():
+        return QuadraticRational(F(-1, 3), 2, F(9, 4))
+
+    def other():
+        return QuadraticRational(1, F(-2, 3), d)
+
+    assert op(rational(), other()) == op(F(8, 3), other())
+    assert op(other(), rational()) == op(other(), F(8, 3))
+    x = rational()
+    before = hash(x)
+    op(x, other())
+    assert x == F(8, 3) and hash(x) == before == hash(F(8, 3))
+    if op in (operator.add, operator.mul):
+        # equal values hash alike: a sum or product in Q(sqrt d) and the same
+        # value built there directly
+        direct = op(QuadraticRational(F(8, 3), 0, d), other())
+        assert hash(op(rational(), other())) == hash(direct) == hash(op(other(), rational()))
 
 
 def test_scalar_string_roundtrip():

@@ -29,6 +29,8 @@ from biquadrlc.ratpoly import (
     working_tol,
 )
 from biquadrlc.realize import (
+    _CATALOG,
+    FIG3A_QUARTIC,
     N4A_QUARTIC,
     N5A_DEGREE10,
     NotRealizableError,
@@ -137,8 +139,26 @@ def test_classify_reports_condition_values():
     assert by_name["fig3a[quartic(eta)<0]"].value == "-40"
     assert by_name["fig3a[quartic(eta)<0]"].passed
     assert by_name["positive_real[eta^2-6eta+1<=0]"].value == "-4"
-    # transform-closure entries are reported too
-    assert any(name.endswith("[dual]") for name in by_name)
+    # the catalog on the target, then on its inv image: dual and gdu would
+    # repeat these records, as they depend on eta only
+    catalog = [
+        "fig3a[(eta-1)(eta-3)>0]",
+        "fig3a[quartic(eta)<0]",
+        "n4a[condition_poly(eta)=0]",
+        "n4a[eta<1/(2+sqrt5)]",
+        "n5a[condition_poly(eta)=0]",
+        "n5a[eta<1/(2+sqrt5)]",
+    ]
+    assert [c.name for c in rep.conditions] == [
+        "positive_real[eta^2-6eta+1<=0]",
+        "four_element[eta=3]",
+        "four_element[eta=1/3]",
+        "five_element[1/3<eta<3]",
+        "five_element[eta=2+sqrt2]",
+        "five_element[eta=1/(2+sqrt2)]",
+        *catalog,
+        *(name + "[inv]" for name in catalog),
+    ]
 
 
 def test_classify_unknown_within_scope():
@@ -151,7 +171,7 @@ def test_classify_transform_closure_hit():
     rep = classify(B(1, 1, F(1, 4)))
     assert rep.klass is RealizationClass.SEVEN_ELEMENT_CATALOG
     assert rep.config == "fig3a"
-    assert rep.transform in ("inv", "dual", "gdu")
+    assert rep.transform == "inv"
     assert float(rep.residual) <= 1e-20
 
 
@@ -169,6 +189,12 @@ def test_classify_invariant_under_transform_group():
         base = classify(b).klass
         for t in ("inv", "dual", "gdu"):
             assert classify(transform_params(b, t)).klass is base
+        # classify's premise: the catalog records depend on eta only, which
+        # dual maps as inv does and gdu keeps
+        image = {t: transform_params(b, t) for t in ("inv", "dual", "gdu")}
+        for records, _ in _CATALOG.values():
+            assert records(image["dual"].z, image["dual"].p) == records(image["inv"].z, image["inv"].p)
+            assert records(image["gdu"].z, image["gdu"].p) == records(b.z, b.p)
         checked += 1
 
 
@@ -248,6 +274,25 @@ def test_synth_fig3a_exact_with_rational_square_discriminant():
 def test_synth_fig3a_rejects_outside_condition():
     with pytest.raises(NotRealizableError):
         synth_fig3a(B(1, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "bits, n, inverse",
+    [(64, 3, False), (64, 6, False), (64, 12, False), (64, 25, True), (80, 35, True),
+     (256, 3, True), (256, 23, False)],
+)
+def test_mpf_target_on_the_fig3a_boundary_is_not_realizable(bits, n, inverse):
+    # eta rounds onto the quartic's root r (or 1/r), where R2 vanishes: the
+    # condition holds by rounding alone and R2 rounds to 0 or below, which the
+    # input decides, not a fault of the program
+    r = _mid_mpf(isolate_root(FIG3A_QUARTIC, F(5), F(6), F(1, 10**80)), 400)
+    with mp.workprec(400):
+        eta = 1 / r if inverse else r
+    with mp.workprec(bits):
+        z = mpf(n) / 7
+        b = CanonicalBiquad(mpf(1), z, z * eta)
+    with pytest.raises(NotRealizableError, match="fig3a boundary"):
+        classify(b, precision_bits=bits)
 
 
 def test_synth_fig3a_random_samples_both_branches():
