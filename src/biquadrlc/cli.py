@@ -3,7 +3,9 @@
 Every operation is exposed as a subcommand with machine-readable JSON output
 (``--format spice`` switches netlist-producing commands to a SPICE-like
 listing).  Exit codes: 0 success; 1 for NotPositiveReal / UnknownWithinScope
-outcomes and verification failures; 2 for invalid input; 3 when the program
+outcomes and verification failures; 2 for invalid input, usage errors (a
+missing or unknown option, a value of the wrong type) among them, each
+reported as one ``{"error": ...}`` JSON line on stderr; 3 when the program
 fails its own checks, for example when a synthesized fig3a network does
 not re-verify; 141 when stdout is closed before the output is written, as
 by ``| head`` or ``>&-``.  ``--precision-bits`` runs from 64 to 14280:
@@ -24,9 +26,10 @@ keep their values exact and never load it.
 
 Every number read from an option, a netlist, a target or a ``--poly`` array
 goes through ``ratpoly.scalar_from_str``: "3/2", "0.25" and "1e-6" are exact
-rationals, and a non-finite or unparseable number ("inf", "nan", "1/0",
-"abc") exits 2.  Outputs carry exact rational strings where available and
-50-digit decimal strings plus the working precision otherwise.
+rationals, negative ones too ("--lo -3/2"), and a non-finite or
+unparseable number ("inf", "nan", "1/0", "abc") exits 2.  Outputs carry
+exact rational strings where available and 50-digit decimal strings plus
+the working precision otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import argparse
 import atexit
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -313,6 +317,22 @@ def _cmd_falsify(args) -> int:
 # parser
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error is invalid input like any other
+    (a CliError: one JSON line on stderr, exit 2), and an argument that
+    starts like a negative number ("-3/2", "-1e-3") is a value, as
+    ``scalar_from_str`` reads it, not an unknown option.  No option of the
+    CLI starts with a dash and a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes only "-7" and "-0.5" as numbers
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message) -> NoReturn:
+        raise CliError(message)
+
+
 def _add_global_options(parser, suppress: bool):
     default = lambda v: argparse.SUPPRESS if suppress else v
     parser.add_argument(
@@ -337,7 +357,7 @@ def _add_global_options(parser, suppress: bool):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="biquadrlc",
         description="Realizability and synthesis of biquadratic impedances "
         "k(s+z)^2/(s+p)^2 as series-parallel RLC networks.",
@@ -411,16 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code: the library and test entry.
-    The process entry is ``run_and_exit``."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    bits = args.precision_bits
-    if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
-        bound = ">= %d" % MIN_PRECISION_BITS if bits < MIN_PRECISION_BITS else "<= %d" % MAX_PRECISION_BITS
-        _report_error("--precision-bits must be " + bound)
-        return EXIT_INVALID
+    The process entry is ``run_and_exit``; ``--help`` raises SystemExit."""
     try:
-        with workprec(args.precision_bits):
+        args = build_parser().parse_args(argv)
+        bits = args.precision_bits
+        if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
+            bound = ">= %d" % MIN_PRECISION_BITS if bits < MIN_PRECISION_BITS else "<= %d" % MAX_PRECISION_BITS
+            raise CliError("--precision-bits must be " + bound)
+        with workprec(bits):
             if args.tol is not None:
                 args.tol = scalar_from_str(args.tol)
                 if not args.tol > 0:
@@ -453,7 +471,7 @@ def run_and_exit() -> NoReturn:
     then ``os._exit``.  The interpreter's teardown of modules and its last
     garbage collections do nothing a command's output needs.
 
-    ``SystemExit`` from argparse and an uncaught exception leave through
+    ``SystemExit`` from ``--help`` and an uncaught exception leave through
     Python's normal exit."""
     code = main()
     atexit._run_exitfuncs()

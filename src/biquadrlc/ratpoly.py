@@ -193,45 +193,43 @@ class QuadraticRational:
     closed-form synthesis constants exactly representable.  Radicands d and
     d q^2 give one field, so such values mix and compare; values in two
     different fields raise ValueError.
+
+    Normal form: b = 0 or d is not a rational square.  The constructor folds
+    b*sqrt(d) into a when d is a square; the arithmetic keeps the form and
+    does not check it again.  So each value has one repr and one hash, equal
+    values in one radicand have equal (a, b), and a square radicand reaches
+    _coerce as a rational (b = 0), which mixes with any field as it is.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=2):
-        # the arithmetic passes Fractions, which are kept as they are
-        self.a = a if type(a) is Fraction else Fraction(a)
-        self.b = b if type(b) is Fraction else Fraction(b)
-        self.d = d if type(d) is Fraction else Fraction(d)
-        if self.d.numerator <= 0:
+        a = a if type(a) is Fraction else Fraction(a)
+        b = b if type(b) is Fraction else Fraction(b)
+        d = d if type(d) is Fraction else Fraction(d)
+        if d.numerator <= 0:
             raise ValueError("radicand d must be positive")
+        root = _exact_sqrt(d) if b else None
+        if root is not None:
+            a, b = a + b * root, _ZERO
+        self.a, self.b, self.d = a, b, d
 
     # -- helpers
 
     def _coerce(self, other):
-        """other in self's field: itself when the radicands match or self is
-        rational, else rewritten in self's radicand, which a rational needs
-        and another radicand d q^2 allows (sqrt(d q^2) = |q| sqrt(d)).  An
-        operand whose radicand is a rational square is a rational: other is
-        rewritten as one, and self is put in that form in place (its value
-        and hash unchanged), so the operation takes other's field."""
+        """other in self's field: itself when the radicands match or either
+        is rational, else rewritten in self's radicand, which a rational
+        needs and another radicand d q^2 allows (sqrt(d q^2) = |q| sqrt(d))."""
         if isinstance(other, QuadraticRational):
-            if other.d == self.d or self.b == 0:
+            if other.d == self.d or self.b == 0 or other.b == 0:
                 return other
-            if other.b == 0:
-                return QuadraticRational(other.a, other.b, self.d)
-            q = _exact_sqrt(other.d / self.d)
-            if q is not None:
-                return QuadraticRational(other.a, other.b * q, self.d)
-            root = _exact_sqrt(other.d)
-            if root is not None:
-                return QuadraticRational(other.a + other.b * root, _ZERO, self.d)
-            root = _exact_sqrt(self.d)
-            if root is None:
+            # other.b sqrt(other.d / self.d), folded to a rational if it is one
+            scale = QuadraticRational(_ZERO, other.b, other.d / self.d)
+            if scale.b:
                 raise ValueError("cannot mix sqrt(%s) with sqrt(%s)" % (self.d, other.d))
-            self.a, self.b = self.a + self.b * root, _ZERO
-            return other
+            return _normal(other.a, scale.a, self.d)
         if isinstance(other, (int, Fraction)):
-            return QuadraticRational(other, _ZERO, self.d)
+            return _normal(Fraction(other), _ZERO, self.d)
         return NotImplemented
 
     def sign(self) -> int:
@@ -259,19 +257,18 @@ class QuadraticRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self.d if (self.b != 0 or o.b == 0) else o.d
-        return QuadraticRational(self.a + o.a, self.b + o.b, d)
+        return _normal(self.a + o.a, self.b + o.b, self.d if self.b else o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticRational(-self.a, -self.b, self.d)
+        return _normal(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return _normal(self.a - o.a, self.b - o.b, self.d if self.b else o.d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -280,10 +277,8 @@ class QuadraticRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self.d if (self.b != 0 or o.b == 0) else o.d
-        return QuadraticRational(
-            self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d
-        )
+        d = self.d if self.b else o.d
+        return _normal(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
 
     __rmul__ = __mul__
 
@@ -291,7 +286,7 @@ class QuadraticRational:
         norm = self.a * self.a - self.b * self.b * self.d
         if norm == 0:
             raise ZeroDivisionError("zero QuadraticRational")
-        return QuadraticRational(self.a / norm, -self.b / norm, self.d)
+        return _normal(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -305,7 +300,7 @@ class QuadraticRational:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadraticRational(1, 0, self.d)
+        out = _normal(Fraction(1), _ZERO, self.d)
         base = self
         while n:
             if n & 1:
@@ -320,27 +315,26 @@ class QuadraticRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return (self - o).sign() == 0
+        return self.a == o.a and self.b == o.b
 
     def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __hash__(self):
-        # equal values hash alike: a rational one (b = 0, or d a square) as
+        # equal values hash alike: a rational one (b = 0) as
         # the rational, any other by a and b sqrt(d) = sign(b) sqrt(b^2 d),
         # which a radicand rewritten as d q^2 keeps
-        root = _ZERO if self.b == 0 else _exact_sqrt(self.d)
-        if root is not None:
-            return hash(self.a + self.b * root)
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.a, self.b * abs(self.b) * self.d))
 
     def __abs__(self):
@@ -359,13 +353,18 @@ class QuadraticRational:
         return "QuadraticRational(%s, %s, d=%s)" % (self.a, self.b, self.d)
 
 
+def _normal(a, b, d) -> QuadraticRational:
+    """The QuadraticRational of Fraction fields already in normal form."""
+    q = object.__new__(QuadraticRational)
+    q.a, q.b, q.d = a, b, d
+    return q
+
+
 _ZERO = Fraction(0)
 
 
 def _exact_sqrt(value: Fraction):
-    """Fraction square root if value is a perfect rational square, else None."""
-    if value < 0:
-        return None
+    """Fraction square root if value >= 0 is a perfect rational square, else None."""
     num, den = value.numerator, value.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
@@ -674,9 +673,7 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             other = Poly.constant(other)
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(_is_zero(a - b) for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)

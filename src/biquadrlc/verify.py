@@ -693,7 +693,10 @@ def fit_topology(
     next distinct minima are certified too (``_fit``).  Success is certified by verify_numeric at
     ``FIT_PRECISION_BITS`` and ``tol``, so a success here always
     re-verifies.  This is the one-template case of ``_fit``, in which
-    ``falsify_small`` fits all its templates side by side.  Raises
+    ``falsify_small`` fits all its templates side by side; its entry for
+    the template equals this fit up to the rounding of the batch's padding
+    (every Jacobian is padded to the widest template of the batch, and
+    LAPACK's SVD rounds a zero-padded matrix differently).  Raises
     ValueError when the budget is below two evaluations per start.
     """
     _check_budget(budget, starts)
@@ -789,8 +792,11 @@ def falsify_small(
     the target fails their premise.  The other networks are fitted side by
     side in one batch of templates x starts (``_fit``), so every entry is
     what ``fit_topology`` gives for it, up to the rounding of the batch's
-    padding; with ``stop_at_first_success`` a certified success stops the
-    templates after it, and the report ends there.  A uniform residual
+    padding: the stack pads every Jacobian to its widest template, which
+    LAPACK's SVD rounds differently, so an entry's ``evaluations`` and the
+    last digits of its ``best_residual`` also depend on ``n_max``.  With
+    ``stop_at_first_success`` a certified success stops the templates
+    after it, and the report ends there.  A uniform residual
     floor is evidence consistent with non-realizability, not a proof.
     ``budget`` bounds the residual evaluations of each fit (see
     ``fit_topology``).  Raises

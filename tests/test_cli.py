@@ -177,6 +177,40 @@ def test_roots_prints_the_readme_midpoint_at_every_precision(capsys, bits):
     assert data["midpoint"] == "0.17500251816359951415268532946279524095174451899433"
 
 
+@pytest.mark.parametrize("lo, count", [("-3/2", 2), ("-1e-3", 1), ("-1", 1), ("-0.5", 1)])
+def test_a_negative_value_in_any_form_is_a_value(capsys, lo, count):
+    # argparse alone reads only "-1" and "-0.5" as numbers, and "-3/2" or
+    # "-1e-3" as an unknown option; x^2 - 2 has its roots at -1.414 and 1.414
+    code, data = run_json(capsys, "roots", "--poly", '["-2","0","1"]', "--lo", lo, "--hi", "2")
+    assert (code, data["count"]) == (0, count)
+    assert run_json(capsys, "roots", "--poly", '["-2","0","1"]', "--lo=" + lo, "--hi", "2") == (code, data)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--k", "1"], "the following arguments are required: --z, --p"),
+    (["--precision-bits", "abc", "classify", "--k", "1", "--z", "1", "--p", "5"],
+     "argument --precision-bits: invalid int value: 'abc'"),
+    (["classify", "--k", "1", "--z", "1", "--p", "5", "--bogus"], "unrecognized arguments: --bogus"),
+    (["roots", "--poly", "[]", "--lo", "-x", "--hi", "1"], "argument --lo: expected one argument"),
+    ([], "the following arguments are required: command"),
+])
+def test_a_usage_error_is_invalid_input(capsys, argv, message):
+    # one JSON line on stderr and exit 2, as for any other invalid input
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and json.loads(captured.err) == {"error": message}
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: biquadrlc roots") and captured.err == ""
+
+
 def test_pr_check(capsys):
     code, data = run_json(capsys, "pr-check", "--target", json.dumps({"k": "1", "z": "1", "p": "3"}))
     assert code == 0 and data["positive_real"] is True
@@ -553,6 +587,9 @@ PROCESS_COMMANDS = readme_commands() + [
     ["classify", "--k", "1", "--z", "1", "--p", "1"],  # exit 2
     ["--precision-bits", "64", "--tol", "1e-20", "synth"] + FIG3A_TARGET,  # exit 0: residual 0 at any precision
     ["--precision-bits", str(MAX_PRECISION_BITS + 1), "classify"] + FIG3A_TARGET,  # exit 2
+    ["roots", "--poly", '["-2","0","1"]', "--lo", "-3/2", "--hi", "2"],  # exit 0: a negative value
+    ["classify", "--k", "1"],  # exit 2: a usage error
+    ["--precision-bits", "abc", "classify"] + FIG3A_TARGET,  # exit 2: a usage error
 ]
 
 
@@ -634,7 +671,8 @@ def test_stdout_closed_at_start_still_reports_invalid_input():
 
 
 @pytest.mark.parametrize("argv", [["classify", "--k", "1", "--z", "1", "--p", "1"],
-                                  ["falsify", "--target", '{"num":["0"],"den":["1"]}', "--nmax", "3"]])
+                                  ["falsify", "--target", '{"num":["0"],"den":["1"]}', "--nmax", "3"],
+                                  ["classify", "--k", "1"]])
 def test_stderr_closed_at_start_keeps_the_exit_code_of_invalid_input(argv):
     # ``2>&-``: sys.stderr wraps a descriptor that fails on write, and the
     # error line that cannot be written must not turn exit 2 into 1

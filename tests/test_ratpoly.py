@@ -483,8 +483,7 @@ def test_quadratic_rationals_mix_only_within_one_field():
 @pytest.mark.parametrize("d", [2, 5, F(13, 2)])
 def test_a_square_radicand_mixes_with_any_field(op, d):
     # 2 sqrt(9/4) - 1/3 = 8/3 is rational, so it acts as 8/3 beside any
-    # radicand, in either order; each operand is built afresh, as the
-    # square-radicand one is rewritten as a rational in place
+    # radicand, in either order
     def rational():
         return QuadraticRational(F(-1, 3), 2, F(9, 4))
 
@@ -502,6 +501,35 @@ def test_a_square_radicand_mixes_with_any_field(op, d):
         # value built there directly
         direct = op(QuadraticRational(F(8, 3), 0, d), other())
         assert hash(op(rational(), other())) == hash(direct) == hash(op(other(), rational()))
+
+
+_NONZERO = st.fractions(-20, 20, max_denominator=6).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(-20, 20, max_denominator=6), _NONZERO, st.sampled_from([2, 3, 5, F(13, 2)]),
+       _POSITIVE, _NONZERO, _POSITIVE)
+def test_a_value_has_one_form_that_no_operation_changes(a, b, d, q, v, r):
+    # the rational v spelled as itself, in the radicands d and d q^2, and
+    # with the square radicand r^2 as (v - b r) + b sqrt(r^2); the
+    # irrational a + b sqrt(d) spelled in the radicands d and d q^2
+    rational = [QuadraticRational(v), QuadraticRational(v, 0, d), QuadraticRational(v, 0, d * q * q),
+                QuadraticRational(v - b * r, b, r * r)]
+    irrational = [QuadraticRational(a, b, d), QuadraticRational(a, b / q, d * q * q)]
+    assert {repr(x) for x in rational} == {"QuadraticRational(%s)" % v}
+    for spellings in (rational, irrational):
+        first = spellings[0]
+        assert {scalar_to_str(x) for x in spellings} == {scalar_to_str(first)}
+        assert {hash(x) for x in spellings} == {hash(first)}
+        assert all(x == first and first == x for x in spellings)
+    assert scalar_to_str(rational[0]) == scalar_to_str(v) and hash(rational[0]) == hash(v)
+    operands = [(x, rational[0]) for x in rational] + [(x, irrational[0]) for x in irrational]
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq, operator.lt):
+        for x, x0 in operands:
+            for y, y0 in operands:
+                before = repr(x), repr(y)
+                assert op(x, y) == op(x0, y0)
+                assert (repr(x), repr(y)) == before
 
 
 def test_scalar_string_roundtrip():
