@@ -7,11 +7,11 @@ element values where a closed form exists, and verifies every synthesis by
 impedance expansion, exactly or at arbitrary precision.
 
 Importing the package loads neither mpmath nor numpy.  ``ratpoly`` loads
-mpmath the first time a value needs an mpf, so exact arithmetic never does;
-an exact quadratic irrational needs one only for its decimal string.  The
-fitting names (``FitResult``, ``fit_topology``, ``falsify_small``) live in
-``verify``, the one module that needs numpy; they are served from it on
-first access.  The value types (targets, networks, reports) are plain
+mpmath the first time a value needs an mpf, so exact arithmetic never does,
+nor the decimal string or float of a quadratic irrational, nor the fitter,
+which certifies its fits exactly.  The fitting names (``FitResult``,
+``fit_topology``, ``falsify_small``) live in ``verify``, the one module
+that needs numpy; they are served from it on first access.  The value types (targets, networks, reports) are plain
 classes on one base, ``ratpoly._Record``, that compares, hashes, prints and
 pickles them by their fields.  Defining them imports no module and compiles
 no generated code, so importing the package does not load the standard

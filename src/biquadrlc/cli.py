@@ -20,8 +20,8 @@ profile ``main(argv)`` in-process instead.
 
 Only ``falsify`` loads numpy (through ``verify``).  mpmath is loaded by
 ``ratpoly`` when a value needs an mpf: in ``classify`` and ``synth`` on an
-inexact target or an n4a/n5a locus, and in ``falsify``.  The other
-commands, ``classify`` and ``synth`` on a rational fig3a target among them,
+n4a/n5a locus.  The other commands, ``classify`` and ``synth`` on a rational
+fig3a target and ``falsify``, which certifies its fits exactly, among them,
 keep their values exact and never load it.
 
 Every number read from an option, a netlist, a target or a ``--poly`` array

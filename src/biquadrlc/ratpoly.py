@@ -15,9 +15,10 @@ every one is exact, mpf at the working precision otherwise.
 
 This is the one module of the package that imports mpmath, and only when a
 value needs it (:func:`load_mpmath`): exact arithmetic never loads it, and
-neither does printing an exact value: the decimal string of a quadratic
-irrational (:func:`scalar_to_str`, which also keys the canonical order of
-networks) comes from integers (:func:`decimal_str`).  :func:`workprec` sets
+neither does printing an exact value or rounding it to a float: the
+decimal string of a quadratic irrational (:func:`scalar_to_str`, which also
+keys the canonical order of networks) and its float come from integers
+(:func:`decimal_str`, ``QuadraticRational.__float__``).  :func:`workprec` sets
 the working precision with or without it.
 
 Conventions:
@@ -191,8 +192,10 @@ class QuadraticRational:
     so these can be used as Poly coefficients and as network element values;
     that is what makes boundary points like p = (3 + 2*sqrt(2))z and the
     closed-form synthesis constants exactly representable.  Radicands d and
-    d q^2 give one field, so such values mix and compare; values in two
-    different fields raise ValueError.
+    d q^2 give one field, so such values mix and compare; arithmetic and
+    order between values in two different fields raise ValueError, and
+    ``==`` between them is False.  ``float()`` rounds correctly without
+    mpmath.
 
     Normal form: b = 0 or d is not a rational square.  The constructor folds
     b*sqrt(d) into a when d is a square; the arithmetic keeps the form and
@@ -312,7 +315,12 @@ class QuadraticRational:
     # -- comparisons
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except ValueError:
+            # irrationals in two fields differ: a + b sqrt(d) = c + e sqrt(d')
+            # with b, e != 0 would make sqrt(d d') rational
+            return False
         if o is NotImplemented:
             return NotImplemented
         return self.a == o.a and self.b == o.b
@@ -339,6 +347,23 @@ class QuadraticRational:
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
+
+    def __float__(self):
+        """The correctly rounded float, from integer arithmetic alone."""
+        if self.b == 0:
+            return float(self.a)
+        # m = floor(|x| 2^shift) of at least 54 bits: every float and every
+        # midpoint between two near |x| is then an integer over 2^shift, and
+        # none lies strictly between m and m + 1, where the irrational
+        # |x| 2^shift is, so |x| rounds as (m + 1/2) / 2^shift does
+        sign = self.sign()
+        form = _integer_form(self, sign)
+        shift = 54
+        while True:
+            m = _floor_scaled(form, 1 << shift, 1)
+            if m.bit_length() >= 54:
+                return sign * float(Fraction(2 * m + 1, 1 << (shift + 1)))
+            shift += 54 - m.bit_length()
 
     def to_mpf(self):
         mpmath = load_mpmath()
@@ -402,6 +427,28 @@ def field_of(*xs):
     return _exact if all(is_exact_scalar(x) for x in xs) else to_mpf
 
 
+def _integer_form(x: QuadraticRational, sign: int):
+    """Integers P, Q, D and root_sign with |x| = (P + root_sign sqrt(Q)) / D,
+    for x of sign ``sign`` != 0."""
+    a, c = sign * x.a, x.b * x.b * x.d
+    P, D = a.numerator * c.denominator, a.denominator * c.denominator
+    Q = c.numerator * c.denominator * a.denominator**2
+    return P, Q, D, sign * ((x.b > 0) - (x.b < 0))
+
+
+def _floor_scaled(form, up: int, down: int) -> int:
+    """floor(|x| up / down) for |x| in ``_integer_form`` and integers up,
+    down > 0: floor((P up + root_sign sqrt(Q up^2)) / (D down)), with
+    r = floor(root_sign sqrt(Q up^2)) from isqrt, as floor((t + r') / M)
+    = floor((t + floor(r')) / M) for integers t and M > 0."""
+    P, Q, D, root_sign = form
+    Qs = Q * up * up
+    r = math.isqrt(Qs)
+    if root_sign < 0:
+        r = -r if r * r == Qs else -r - 1
+    return (P * up + r) // (D * down)
+
+
 # significant digits of a decimal string
 DIGITS = 50
 
@@ -416,22 +463,11 @@ def decimal_str(x) -> str:
     sign = x.sign()
     if sign == 0:
         return "0.0"
-    # |x| = (P + root_sign sqrt(Q)) / D in integers
-    a, c = sign * x.a, x.b * x.b * x.d
-    P, D = a.numerator * c.denominator, a.denominator * c.denominator
-    Q = c.numerator * c.denominator * a.denominator**2
-    root_sign = sign * ((x.b > 0) - (x.b < 0))
+    form = _integer_form(x, sign)
     shift = DIGITS + 1
     while True:
-        # m = floor(|x| 10^shift) = floor((P up + root_sign sqrt(Qs)) / (D down)):
-        # r = floor(root_sign sqrt(Qs)) from isqrt, and floor((t + r') / M)
-        # = floor((t + floor(r')) / M) for integers t and M > 0
-        up, down = (10**shift, 1) if shift >= 0 else (1, 10**-shift)
-        Qs = Q * up * up
-        r = math.isqrt(Qs)
-        if root_sign < 0:
-            r = -r if r * r == Qs else -r - 1
-        m = (P * up + r) // (D * down)
+        # m = floor(|x| 10^shift)
+        m = _floor_scaled(form, *((10**shift, 1) if shift >= 0 else (1, 10**-shift)))
         extra = len(str(m)) - DIGITS
         if extra > 0:
             break

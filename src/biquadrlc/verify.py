@@ -31,7 +31,9 @@ Against 1e-10 this takes a floor problem at n <= 3 about a fifth fewer
 rounds, moves no n <= 5 floor of (s+1)^2/(s+2)^2 or (s+1)^2/(s+3)^2 (seeds
 0 and 7) up by more than 0.1%, and lowers five of their floors of 1.0 to
 0.73-0.89.  1e-8 is the ceiling: at 3e-8 one of these floors rises by 12%,
-at 1e-7 one by 32%.
+at 1e-7 one by 32%.  Certification is exact: the target (reduced, as for
+the filter premises) and the fitted floats are the values they store
+(``_exact_value``), and the residual's nearest float is reported.
 
 What does not depend on the target is prepared once per process and cached:
 the terms of each template, and for ``falsify_small`` the labelings of each
@@ -63,7 +65,7 @@ from .network import (
     parse_filters,
     to_netlist_json,
 )
-from .ratpoly import Poly, QuadraticRational, RationalFn, _Record, gcd, sturm_count, to_mpf, workprec
+from .ratpoly import Poly, QuadraticRational, RationalFn, _Record, gcd, sturm_count
 
 __all__ = [
     "verify_exact",
@@ -76,9 +78,9 @@ __all__ = [
 
 
 class FitResult(_Record, mutable=True):
-    """Outcome of ``fit_topology``.  ``iterations`` counts every evaluation
-    over all starts: residual evaluations (nfev) plus Jacobian evaluations
-    (njev), and the one or two of each ``_to_limit``."""
+    """Outcome of ``fit_topology``: ``residual`` is the float nearest to the
+    exact residual of ``values``.  ``iterations`` counts all evaluations:
+    residual (nfev) and Jacobian (njev) ones, and those of ``_to_limit``."""
 
     __slots__ = ("success", "values", "residual", "iterations")
 
@@ -104,7 +106,6 @@ def _instantiate(template: SPNet, values: Iterable) -> SPNet:
 
 
 THETA_CLIP = 200.0  # |log value| bound, so one element value cannot overflow
-FIT_PRECISION_BITS = 128  # working precision of the target conversion and the re-verification
 
 
 class _Multilinear:
@@ -629,11 +630,10 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
     minimum as one certified before when its cost is within a relative
     ``SAME_COST`` of that one's, or when the same elements ran off to the
     same ends (0 or infinity): such starts differ only in how deep they
-    stopped, and certify alike.  The fit reports the smallest certified
-    residual, its values and every evaluation spent."""
-    with workprec(FIT_PRECISION_BITS):
-        tnum, tden = (np.array([float(to_mpf(c)) for c in poly.coeffs])
-                      for poly in (target.num, target.den))
+    stopped, and certify alike.  The fit reports the smallest exactly
+    certified residual, its values and every evaluation spent."""
+    target = RationalFn(*(Poly(_exact_value(c) for c in poly.coeffs) for poly in (target.num, target.den)))
+    tnum, tden = (np.array([float(c) for c in poly.coeffs]) for poly in (target.num, target.den))
     compiled = _CompiledTemplate(templates, tnum, tden)
     x0 = np.zeros((len(templates) * starts, compiled.exponents.shape[2]))
     for t, seed in enumerate(seeds):
@@ -654,9 +654,8 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
                 continue  # the same minimum as a certified one
             certified.append((costs[i], ends))
             values = np.exp(theta).tolist()  # theta is clipped, so no value overflows
-            net = _instantiate(templates[t], [to_mpf(v) for v in values])
-            ok, residual = verify_numeric(net, target, tol=tol, precision_bits=FIT_PRECISION_BITS)
-            if fit is None or residual < fit.residual:
+            ok, residual = verify_numeric(_instantiate(templates[t], map(Fraction, values)), target, tol=tol)
+            if fit is None or float(residual) < fit.residual:
                 fit = FitResult(bool(ok), dict(zip(_slot_names(templates[t]), values)), float(residual), 0)
             # a residual of 1 or more is a degenerate limit, which the next
             # distinct minimum may beat
@@ -690,14 +689,14 @@ def fit_topology(
     (Jacobian evaluations, at most one fewer per start, come on top).  The
     best start's elements that run off to 0 or infinity go to the clip
     (``_to_limit``); when that limit certifies at residual 1 or more, the
-    next distinct minima are certified too (``_fit``).  Success is certified by verify_numeric at
-    ``FIT_PRECISION_BITS`` and ``tol``, so a success here always
-    re-verifies.  This is the one-template case of ``_fit``, in which
-    ``falsify_small`` fits all its templates side by side; its entry for
-    the template equals this fit up to the rounding of the batch's padding
-    (every Jacobian is padded to the widest template of the batch, and
-    LAPACK's SVD rounds a zero-padded matrix differently).  Raises
-    ValueError when the budget is below two evaluations per start.
+    next distinct minima are certified too (``_fit``).  Success is certified
+    exactly within ``tol``, so a success here always re-verifies.  This is
+    the one-template case of ``_fit``, in which ``falsify_small`` fits all
+    its templates side by side; its entry for the template equals this fit
+    up to the rounding of the batch's padding (every Jacobian is padded to
+    the widest template of the batch, and LAPACK's SVD rounds a zero-padded
+    matrix differently).  Raises ValueError when the budget is below two
+    evaluations per start.
     """
     _check_budget(budget, starts)
     if not leaves(template):

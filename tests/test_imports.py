@@ -1,5 +1,6 @@
 """Which modules the package, the CLI and each kind of command load:
-mpmath only once a value needs an mpf, numpy only with the fitter in
+mpmath only once a value needs an mpf (never in the fitter, which certifies
+exactly), numpy only with the fitter in
 ``verify``, scipy, a test oracle, never, and neither ``dataclasses`` nor
 ``inspect`` beyond what a bare interpreter has.  Checked in a fresh
 interpreter, by the modules it has loaded, so the tests do not depend on
@@ -145,7 +146,26 @@ print(json.dumps({"code": code, "loaded": sorted(m for m in ("mpmath", "numpy", 
 
 
 def test_falsify_loads_numpy_but_not_scipy():
-    assert json.loads(_fresh(FALSIFY_PROBE)) == {"code": 0, "loaded": ["mpmath", "numpy"]}
+    # nor mpmath: the fitter certifies a rational target exactly
+    assert json.loads(_fresh(FALSIFY_PROBE)) == {"code": 0, "loaded": ["numpy"]}
+
+
+QUADRATIC_FALSIFY_PROBE = """
+import json, sys
+from biquadrlc.biquad import CanonicalBiquad, to_rational_fn
+from biquadrlc.ratpoly import QuadraticRational
+from biquadrlc.verify import falsify_small
+report = falsify_small(to_rational_fn(CanonicalBiquad(1, 1, QuadraticRational(2, 1, 2))), 3)
+fitted = [e["best_residual"] for e in report["entries"] if not e["filtered"]]
+print(json.dumps({"fitted": bool(fitted), "floats": all(type(r) is float for r in fitted),
+                  "mpmath": "mpmath" in sys.modules}))
+"""
+
+
+def test_falsify_of_a_quadratic_irrational_target_loads_no_mpmath():
+    # eta = 2 + sqrt2: the target's floats and the certified residuals come
+    # from integer arithmetic in Q(sqrt2)
+    assert json.loads(_fresh(QUADRATIC_FALSIFY_PROBE)) == {"fitted": True, "floats": True, "mpmath": False}
 
 
 CLI_PROBE = """

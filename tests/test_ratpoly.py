@@ -478,6 +478,48 @@ def test_quadratic_rationals_mix_only_within_one_field():
             QuadraticRational(0, 1, a) + QuadraticRational(0, 1, b)
 
 
+@pytest.mark.parametrize("x, y", [
+    (QuadraticRational(0, 1, 2), QuadraticRational(0, 1, 3)),
+    (QuadraticRational(1, 1, 2), QuadraticRational(1, 1, F(1, 3))),
+    (QuadraticRational(2, -1, 5), QuadraticRational(2, -2, 60)),
+    # radicands 5 and 5 + (2^61 - 1), whose hashes collide, so that a set
+    # or dict compares the two
+    (QuadraticRational(0, 1, 5), QuadraticRational(0, 1, 5 + 2**61 - 1)),
+])
+def test_irrationals_of_two_fields_are_unequal(x, y):
+    # a + b sqrt(d) = c + e sqrt(d') with b, e != 0 would make sqrt(d d')
+    # rational: so == is False and != True, both ways round, while
+    # arithmetic and order across the fields keep raising
+    assert not x == y and not y == x
+    assert x != y and y != x
+    assert len({x, y}) == 2 and {x: 1}.get(y) is None and {y: 1}.get(x) is None
+    for op in (operator.add, operator.lt):
+        with pytest.raises(ValueError, match="cannot mix"):
+            op(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(-(10**9), 10**9, max_denominator=10**9),
+       st.fractions(-(10**9), 10**9, max_denominator=10**9).filter(bool),
+       st.sampled_from([2, 3, 5, F(13, 2), F(10**12 + 1, 7)]), st.integers(-300, 300))
+@example(F(0), F(1), F(2), 0)
+# a + b sqrt(d) within 2^-60 of the rational a, which it must not round to
+@example(F(1), F(1, 2**60), F(2), 0)
+# 3 - 2 sqrt2 = 0.17..., computed from a cancellation of two nearly equal terms
+@example(F(3), F(-2), F(2), 0)
+def test_float_of_a_quadratic_irrational_rounds_correctly(a, b, d, e):
+    # against mpmath at 1100 bits, whose own rounding lies a thousand bits
+    # below the float's
+    scale = F(2) ** e
+    x = QuadraticRational(a * scale, b * scale, d)
+    with mpmath.workprec(1100):
+        mpf = mpmath.mpf
+        oracle = (mpf(x.a.numerator) / x.a.denominator
+                  + mpf(x.b.numerator) / x.b.denominator * mpmath.sqrt(mpf(x.d.numerator) / x.d.denominator))
+        assert float(x) == float(oracle)
+    assert float(QuadraticRational(a)) == float(a)
+
+
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
                                 operator.eq, operator.lt])
 @pytest.mark.parametrize("d", [2, 5, F(13, 2)])

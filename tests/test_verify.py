@@ -303,9 +303,9 @@ LM_TOLERANCES = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
 
 
 def _certified(tpl, theta, target):
-    values = [mpf(v) for v in np.exp(np.clip(theta, -verify.THETA_CLIP, verify.THETA_CLIP))]
-    net = verify._instantiate(tpl, values)
-    return verify_numeric(net, target, tol=F(1, 10**8), precision_bits=verify.FIT_PRECISION_BITS)[0]
+    # as _fit certifies: the float values as the dyadic rationals they are
+    values = [F(v) for v in np.exp(np.clip(theta, -verify.THETA_CLIP, verify.THETA_CLIP)).tolist()]
+    return verify_numeric(verify._instantiate(tpl, values), target, tol=F(1, 10**8))[0]
 
 
 @pytest.mark.parametrize("tolerances", [LM_TOLERANCES, dict(LM_TOLERANCES, xtol=SETTLED, ftol=SETTLED)],
@@ -652,6 +652,19 @@ def test_budget_bounds_residual_evaluations():
     report = falsify_small(target, 3, budget=48)
     fitted = [e for e in report["entries"] if not e["filtered"]]
     assert fitted and all(e["evaluations"] < 96 for e in fitted)
+
+
+def test_an_mpf_target_and_its_exact_twin_give_one_report():
+    # the fitter takes an mpf coefficient as the dyadic rational it stores,
+    # as the filter premises do: the Fraction of each gives the same report
+    with mp.workprec(128):
+        biquad = CanonicalBiquad(mpf(1), mpf(1) / 3, mpf(7) / 9)
+        target = to_rational_fn(biquad)
+    twin = RationalFn(*(Poly([F(c.man) * F(2) ** c.exp for c in poly.coeffs]) for poly in (target.num, target.den)))
+    assert twin.num.coeffs[0] != F(1, 9)  # 1/9 rounded to 128 bits
+    report = falsify_small(target, 3, seed=3)
+    assert any(not e["filtered"] for e in report["entries"])
+    assert report == falsify_small(twin, 3, seed=3)
 
 
 def test_quadratic_rational_target_fits():
