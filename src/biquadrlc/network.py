@@ -176,13 +176,6 @@ def resistor_count(net: SPNet) -> int:
     return sum(1 for lf in leaves(net) if lf.kind == "R")
 
 
-def map_leaves(net: SPNet, fn: Callable[[Leaf], Leaf]) -> SPNet:
-    if isinstance(net, Leaf):
-        return fn(net)
-    cls = type(net)
-    return canonical(cls(tuple(map_leaves(c, fn) for c in net.children)))
-
-
 # ---------------------------------------------------------------------------
 # impedance
 
@@ -247,6 +240,16 @@ def impedance_coeffs(net: SPNet, values: Sequence) -> Tuple[list, list]:
     return build(net)
 
 
+def _leaf_values(net: SPNet) -> list:
+    """The checked values of the leaves (R/L/C, positive), in ``leaves(net)``
+    order and in the one field that ``field_of`` picks for them all."""
+    lfs = leaves(net)
+    for lf in lfs:
+        _check_leaf(lf)
+    f = field_of(*(lf.value for lf in lfs))
+    return [f(lf.value) for lf in lfs]
+
+
 def impedance(net: SPNet) -> RationalFn:
     """Driving-point impedance Z(s) as a reduced rational function.
 
@@ -255,11 +258,7 @@ def impedance(net: SPNet) -> RationalFn:
     (numerator and denominator coprime, denominator monic); with mpf values
     the reduction step is skipped and only the normalization applies.
     """
-    lfs = leaves(net)
-    for lf in lfs:
-        _check_leaf(lf)
-    f = field_of(*(lf.value for lf in lfs))
-    num, den = impedance_coeffs(net, [f(lf.value) for lf in lfs])
+    num, den = impedance_coeffs(net, _leaf_values(net))
     return RationalFn(Poly(num), Poly(den))
 
 

@@ -31,9 +31,11 @@ Against 1e-10 this takes a floor problem at n <= 3 about a fifth fewer
 rounds, moves no n <= 5 floor of (s+1)^2/(s+2)^2 or (s+1)^2/(s+3)^2 (seeds
 0 and 7) up by more than 0.1%, and lowers five of their floors of 1.0 to
 0.73-0.89.  1e-8 is the ceiling: at 3e-8 one of these floors rises by 12%,
-at 1e-7 one by 32%.  Certification is exact: the target (reduced, as for
-the filter premises) and the fitted floats are the values they store
-(``_exact_value``), and the residual's nearest float is reported.
+at 1e-7 one by 32%.  Certification is exact, by the one rule of ``check``:
+the template's unreduced impedance coefficients at the fitted floats, taken
+as the values they store, against the target that ``_exact_target`` gives
+(as for the filter premises), with no network built per certification; the
+residual's nearest float is reported.
 
 What does not depend on the target is prepared once per process and cached:
 the terms of each template, and for ``falsify_small`` the labelings of each
@@ -50,21 +52,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from .check import coefficient_residual, verify_exact, verify_numeric
-from .network import (
-    Leaf,
-    SPNet,
-    enumerate_labeled,
-    leaves,
-    impedance_coeffs,
-    map_leaves,
-    parse_filters,
-    to_netlist_json,
-)
+from .check import _certify, coefficient_residual, verify_exact, verify_numeric
+from .network import SPNet, enumerate_labeled, impedance_coeffs, leaves, parse_filters, to_netlist_json
 from .ratpoly import Poly, QuadraticRational, RationalFn, _Record, gcd, sturm_count
 
 __all__ = [
@@ -98,11 +91,6 @@ def _slot_names(template: SPNet) -> List[str]:
         counters[lf.kind] += 1
         names.append("%s%d" % (lf.kind, counters[lf.kind]))
     return names
-
-
-def _instantiate(template: SPNet, values: Iterable) -> SPNet:
-    it = iter(values)
-    return map_leaves(template, lambda lf: Leaf(lf.kind, next(it)))
 
 
 THETA_CLIP = 200.0  # |log value| bound, so one element value cannot overflow
@@ -631,8 +619,8 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
     ``SAME_COST`` of that one's, or when the same elements ran off to the
     same ends (0 or infinity): such starts differ only in how deep they
     stopped, and certify alike.  The fit reports the smallest exactly
-    certified residual, its values and every evaluation spent."""
-    target = RationalFn(*(Poly(_exact_value(c) for c in poly.coeffs) for poly in (target.num, target.den)))
+    certified residual, its values and every evaluation spent.  The target
+    comes as ``_exact_target`` gives it."""
     tnum, tden = (np.array([float(c) for c in poly.coeffs]) for poly in (target.num, target.den))
     compiled = _CompiledTemplate(templates, tnum, tden)
     x0 = np.zeros((len(templates) * starts, compiled.exponents.shape[2]))
@@ -654,7 +642,7 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
                 continue  # the same minimum as a certified one
             certified.append((costs[i], ends))
             values = np.exp(theta).tolist()  # theta is clipped, so no value overflows
-            ok, residual = verify_numeric(_instantiate(templates[t], map(Fraction, values)), target, tol=tol)
+            ok, residual = _certify(templates[t], [Fraction(v) for v in values], target, tol)
             if fit is None or float(residual) < fit.residual:
                 fit = FitResult(bool(ok), dict(zip(_slot_names(templates[t]), values)), float(residual), 0)
             # a residual of 1 or more is a degenerate limit, which the next
@@ -701,7 +689,7 @@ def fit_topology(
     _check_budget(budget, starts)
     if not leaves(template):
         raise ValueError("template has no element slots")
-    return _fit([template], target, budget, starts, [seed], tol)[0]
+    return _fit([template], _exact_target(target), budget, starts, [seed], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +721,12 @@ def _exact_value(c):
     return Fraction(c)
 
 
+def _exact_target(target: RationalFn) -> RationalFn:
+    """The target as its exact value, reduced: the one form in which the
+    fitter takes it and ``_jw_axis_points`` decides the filter premises."""
+    return RationalFn(*(Poly(_exact_value(c) for c in poly.coeffs) for poly in (target.num, target.den)))
+
+
 def _has_imaginary_root(p: Poly) -> bool:
     """Whether p(jw) = 0 for some real w > 0, decided exactly.
 
@@ -746,11 +740,10 @@ def _has_imaginary_root(p: Poly) -> bool:
 
 
 def _jw_axis_points(target: RationalFn) -> set:
-    """Where a nonzero target, reduced exactly, has a pole or a zero on the
-    jw axis: the pairs of ``_PREMISES`` that it has."""
-    z = RationalFn(*(Poly(_exact_value(c) for c in poly.coeffs) for poly in (target.num, target.den)))
+    """Where a nonzero target, as ``_exact_target`` gives it, has a pole or
+    a zero on the jw axis: the pairs of ``_PREMISES`` that it has."""
     out = set()
-    for kind, p, q in (("pole", z.den, z.num), ("zero", z.num, z.den)):
+    for kind, p, q in (("pole", target.den, target.num), ("zero", target.num, target.den)):
         if p.coeffs[0] == 0 or q.degree > p.degree:  # at s = 0 or s = inf
             out |= {(kind, "ends"), (kind, "axis")}
         elif _has_imaginary_root(p):
@@ -808,6 +801,7 @@ def falsify_small(
     _check_budget(budget, starts)
     if target.num.is_zero:
         raise ValueError("the target Z = 0 is no network of positive elements")
+    target = _exact_target(target)
     has = _jw_axis_points(target)
     applied = tuple(name for name in FALSIFY_FILTERS if _PREMISES.get(name) not in has)
     labeled = [(n, net, skip) for n in range(1, n_max + 1) for net, skip in _labelings(n, applied)]

@@ -111,6 +111,18 @@ def test_synth_verify_roundtrip(capsys):
     assert result["ok"] is True
 
 
+def test_verify_reports_the_residual_of_the_unreduced_impedance(capsys):
+    # R + ((R1 + L) || (R1 + C)) with R1^2 = L / C: Z has the common factor
+    # s + 4/5, which the residual keeps, as the same network's mpf twin does
+    element = lambda kind, value: {"type": "element", "kind": kind, "value": value}
+    arm = lambda kind, value: {"type": "series", "children": [element("R", "1/4"), element(kind, value)]}
+    netlist = {"type": "series", "children": [
+        element("R", "2/3"), {"type": "parallel", "children": [arm("L", "5/16"), arm("C", "5")]}]}
+    target = {"num": ["6/5", "9/5", "7/5"], "den": ["4/5", "1", "1"]}
+    code, result = run_json(capsys, "verify", json.dumps(netlist), "--target", json.dumps(target))
+    assert (code, result) == (1, {"ok": False, "residual": "821/1866"})
+
+
 def test_synth_forced_config_rejects(capsys):
     code = main(["synth", "--k", "1", "--z", "1", "--p", "2", "--config", "fig3a"])
     assert code == 1

@@ -26,14 +26,14 @@ from biquadrlc.network import (
     series,
     to_netlist_json,
 )
-from biquadrlc.ratpoly import Poly, QuadraticRational, RationalFn
+from biquadrlc.ratpoly import Poly, QuadraticRational, RationalFn, to_mpf
 from biquadrlc.realize import lemma_four_element, lemma_three_element, synth_fig3a
 from biquadrlc.verify import (
     EXACT_FIT,
     FALSIFY_FILTERS,
     SETTLED,
     _CompiledTemplate,
-    _jw_axis_points,
+    _exact_target,
     coefficient_residual,
     falsify_small,
     fit_topology,
@@ -101,6 +101,32 @@ def test_verify_numeric_handles_unreduced_numeric_forms():
         target = za + zb
         ok, residual = verify_numeric(net, target, tol=F(1, 10**20), precision_bits=128)
         assert ok, residual
+
+
+def _constant_resistance_example(value):
+    # R + ((R1 + L) || (R1 + C)) with R1^2 = L / C: the pair is the constant
+    # resistance R1, and its unreduced impedance carries the factor s + R1 / L
+    return series(Leaf("R", value(F(2, 3))), parallel(series(Leaf("R", value(F(1, 4))), Leaf("L", value(F(5, 16)))),
+                                                     series(Leaf("R", value(F(1, 4))), Leaf("C", value(F(5))))))
+
+
+def test_an_exact_network_and_its_mpf_twin_give_one_residual():
+    # one rule in both fields: the exact residual is what 256-bit mpf
+    # computes, to its rounding, also where Z has a common factor
+    target = RF((F(6, 5), F(9, 5), F(7, 5)), (F(4, 5), 1, 1))
+    twins = [
+        (_constant_resistance_example, target),
+        (lambda value: build_config("fig8b", {"R1": value(F(1)), "L1": value(F(101, 100)), "C1": value(F(1))}),
+         RF((1, 0, 1), (1, 1, 1))),
+        (lambda value: series(Leaf("R", value(F(1, 3))), Leaf("L", value(F(2)))), RF((1, 1), (1,))),
+    ]
+    for network, goal in twins:
+        ok, exact = verify_numeric(network(lambda v: v), goal)
+        assert not ok and isinstance(exact, F)
+        with mp.workprec(256):
+            ok, inexact = verify_numeric(network(to_mpf), goal)
+            assert not ok and abs(inexact - to_mpf(exact)) <= mpf(2) ** -240 * exact
+    assert verify_numeric(_constant_resistance_example(lambda v: v), target)[1] == F(821, 1866)
 
 
 def test_verify_numeric_exact_quadratic_extension_values():
@@ -303,9 +329,10 @@ LM_TOLERANCES = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
 
 
 def _certified(tpl, theta, target):
-    # as _fit certifies: the float values as the dyadic rationals they are
+    # as _fit certifies: the template's coefficients at the float values,
+    # taken as the dyadic rationals they are
     values = [F(v) for v in np.exp(np.clip(theta, -verify.THETA_CLIP, verify.THETA_CLIP)).tolist()]
-    return verify_numeric(verify._instantiate(tpl, values), target, tol=F(1, 10**8))[0]
+    return verify._certify(tpl, values, target, F(1, 10**8))[0]
 
 
 @pytest.mark.parametrize("tolerances", [LM_TOLERANCES, dict(LM_TOLERANCES, xtol=SETTLED, ftol=SETTLED)],
@@ -556,23 +583,27 @@ def test_falsify_filters_keep_the_labelings_no_image_rules_out():
 
 
 def test_filter_premises_are_decided_exactly_on_the_reduced_target():
+    # as falsify_small decides them: on the target that _exact_target gives
+    def premises(target):
+        return verify._jw_axis_points(_exact_target(target))
+
     ends = {("pole", "ends"), ("pole", "axis")}
-    assert _jw_axis_points(RF((1, 1), (1,))) == ends  # Z(inf) = inf
-    assert _jw_axis_points(RF((1, 1), (0, 1))) == ends  # Z(0) = inf
-    assert _jw_axis_points(RF((0, 2), (1, 2, 1))) == {("zero", "ends"), ("zero", "axis")}
+    assert premises(RF((1, 1), (1,))) == ends  # Z(inf) = inf
+    assert premises(RF((1, 1), (0, 1))) == ends  # Z(0) = inf
+    assert premises(RF((0, 2), (1, 2, 1))) == {("zero", "ends"), ("zero", "axis")}
     # poles at s = +-j, read from mpf coefficients as from Fractions
     poles = RationalFn(Poly([mpf(1), mpf(1), mpf(1)]), Poly([mpf(1), mpf(0), mpf(1)]))
-    assert _jw_axis_points(poles) == _jw_axis_points(RF((1, 1, 1), (1, 0, 1))) == {("pole", "axis")}
-    assert _jw_axis_points(RF((1, 0, 1), (1, 1, 1))) == {("zero", "axis")}
+    assert premises(poles) == premises(RF((1, 1, 1), (1, 0, 1))) == {("pole", "axis")}
+    assert premises(RF((1, 0, 1), (1, 1, 1))) == {("zero", "axis")}
     # (s^2 + 1)(s + 1) / (s + 1)^3 reduces to (s^2 + 1) / (s + 1)^2
-    assert _jw_axis_points(RF((1, 1, 1, 1), (1, 3, 3, 1))) == {("zero", "axis")}
+    assert premises(RF((1, 1, 1, 1), (1, 3, 3, 1))) == {("zero", "axis")}
     # s^2 - 1 has real roots only, and (s + 2)^2 none on the axis
-    assert _jw_axis_points(RF((-1, 0, 1), (4, 4, 1))) == set()
+    assert premises(RF((-1, 0, 1), (4, 4, 1))) == set()
     # an mpf coefficient is the dyadic rational it stores: a damping of
     # 2^-100 takes the poles off the axis
     with mp.workprec(128):
         damped = RationalFn(Poly([mpf(1), mpf(1), mpf(1)]), Poly([mpf(1), mpf(2) ** -100, mpf(1)]))
-    assert _jw_axis_points(damped) == set()
+    assert premises(damped) == set()
 
 
 _SKIPPED_RULE_TARGETS = [
