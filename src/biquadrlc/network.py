@@ -131,20 +131,22 @@ def canonical_key(net: SPNet) -> tuple:
 
 def canonical(net: SPNet) -> SPNet:
     """Flatten nested same-type nodes and sort children canonically."""
+    return _canonical(net)[0]
+
+
+def _canonical(net: SPNet) -> Tuple[SPNet, tuple]:
+    """``canonical(net)`` and its ``canonical_key``, built bottom-up from
+    the children's keys, so that each leaf value is formatted once."""
     if isinstance(net, Leaf):
-        return net
+        return net, canonical_key(net)
     cls = type(net)
-    flat: List[SPNet] = []
-    for child in net.children:
-        child = canonical(child)
-        if isinstance(child, cls):
-            flat.extend(child.children)
-        else:
-            flat.append(child)
+    flat: List[Tuple[SPNet, tuple]] = []
+    for child, key in map(_canonical, net.children):
+        flat.extend(zip(child.children, key[1]) if isinstance(child, cls) else [(child, key)])
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=canonical_key)
-    return cls(tuple(flat))
+    flat.sort(key=lambda pair: pair[1])
+    return cls(tuple(child for child, _ in flat)), (1 if cls is Series else 2, tuple(key for _, key in flat))
 
 
 def series(*parts: SPNet) -> SPNet:

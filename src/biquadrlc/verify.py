@@ -150,23 +150,11 @@ def _term_table(template: SPNet):
     return table + (len(num), len(den))
 
 
-class _Batch(NamedTuple):
-    """A batch's per-row tables, gathered from the stack for the templates
-    that its rows name: exponents, weights, and the slots at which
-    ``evaluate`` adds terms to coefficients and ``jacobian_at`` adds term
-    derivatives to coefficient derivatives."""
-
-    exponents: np.ndarray
-    weight: np.ndarray
-    slots: np.ndarray
-    dslots: np.ndarray
-
-
 class _Point(NamedTuple):
     """A batch as ``_CompiledTemplate.evaluate`` leaves it for ``jacobian_at``."""
 
     rows: np.ndarray
-    batch: _Batch
+    exponents: np.ndarray  # the rows' exponent tables
     unclipped: np.ndarray
     terms: np.ndarray
     sides: np.ndarray
@@ -200,11 +188,13 @@ class _CompiledTemplate:
     coefficients work per row, more than the scatter at five elements.
     ``evaluate`` returns the residuals of a batch and the point that
     ``jacobian_at`` continues from, so that the Jacobian of a point just
-    evaluated costs no second evaluation.  The rows' tables and scatter
-    slots are gathered from the stack once per batch composition
-    (``_batch``), and ``jacobian_at`` differentiates every row of the point
-    before it selects rows, so that it gathers no table; each row's sums
-    are the same either way.
+    evaluated costs no second evaluation.  Every call takes its rows'
+    tables from the stack, and ``jacobian_at`` differentiates only the rows
+    that it selects: a row's sums do not depend on the rows beside it.  Its
+    products with the cross-multiplication map do, because one BLAS product
+    takes the whole batch and rounds a row differently among other rows; so
+    a row's last bits depend on the batch's composition, not only on the
+    stack's padding.
 
     The stack pads every table with zeros to the largest term count, num
     and den length and element count: a padded term has weight 0, padded
@@ -233,25 +223,15 @@ class _CompiledTemplate:
             self.exponents[t, :k, :n], self.weight[t, :k] = exponents, weight
             self.position[t, :k] = index + n_num * den
             self.real_rows[t, : max(num_len + len(tden), den_len + len(tnum)) - 1] = 1.0
-        self._rows = None  # the composition of the last batch, whose tables ``_batch`` keeps
 
-    def _batch(self, rows) -> _Batch:
-        """The tables of a batch whose rows name these templates, gathered
-        once per batch composition: the last ``rows`` array is kept, and a
-        batch that passes it again (least_squares does so until a start
-        leaves or joins) reuses its tables, so a rows array must not change
-        in place."""
-        if rows is not self._rows:
-            exponents = self.exponents.take(rows, axis=0)
-            position = self.position.take(rows, axis=0)
-            (batch, _, n), width = exponents.shape, len(self.cross)
-            # coefficient i of row b is entry b * width + i of the sums, and
-            # d coefficient i / d theta_j entry (b * n + j) * width + i
-            slots = position + width * np.arange(batch)[:, None]
-            dslots = position[:, :, None] + width * np.arange(batch * n).reshape(batch, 1, n)
-            self._rows, self._tables = rows, _Batch(exponents, self.weight.take(rows, axis=0),
-                                                    slots.ravel(), dslots.ravel())
-        return self._tables
+    def _slots(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Where ``np.bincount`` adds the terms of a batch whose rows name
+        these templates: for n = 1 coefficient i of row b is entry b * width
+        + i, and for n elements d coefficient i / d theta_j of row b is
+        entry (b * n + j) * width + i."""
+        width = len(self.cross)
+        offsets = width * np.arange(len(rows) * n).reshape(len(rows), 1, n)
+        return (self.position.take(rows, axis=0)[:, :, None] + offsets).ravel()
 
     def evaluate(self, theta: np.ndarray, rows=None):
         """Residuals (B x size) of a batch theta (B x n), and the point from
@@ -259,13 +239,13 @@ class _CompiledTemplate:
         reads 1e6 on the template's real entries."""
         if rows is None:
             rows = np.zeros(len(theta), dtype=np.intp)
-        batch = self._batch(rows)
+        exponents = self.exponents.take(rows, axis=0)
         clipped = np.minimum(np.maximum(theta, -THETA_CLIP), THETA_CLIP)
         # exp overflows to inf on far-out starts, and inf * 0 in the sums
         # gives nan; both end in the finiteness check, which is the report
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = batch.weight * np.exp(np.einsum("bkn,bn->bk", batch.exponents, clipped))
-            coeffs = np.bincount(batch.slots, terms.ravel(), len(theta) * len(self.cross))
+            terms = self.weight.take(rows, axis=0) * np.exp(np.einsum("bkn,bn->bk", exponents, clipped))
+            coeffs = np.bincount(self._slots(rows, 1), terms.ravel(), len(theta) * len(self.cross))
             sides = coeffs.reshape(len(theta), -1) @ self.cross
             scale = np.maximum(np.abs(sides).max(axis=1), 1e-300)
             out = (sides[:, : self.size] - sides[:, self.size:]) / scale[:, None]
@@ -273,23 +253,22 @@ class _CompiledTemplate:
         if not np.isfinite(out).all():
             finite = np.isfinite(out).all(axis=1)
             out[~finite] = 1e6 * self.real_rows[rows[~finite]]
-        return out, _Point(rows, batch, clipped == theta, terms, sides, scale, out, finite)
+        return out, _Point(rows, exponents, clipped == theta, terms, sides, scale, out, finite)
 
     def jacobian_at(self, point: _Point, index=None) -> np.ndarray:
-        """Jacobians (B x size x n) of the rows ``index`` (a mask, or None
-        for all) of an evaluated batch; zero on rows whose residual is not
-        finite."""
-        _, batch, unclipped, terms, sides, scale, out, finite = point
+        """Jacobians (B x size x n) of the rows ``index`` (an index array,
+        or None for all) of an evaluated batch; zero on rows whose residual
+        is not finite."""
+        if index is not None:
+            point = _Point(*(None if a is None else a.take(index, axis=0) for a in point))
+        rows, exponents, unclipped, terms, sides, scale, out, finite = point
         with np.errstate(over="ignore", invalid="ignore"):
-            # d coefficient / d theta_j of every row: the sum of the
-            # coefficient's terms that hold j, zero for a clipped theta_j
+            # d coefficient / d theta_j: the sum of the coefficient's terms
+            # that hold j, zero for a clipped theta_j
             (count, n), width = unclipped.shape, len(self.cross)
-            dcoeffs = np.bincount(batch.dslots, (terms[:, :, None] * batch.exponents).ravel(), count * n * width)
+            dcoeffs = np.bincount(self._slots(rows, n), (terms[:, :, None] * exponents).ravel(), count * n * width)
             dcoeffs = dcoeffs.reshape(count, n, width)
             dcoeffs *= unclipped[:, :, None]
-            if index is not None:
-                dcoeffs, sides, scale, out = dcoeffs[index], sides[index], scale[index], out[index]
-                finite = None if finite is None else finite[index]
             # d scale / d theta: the signed derivative of the coefficient of
             # either side that sets the scale (argmax takes the first maximum:
             # lhs on a tie), or zero at the 1e-300 floor
@@ -398,18 +377,18 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
     in template order.
 
     ``fun`` maps a (B x n) batch and the templates of its rows to the
-    (B x m) residuals and a point, and ``jac`` maps a point and a mask of
-    its rows (None for all of them) to their (B' x m x n) Jacobians, so
-    that the Jacobian of an accepted step reuses the evaluation that
-    accepted it.  Each start follows MINPACK ``lmder`` (Moré, LNM 630,
-    1978) with ``factor`` 100 and the scaling D the running maximum of the
-    Jacobian's column norms: its own trust radius and parameter, step
-    acceptance, stop tests on ``xtol``, ``ftol`` and ``gtol`` and at most
-    ``max_nfev`` residual evaluations.  ``_fit`` passes ``SETTLED`` (1e-8)
-    as ``xtol`` and ``ftol``, and 1e-15 as ``gtol``.  Each round evaluates
-    one trial step of every running start in one call, and takes the
-    Jacobians of those whose step was accepted from that evaluation;
-    finished starts leave the batch.  The starts of a template join it
+    (B x m) residuals and a point, and ``jac`` maps a point and an index
+    array of its rows (None for all of them) to their (B' x m x n)
+    Jacobians, so that the Jacobian of an accepted step reuses the
+    evaluation that accepted it.  Each start follows MINPACK ``lmder``
+    (Moré, LNM 630, 1978) with ``factor`` 100 and the scaling D the running
+    maximum of the Jacobian's column norms: its own trust radius and
+    parameter, step acceptance, stop tests on ``xtol``, ``ftol`` and
+    ``gtol`` and at most ``max_nfev`` residual evaluations.  ``_fit``
+    passes ``SETTLED`` (1e-8) as ``xtol`` and ``ftol``, and 1e-15 as
+    ``gtol``.  Each round evaluates one trial step of every running start
+    in one call, and takes the Jacobians of those whose step was accepted
+    from that evaluation; finished starts leave the batch.  The starts of a template join it
     together, in template order, as soon as at most ``BATCH_ROWS``
     starts are then running (or none).  Once a start's largest |residual|
     is below ``EXACT_FIT``, the other starts of its template stop.
@@ -443,19 +422,15 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
                     t, result_x[own], result_f[own], int(nfev[own].sum() + njev[own].sum())):
                 limit = t
 
-    def retire(state, done):
+    def retire(state, index):
         """Keep the last accepted points and evaluation counts of the running
-        starts and stop the done ones; a template that they finish may stop
-        the templates after it, whose starts leave too.  The state of the
-        starts that run on, and which of the starts in ``state`` they are
-        (None for all)."""
-        if not done.any():
-            return state, None
-        start, r, x, f, *_, count = state
-        result_x[start], result_f[start], nfev[start] = x, f, count
-        stop(start[done])
-        keep = ~done & (r <= limit)
-        return [a[keep] for a in state], keep
+        starts, and stop those at index; a template that they finish may
+        stop the templates after it.  Stopped starts leave at the next
+        compaction."""
+        if len(index):
+            start, _, x, f, *_, count = state
+            result_x[start], result_f[start], nfev[start] = x, f, count
+            stop(start.take(index))
 
     def linearize(point, index, f, fsq, scale):
         """At the rows ``index`` of an evaluated point, whose residuals are
@@ -479,8 +454,8 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
         return scale, s, sg, Vt / scale[:, None, :], cosine.max(axis=1) <= gtol
 
     def join(first, last):
-        """The state of starts first..last-1 at their initial points, and
-        which of them stop at once."""
+        """The state of starts first..last-1 at their initial points, less
+        those that stop at once, or None."""
         nonlocal result_f
         x, r = x0[first:last], rows[first:last]
         f, point = fun(x, r)
@@ -490,25 +465,30 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
         nfev[first:last] = 1
         exact = exact_stop(r, f)
         stop(first + np.flatnonzero(exact))
-        live = ~exact & (r <= limit)  # a certified success stops the templates after it
-        if not live.any():
-            return None, None
-        start = first + np.flatnonzero(live)
-        x, f, r = x[live], f[live], r[live]
+        live = np.flatnonzero(~exact & (r <= limit))  # a certified success stops the templates after it
+        if not len(live):
+            return None
+        start = first + live
+        x, f, r = x.take(live, axis=0), f.take(live, axis=0), r.take(live)
         fsq = np.add.reduce(f * f, axis=1)
-        scale, s, sg, Vs, done = linearize(point, None if live.all() else live, f, fsq, None)
+        scale, s, sg, Vs, settled = linearize(point, live, f, fsq, None)
         njev[start] = 1
         xnorm = _norms(scale * x)
         delta = np.where(xnorm > 0, 100.0 * xnorm, 100.0)
-        return [start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, np.zeros(len(x)),
-                np.ones(len(x), dtype=bool), np.ones(len(x), dtype=int)], done
+        state = [start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, np.zeros(len(x)),
+                 np.ones(len(x), dtype=bool), np.ones(len(x), dtype=int)]
+        retire(state, np.flatnonzero(settled))
+        return state
 
-    state = done = None
+    # the arrays of the running starts, one row each: start, template, x, f,
+    # fsq, xnorm, scale, s, sg, Vs, delta, par, first, count
+    state = None
     while True:
-        if done is not None:
-            state, keep = retire(state, done)
-            done = done if keep is None else done[keep]
-        running = 0 if done is None else len(done)
+        if state is not None:  # the one compaction: the stopped starts leave
+            keep = np.flatnonzero(~stopped.take(state[0]) & (state[1] <= limit))
+            if len(keep) < len(state[0]):
+                state = [a.take(keep, axis=0) for a in state]
+        running = 0 if state is None else len(state[0])
         # the next templates join while they leave at most BATCH_ROWS running;
         # they come after the running ones, so their exact fits stop none of these
         last = queued
@@ -518,19 +498,18 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
                 break
             last = end
         if last > queued:
-            new, new_done = join(queued, last)
+            new = join(queued, last)
             queued = last
             if new is not None:
                 state = new if state is None else [np.concatenate(pair) for pair in zip(state, new)]
-                done = new_done if done is None else np.concatenate((done, new_done))
             continue
         if not running:
             break
         start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count = state
-        par, p, pnorm = _lm_step(s, sg, delta, par)
+        lam, p, pnorm = _lm_step(s, sg, delta, par)
         firsts = first.any()
         if firsts:  # lmder's first iteration: no radius beyond the first step
-            delta = np.where(first, np.minimum(delta, pnorm), delta)
+            np.copyto(delta, np.minimum(delta, pnorm), where=first)
         xt = x - (p[:, None, :] @ Vs)[:, 0, :]
         ft, point = fun(xt, r)
         count += 1
@@ -541,40 +520,34 @@ def least_squares(fun, x0, jac, rows, max_nfev, xtol, ftol, gtol, finish=None) -
         # factor clamped to 0.1 either way, as slope <= 1 for an LM step
         actred = 1.0 - fsq1 / fsq
         fitted = np.add.reduce((s * p) ** 2, axis=1) / fsq
-        damping = par * pnorm * pnorm / fsq
+        damping = lam * pnorm * pnorm / fsq
         slope = fitted + damping
         prered = slope + damping
         ratio = actred / np.maximum(prered, _TINY)
-        # lmder's update of the radius and the parameter
+        # lmder's update of the radius and the parameter, in place
         shrink = np.maximum(0.5 * slope / np.maximum(slope - 0.5 * np.minimum(actred, 0.0), _TINY), 0.1)
         low = ratio <= 0.25
-        grow = (par == 0) | (ratio >= 0.75)
-        delta = np.where(low, shrink * np.minimum(delta, 10.0 * pnorm), np.where(grow, 2.0 * pnorm, delta))
-        par = np.where(low, par / shrink, np.where(grow, 0.5 * par, par))
+        grow = (lam == 0) | (ratio >= 0.75)
+        delta[:] = np.where(low, shrink * np.minimum(delta, 10.0 * pnorm), np.where(grow, 2.0 * pnorm, delta))
+        par[:] = np.where(low, lam / shrink, np.where(grow, 0.5 * lam, lam))
         accept = ratio >= 1e-4
         np.copyto(x, xt, where=accept[:, None])
         np.copyto(f, ft, where=accept[:, None])
-        fsq = np.where(accept, fsq1, fsq)
-        xnorm = np.where(accept, _norms(scale * x), xnorm)
+        np.copyto(fsq, fsq1, where=accept)
+        np.copyto(xnorm, _norms(scale * x), where=accept)
         if firsts:
             first &= ~accept
         done = ((np.abs(actred) <= ftol) & (prered <= ftol) & (ratio <= 2.0)) | (delta <= xtol * xnorm)
         done |= (count >= max_nfev) | exact_stop(r, f)
-        # the done starts leave first: a success that they certify stops the
+        # the done starts stop first: a success that they certify stops the
         # templates after it before their starts take this round's Jacobians
-        state, keep = retire([start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count], done)
-        start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count = state
-        j, done = accept if keep is None else accept[keep], np.zeros(len(start), dtype=bool)
-        if not j.any():
-            continue
-        if j.all():  # the whole state, with no copies
-            scale, s, sg, Vs, done = linearize(point, keep, f, fsq, scale)
-            njev[start] += 1
-            state = [start, r, x, f, fsq, xnorm, scale, s, sg, Vs, delta, par, first, count]
-        else:
-            index = accept if keep is None else keep & accept
-            scale[j], s[j], sg[j], Vs[j], done[j] = linearize(point, index, f[j], fsq[j], scale[j])
-            njev[start[j]] += 1
+        retire(state, np.flatnonzero(done))
+        index = np.flatnonzero(accept & ~done & (r <= limit))
+        if len(index):
+            scale[index], s[index], sg[index], Vs[index], settled = linearize(
+                point, index, f.take(index, axis=0), fsq.take(index), scale.take(index, axis=0))
+            njev[start.take(index)] += 1
+            retire(state, index[settled])
     return LMResult(result_x, result_f, int(nfev.sum()), int(njev.sum()))
 
 
@@ -681,10 +654,11 @@ def fit_topology(
     exactly within ``tol``, so a success here always re-verifies.  This is
     the one-template case of ``_fit``, in which ``falsify_small`` fits all
     its templates side by side; its entry for the template equals this fit
-    up to the rounding of the batch's padding (every Jacobian is padded to
-    the widest template of the batch, and LAPACK's SVD rounds a zero-padded
-    matrix differently).  Raises ValueError when the budget is below two
-    evaluations per start.
+    up to rounding that depends on the batch: on its composition, through
+    the BLAS products that take a whole batch (``_CompiledTemplate``), and
+    on its padding (every Jacobian is padded to the widest template of the
+    batch, and LAPACK's SVD rounds a zero-padded matrix differently).
+    Raises ValueError when the budget is below two evaluations per start.
     """
     _check_budget(budget, starts)
     if not leaves(template):
@@ -783,16 +757,17 @@ def falsify_small(
     ``filters`` lists the rules ``applied`` and those ``skipped`` because
     the target fails their premise.  The other networks are fitted side by
     side in one batch of templates x starts (``_fit``), so every entry is
-    what ``fit_topology`` gives for it, up to the rounding of the batch's
-    padding: the stack pads every Jacobian to its widest template, which
-    LAPACK's SVD rounds differently, so an entry's ``evaluations`` and the
-    last digits of its ``best_residual`` also depend on ``n_max``.  With
+    what ``fit_topology`` gives for it, up to rounding that depends on the
+    batch: its BLAS products take the whole batch and round a row
+    differently among other rows, and the stack pads every Jacobian to its
+    widest template, which LAPACK's SVD rounds differently.  So an entry's
+    ``evaluations`` and the last digits of its ``best_residual`` also
+    depend on the templates fitted beside it and on ``n_max``.  With
     ``stop_at_first_success`` a certified success stops the templates
-    after it, and the report ends there.  A uniform residual
-    floor is evidence consistent with non-realizability, not a proof.
-    ``budget`` bounds the residual evaluations of each fit (see
-    ``fit_topology``).  Raises
-    ValueError for n_max outside 1..5, for a start count below 1, for a
+    after it, and the report ends there.  A uniform residual floor is
+    evidence consistent with non-realizability, not a proof.  ``budget``
+    bounds the residual evaluations of each fit (see ``fit_topology``).
+    Raises ValueError for n_max outside 1..5, for a start count below 1, for a
     budget below two evaluations per start and for the target Z = 0, which
     no network of positive elements has.
     """

@@ -11,6 +11,7 @@ from mpmath import mp, mpf
 
 from biquadrlc.network import (
     Leaf,
+    Parallel,
     Series,
     apply_transform,
     build_config,
@@ -230,6 +231,25 @@ def _random_net(rng: random.Random, n_elements: int):
         return series(left, right) if rng.random() < 0.5 else parallel(left, right)
 
     return canonical(build(leaves_pool))
+
+
+def test_canonical_formats_each_leaf_value_once(monkeypatch):
+    # the sort keys are built bottom-up from the children's keys: one
+    # decimal_str per irrational leaf, however deep the nesting
+    import biquadrlc.ratpoly as ratpoly
+
+    formatted = []
+    real = ratpoly.decimal_str
+    monkeypatch.setattr(ratpoly, "decimal_str", lambda x, *args: formatted.append(x) or real(x, *args))
+    a, b, c, d, e = (QuadraticRational(k, 1, 2) for k in range(1, 6))
+    net = Series((Leaf("L", a), Parallel((Series((Leaf("C", b), Series((Leaf("R", c),)))),
+                                           Series((Parallel((Leaf("R", d), Leaf("L", e))), Leaf("R", F(1))))))))
+    got = canonical(net)
+    assert len(formatted) == 5
+    inner = Parallel((Leaf("R", d), Leaf("L", e)))
+    assert got == Series((Leaf("L", a), Parallel((Series((Leaf("R", F(1)), inner)),
+                                                  Series((Leaf("R", c), Leaf("C", b)))))))
+    assert canonical(got) == got
 
 
 def _net_strategy():

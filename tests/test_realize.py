@@ -175,6 +175,25 @@ def test_classify_transform_closure_hit():
     assert float(rep.residual) <= 1e-20
 
 
+def test_classify_formats_each_catalog_value_once_per_composition(monkeypatch):
+    # build_config composes fig3a's seven leaves (values in Q(sqrt d)) one
+    # series or parallel at a time, and each of these formats the values
+    # of its subtree once: a warm classify calls decimal_str 19 times at
+    # p = 5 and 25 times at p = 1/5
+    import biquadrlc.ratpoly as ratpoly
+
+    real = ratpoly.decimal_str
+    for p, calls in ((5, 19), (F(1, 5), 25)):
+        b = B(1, 1, p)
+        expected = classify(b).to_json()
+        formatted = []
+        monkeypatch.setattr(ratpoly, "decimal_str", lambda x, *args: formatted.append(x) or real(x, *args))
+        report = classify(b)
+        monkeypatch.setattr(ratpoly, "decimal_str", real)
+        assert len(formatted) == calls, p
+        assert report.to_json() == expected
+
+
 def test_classify_invariant_under_transform_group():
     rng = random.Random(20250809)
     checked = 0

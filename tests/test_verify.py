@@ -487,6 +487,22 @@ _ETA_3_OTHERS = [
 ]
 
 
+def test_evaluate_reads_a_rows_array_changed_in_place():
+    # each call gathers the tables of the templates that its rows name now,
+    # so a rows array changed between two calls gives what a copy gives
+    templates = [net for n in range(1, 4) for net in enumerate_labeled(n, FALSIFY_FILTERS)]
+    stack = _CompiledTemplate(templates, TNUM_12, TDEN_12)
+    theta = np.random.default_rng(14).normal(0.0, 2.0, (4, stack.exponents.shape[2]))
+    rows = np.zeros(len(theta), dtype=np.intp)
+    stack.evaluate(theta, rows)
+    rows[:] = [1, 2, 3, len(templates) - 1]
+    res, point = stack.evaluate(theta, rows)
+    fresh, fresh_point = stack.evaluate(theta, rows.copy())
+    assert np.array_equal(res, fresh)
+    assert np.array_equal(stack.jacobian_at(point), stack.jacobian_at(fresh_point))
+    assert not np.array_equal(res, stack.residual(theta))  # the rows name other templates than 0
+
+
 def _eta_3_batch(templates, starts=6):
     """The compiled templates against eta = 3, their rows and seeded starts
     (template t from seed t)."""
