@@ -114,17 +114,11 @@ SPNet = Union[Leaf, Series, Parallel]
 # canonical form
 
 
-def _value_key(value) -> str:
-    if value is None:
-        return ""
-    return scalar_to_str(value)
-
-
 def canonical_key(net: SPNet) -> tuple:
     """Total order key: (node kind, leaf kind, serialized subtree)."""
     if isinstance(net, Leaf):
         kind_ix = KINDS.index(net.kind) if net.kind in KINDS else -1
-        return (0, kind_ix, _value_key(net.value))
+        return (0, kind_ix, "" if net.value is None else scalar_to_str(net.value))
     tag = 1 if isinstance(net, Series) else 2
     return (tag, tuple(canonical_key(c) for c in net.children))
 
@@ -564,11 +558,10 @@ def _slot_names(shape) -> List[str]:
 
 
 def _build(shape, values: Optional[dict]) -> SPNet:
-    """The network of a shape; ``values=None`` leaves every slot empty."""
+    """The raw network of a shape; ``values=None`` leaves every slot empty."""
     if isinstance(shape, str):
         return Leaf(shape[0], None if values is None else values[shape])
-    compose = series if shape[0] == "+" else parallel
-    return compose(*(_build(part, values) for part in shape[1:]))
+    return (Series if shape[0] == "+" else Parallel)(tuple(_build(part, values) for part in shape[1:]))
 
 
 def config_ids() -> List[str]:
@@ -590,12 +583,12 @@ def build_config(config_id: str, values: dict) -> SPNet:
     for name in names:
         if not values[name] > 0:
             raise ValueError("slot %s must be positive" % name)
-    return _build(shape, values)
+    return canonical(_build(shape, values))
 
 
 def config_template(config_id: str) -> SPNet:
     """The configuration shape with empty value slots (for fitting)."""
-    return _build(_SHAPES[_catalog_key(config_id)], None)
+    return canonical(_build(_SHAPES[_catalog_key(config_id)], None))
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +605,12 @@ def to_netlist_json(net: SPNet) -> dict:
 
 
 def from_netlist_json(data: dict) -> SPNet:
-    """Parse a netlist.  Rejects a leaf kind outside R/L/C (null only on a
-    slot whose value is null too) and a non-null value that is not > 0."""
+    """Parse a netlist, canonical.  Rejects a leaf kind outside R/L/C (null
+    only on a slot whose value is null too) and a non-null value not > 0."""
+    return canonical(_parse_netlist(data))
+
+
+def _parse_netlist(data: dict) -> SPNet:
     if not isinstance(data, dict):
         raise ValueError("a netlist node must be a JSON object")
     t = data.get("type")
@@ -627,8 +624,7 @@ def from_netlist_json(data: dict) -> SPNet:
     children = data["children"]
     if not isinstance(children, list) or not children:
         raise ValueError("netlist children must be a non-empty array")
-    kids = tuple(from_netlist_json(c) for c in children)
-    return canonical((Series if t == "series" else Parallel)(kids))
+    return (Series if t == "series" else Parallel)(tuple(_parse_netlist(c) for c in children))
 
 
 def to_spice(net: SPNet) -> str:

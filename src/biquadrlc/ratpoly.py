@@ -1,9 +1,8 @@
 """Exact univariate polynomial and rational-function arithmetic.
 
 This is the algebra substrate for the rest of the package: impedances are
-reduced rational functions in s, realizability conditions are polynomial
-sign/zero tests, and the seven-element syntheses need resultants and exact
-real-root counting.
+reduced rational functions in s, and realizability conditions are polynomial
+sign/zero tests, some decided by exact real-root counting.
 
 Coefficients are duck-typed.  Exact work uses ``fractions.Fraction`` (or
 :class:`QuadraticRational` for values in a real quadratic extension such as
@@ -14,12 +13,15 @@ is the one rule that picks between the two for a set of scalars: exact when
 every one is exact, mpf at the working precision otherwise.
 
 This is the one module of the package that imports mpmath, and only when a
-value needs it (:func:`load_mpmath`): exact arithmetic never loads it, and
-neither does printing an exact value or rounding it to a float: the
-decimal string of a quadratic irrational (:func:`scalar_to_str`, which also
-keys the canonical order of networks) and its float come from integers
-(:func:`decimal_str`, ``QuadraticRational.__float__``).  :func:`workprec` sets
-the working precision with or without it.
+value needs it (:func:`load_mpmath`): exact arithmetic never loads it, nor
+does printing an exact value or rounding it to a float.  One integer routine
+(``_scaled``, the floor of |x| times a power of 2 or 10) takes every exact
+value out of exact arithmetic, correctly rounded and at any magnitude:
+``float()`` of a quadratic irrational, :func:`to_mpf` (to nearest, ties to
+even; a rational through mpmath's own ``from_rational``) and the decimal
+string :func:`decimal_str`, which also keys the canonical order of networks.
+``_exact_value`` is the reverse, an mpf as the rational it stores.
+:func:`workprec` sets the working precision with or without mpmath.
 
 Conventions:
 
@@ -352,25 +354,11 @@ class QuadraticRational:
         """The correctly rounded float, from integer arithmetic alone."""
         if self.b == 0:
             return float(self.a)
-        # m = floor(|x| 2^shift) of at least 54 bits: every float and every
-        # midpoint between two near |x| is then an integer over 2^shift, and
-        # none lies strictly between m and m + 1, where the irrational
-        # |x| 2^shift is, so |x| rounds as (m + 1/2) / 2^shift does
-        sign = self.sign()
-        form = _integer_form(self, sign)
-        shift = 54
-        while True:
-            m = _floor_scaled(form, 1 << shift, 1)
-            if m.bit_length() >= 54:
-                return sign * float(Fraction(2 * m + 1, 1 << (shift + 1)))
-            shift += 54 - m.bit_length()
+        sign, m, shift = _scaled(self, 54, 2)  # m + 1/2 rounds as x does
+        return float(sign * (2 * m + 1) * Fraction(2) ** -(shift + 1))
 
     def to_mpf(self):
-        mpmath = load_mpmath()
-        mpf = mpmath.mpf
-        return mpf(self.a.numerator) / self.a.denominator + (
-            mpf(self.b.numerator) / self.b.denominator
-        ) * mpmath.sqrt(mpf(self.d.numerator) / self.d.denominator)
+        return to_mpf(self)
 
     def __repr__(self):
         if self.b == 0:
@@ -402,21 +390,29 @@ def is_exact_scalar(x) -> bool:
 
 
 def to_mpf(x):
-    """Convert an exact or numeric scalar to an mpf at working precision."""
-    mpf = load_mpmath().mpf
-    if isinstance(x, mpf):
+    """Convert an exact or numeric scalar to an mpf at working precision; an
+    exact one is correctly rounded (to nearest, ties to even)."""
+    mpmath = load_mpmath()
+    if isinstance(x, mpmath.mpf):
         return x
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    if isinstance(x, QuadraticRational):
-        return x.to_mpf()
-    if isinstance(x, (int, float, str)):
-        return mpf(x)
+    libmp, prec = mpmath.libmp, mpmath.mp.prec
+    if isinstance(x, QuadraticRational) and x.b:
+        sign, m, shift = _scaled(x, prec + 1, 2)  # m + 1/2 rounds as x does
+        return mpmath.mp.make_mpf(libmp.from_man_exp(sign * (2 * m + 1), -shift - 1, prec, "n"))
+    x = x.a if isinstance(x, QuadraticRational) else x
+    if isinstance(x, (int, Fraction)):
+        return mpmath.mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, prec, "n"))
+    if isinstance(x, (float, str)):
+        return mpmath.mpf(x)
     raise TypeError("cannot convert %r to mpf" % (x,))
 
 
-def _exact(x):
-    # ints as Fraction, so that they never divide to a float
+def _exact_value(x):
+    """x exact, the reverse of :func:`to_mpf`: an int as Fraction, which never
+    divides to a float, an mpf or a float as the dyadic rational it stores."""
+    if hasattr(x, "_mpf_"):
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
     return x if isinstance(x, QuadraticRational) else Fraction(x)
 
 
@@ -424,29 +420,45 @@ def field_of(*xs):
     """The conversion into the one field that holds every x: exact (ints and
     Fractions as Fraction, QuadraticRational as it is) when all xs are
     exact, else ``to_mpf`` at the working precision."""
-    return _exact if all(is_exact_scalar(x) for x in xs) else to_mpf
-
-
-def _integer_form(x: QuadraticRational, sign: int):
-    """Integers P, Q, D and root_sign with |x| = (P + root_sign sqrt(Q)) / D,
-    for x of sign ``sign`` != 0."""
-    a, c = sign * x.a, x.b * x.b * x.d
-    P, D = a.numerator * c.denominator, a.denominator * c.denominator
-    Q = c.numerator * c.denominator * a.denominator**2
-    return P, Q, D, sign * ((x.b > 0) - (x.b < 0))
+    return _exact_value if all(is_exact_scalar(x) for x in xs) else to_mpf
 
 
 def _floor_scaled(form, up: int, down: int) -> int:
-    """floor(|x| up / down) for |x| in ``_integer_form`` and integers up,
-    down > 0: floor((P up + root_sign sqrt(Q up^2)) / (D down)), with
-    r = floor(root_sign sqrt(Q up^2)) from isqrt, as floor((t + r') / M)
-    = floor((t + floor(r')) / M) for integers t and M > 0."""
+    """floor(|x| up / down) for |x| = (P + root_sign sqrt(Q)) / D, ``form`` =
+    (P, Q, D, root_sign), and integers up, down > 0: with r = floor(root_sign
+    sqrt(Q up^2)) from isqrt, floor((P up + r) / (D down)), as
+    floor((t + r') / M) = floor((t + floor(r')) / M) for integers t, M > 0."""
     P, Q, D, root_sign = form
     Qs = Q * up * up
     r = math.isqrt(Qs)
     if root_sign < 0:
         r = -r if r * r == Qs else -r - 1
     return (P * up + r) // (D * down)
+
+
+def _scaled(x: QuadraticRational, digits: int, base: int) -> Tuple[int, int, int]:
+    """sign(x), and for x != 0 m = floor(|x| base^shift) of at least ``digits``
+    digits in ``base`` and shift.  x's bit lengths put |x| within a factor 4
+    of 2^e, which gives the shift in one floor, or two if e / log2(base)
+    rounds up.  In base 2 with ``digits`` one above a precision, the numbers
+    of that precision and their midpoints are integers times 2^-shift, none
+    inside (m, m + 1) 2^-shift, where an irrational x lies: x rounds as m + 1/2."""
+    sign = x.sign()
+    if not sign:
+        return 0, 0, 0
+    a, c = sign * x.a, x.b * x.b * x.d  # |x| = (P + root_sign sqrt(Q)) / D
+    P, D = a.numerator * c.denominator, a.denominator * c.denominator
+    Q, root_sign = c.numerator * c.denominator * a.denominator**2, sign * ((x.b > 0) - (x.b < 0))
+    # |P| + sqrt(Q) lies in [2^(t - 1), 2^(t + 1)), and |x| is it over D, or
+    # where the two terms cancel |P^2 - Q| over D (|P| + sqrt(Q))
+    t = max(abs(P).bit_length(), (Q.bit_length() + 1) // 2)
+    e = (t if P >= 0 and root_sign >= 0 else abs(P * P - Q).bit_length() - t) - D.bit_length()
+    shift = digits - 1 - math.floor((e - 2) / math.log2(base))
+    while True:
+        m = _floor_scaled((P, Q, D, root_sign), *((base**shift, 1) if shift >= 0 else (1, base**-shift)))
+        if m >= base ** (digits - 1):
+            return sign, m, shift
+        shift += 1
 
 
 # significant digits of a decimal string
@@ -459,21 +471,12 @@ def decimal_str(x) -> str:
     digits, correctly rounded (half away from zero, a tie that only a
     rational can make), in fixed notation for decimal exponents -15 to 49
     and as d.ddd...e+N otherwise, trailing zeros stripped."""
-    x = x if isinstance(x, QuadraticRational) else QuadraticRational(x, 0, 1)
-    sign = x.sign()
-    if sign == 0:
+    sign, m, shift = _scaled(x if isinstance(x, QuadraticRational) else QuadraticRational(x, 0, 1), DIGITS + 1, 10)
+    if not sign:
         return "0.0"
-    form = _integer_form(x, sign)
-    shift = DIGITS + 1
-    while True:
-        # m = floor(|x| 10^shift)
-        m = _floor_scaled(form, *((10**shift, 1) if shift >= 0 else (1, 10**-shift)))
-        extra = len(str(m)) - DIGITS
-        if extra > 0:
-            break
-        shift += 1 - extra
     # m is exact, so one digit past the 50th decides the rounding:
     # floor(t + 1/2) from floor(t) alone, as 10^extra / 2 is an integer
+    extra = len(str(m)) - DIGITS
     n = (m + 5 * 10 ** (extra - 1)) // 10**extra
     exponent = DIGITS + extra - 1 - shift
     if n == 10**DIGITS:

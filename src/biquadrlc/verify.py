@@ -58,7 +58,7 @@ import numpy as np
 
 from .check import _certify, coefficient_residual, verify_exact, verify_numeric
 from .network import SPNet, enumerate_labeled, impedance_coeffs, leaves, parse_filters, to_netlist_json
-from .ratpoly import Poly, QuadraticRational, RationalFn, _Record, gcd, sturm_count
+from .ratpoly import Poly, RationalFn, _Record, _exact_value, decimal_str, gcd, sturm_count
 
 __all__ = [
     "verify_exact",
@@ -684,21 +684,22 @@ _PREMISES = {
 }
 
 
-def _exact_value(c):
-    """A coefficient as an exact scalar: an mpf or a float is the dyadic
-    rational it stores."""
-    if isinstance(c, QuadraticRational):
-        return c
-    if hasattr(c, "_mpf_"):
-        sign, man, exp, _ = c._mpf_
-        return Fraction(-man if sign else man) * Fraction(2) ** exp
-    return Fraction(c)
-
-
 def _exact_target(target: RationalFn) -> RationalFn:
     """The target as its exact value, reduced: the one form in which the
-    fitter takes it and ``_jw_axis_points`` decides the filter premises."""
-    return RationalFn(*(Poly(_exact_value(c) for c in poly.coeffs) for poly in (target.num, target.den)))
+    fitter takes it and ``_jw_axis_points`` decides the filter premises.
+    Raises ValueError for a nonzero coefficient that float64, in which the
+    fitter works, rounds to 0 or infinity."""
+    target = RationalFn(*(Poly(_exact_value(c) for c in poly.coeffs) for poly in (target.num, target.den)))
+    for name, poly in (("num", target.num), ("den", target.den)):
+        for power, c in enumerate(poly.coeffs):
+            try:
+                fits = c == 0 or float(c) != 0  # float() rounds correctly and overflows past the top
+            except OverflowError:
+                fits = False
+            if not fits:
+                raise ValueError("the reduced target's %s coefficient of s^%d, %s, is not a finite nonzero "
+                                 "float64, which the fitter works in" % (name, power, decimal_str(c)))
+    return target
 
 
 def _has_imaginary_root(p: Poly) -> bool:

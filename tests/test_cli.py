@@ -256,6 +256,17 @@ def test_falsify_rejects_the_zero_target(capsys):
     assert "Z = 0" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("target", [{"k": "1e400", "z": "1", "p": "2"}, {"k": "1", "z": "1e200", "p": "2e200"},
+                                    {"k": "1e-400", "z": "1", "p": "2"}])
+def test_falsify_of_a_target_outside_float64_is_invalid_input(capsys, target):
+    # one JSON error line, no traceback, exit 2
+    capsys.readouterr()
+    assert main(["falsify", "--target", json.dumps(target), "--nmax", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "float64" in json.loads(captured.err)["error"]
+
+
 def test_falsify_defaults_to_a_tolerance_a_fit_can_meet(capsys):
     # the fits are float64, certified at 128 bits: without --tol, falsify
     # takes falsify_small's 1e-8, not the 1e-20 of the other commands

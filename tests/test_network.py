@@ -252,6 +252,21 @@ def test_canonical_formats_each_leaf_value_once(monkeypatch):
     assert canonical(got) == got
 
 
+def test_parsing_a_netlist_formats_each_leaf_value_once(monkeypatch):
+    # the parser builds the raw tree and canonicalizes it once: one
+    # scalar_to_str per leaf, where canonicalizing every level took 21 for
+    # fig3a's seven leaves
+    import biquadrlc.network as network
+
+    net = build_config("fig3a", {name: Fraction(i + 1, 7) for i, (name, _) in enumerate(config_slots("fig3a"))})
+    data = json.loads(json.dumps(to_netlist_json(net)))
+    formatted = []
+    real = network.scalar_to_str
+    monkeypatch.setattr(network, "scalar_to_str", lambda x: formatted.append(x) or real(x))
+    assert from_netlist_json(data) == net
+    assert len(formatted) == 7
+
+
 def _net_strategy():
     leaf = st.builds(
         Leaf,

@@ -1,5 +1,6 @@
 """Tests for the exact polynomial / rational-function layer."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from biquadrlc.ratpoly import (
     scalar_to_str,
     squarefree_part,
     sturm_count,
+    to_mpf,
 )
 from biquadrlc.realize import FIG3A_QUARTIC, N4A_QUARTIC
 from eliminations import ELIMINATIONS
@@ -518,6 +520,84 @@ def test_float_of_a_quadratic_irrational_rounds_correctly(a, b, d, e):
                   + mpf(x.b.numerator) / x.b.denominator * mpmath.sqrt(mpf(x.d.numerator) / x.d.denominator))
         assert float(x) == float(oracle)
     assert float(QuadraticRational(a)) == float(a)
+
+
+def _rounded_oracle(x, bits):
+    # x at 4 * bits + 64, rounded once more to bits; a quadratic irrational
+    # whose terms have opposite signs (a ~ -b sqrt(d) cancels) through its
+    # conjugate, (a^2 - b^2 d) / (a - b sqrt(d)), which then cancels
+    # nothing.  For the inputs drawn here the first rounding lies far below
+    # the distance of x from any midpoint at bits that x is not on, so the
+    # second rounds as x does, ties to even
+    def mpf(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workprec(4 * bits + 64):
+        if isinstance(x, Fraction):
+            value = mpf(x)
+        elif x.a * x.b < 0:
+            value = mpf(x.a * x.a - x.b * x.b * x.d) / (mpf(x.a) - mpf(x.b) * mpmath.sqrt(mpf(x.d)))
+        else:
+            value = mpf(x.a) + mpf(x.b) * mpmath.sqrt(mpf(x.d))
+    return mpmath.mpf(value, prec=bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(), st.sampled_from([64, 256]))
+def test_to_mpf_of_a_rational_rounds_correctly(rng, bits):
+    # one rounding of the exact ratio of a numerator wider than the
+    # precision, where mpf(numerator) / denominator rounds twice
+    with mpmath.workprec(bits):
+        for _ in range(20):
+            x = F(rng.getrandbits(rng.randint(bits + 1, 4 * bits)) * rng.choice((-1, 1)),
+                  rng.getrandbits(rng.randint(1, bits)) + 1)
+            assert to_mpf(x) == _rounded_oracle(x, bits)
+        # ties go to the even mantissa
+        assert to_mpf(F(2**bits + 1)) == 2**bits
+        assert to_mpf(F(2**bits + 3, 2)) == 2**(bits - 1) + 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 500), st.integers(1, 400), st.integers(-1, 1),
+       st.fractions(F(1, 2**40), 2**60, max_denominator=2**40), st.integers(-300, 300),
+       st.sampled_from([64, 256]))
+def test_to_mpf_of_a_quadratic_irrational_rounds_correctly(d, k, offset, b, e, bits):
+    # a = -b c with c a k-bit approximation of sqrt(d): a + b sqrt(d)
+    # cancels about k bits, which mpf arithmetic loses and m + 1/2 does not
+    if math.isqrt(d) ** 2 == d:
+        d += 1
+    c = F(math.isqrt(d * 4**k) + offset, 2**k)
+    x = QuadraticRational(-b * c, b, d) * F(2) ** e
+    with mpmath.workprec(bits):
+        assert x.to_mpf() == to_mpf(x) == _rounded_oracle(x, bits)
+        assert to_mpf(-x) == -to_mpf(x)
+
+
+@pytest.mark.parametrize("x, pinned", [
+    (QuadraticRational(10**5000, 1, 2), "1.0e+5000"),
+    (QuadraticRational(0, -(10**5000), 3), None),
+    (QuadraticRational(0, F(1, 10**4000), 2), None),
+    (F(-7, 10**4000), "-7.0e-4000"),
+    (QuadraticRational(F(1, 10**4000), F(-1, 10**4000), F(10**40, 10**40 + 1)), None),
+])
+def test_exits_from_exact_arithmetic_take_two_floors_at_any_magnitude(monkeypatch, x, pinned):
+    # the first scale comes from the bit lengths of x's integers: at most
+    # two floors each, and no str() of a 5000-digit integer, which Python
+    # refuses
+    import biquadrlc.ratpoly as ratpoly
+
+    floors = []
+    real = ratpoly._floor_scaled
+    monkeypatch.setattr(ratpoly, "_floor_scaled", lambda *args: floors.append(args) or real(*args))
+    text = decimal_str(x)
+    assert len(floors) <= 2
+    floors.clear()
+    with mpmath.workprec(256):
+        assert to_mpf(x) == _rounded_oracle(x, 256)
+    assert len(floors) <= 2
+    with mpmath.workprec(1100):
+        assert mpmath.nstr(to_mpf(x), 50) == text
+    assert pinned in (None, text)
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,

@@ -176,14 +176,14 @@ def test_classify_transform_closure_hit():
 
 
 def test_classify_formats_each_catalog_value_once_per_composition(monkeypatch):
-    # build_config composes fig3a's seven leaves (values in Q(sqrt d)) one
-    # series or parallel at a time, and each of these formats the values
-    # of its subtree once: a warm classify calls decimal_str 19 times at
-    # p = 5 and 25 times at p = 1/5
+    # build_config builds fig3a's seven leaves (values in Q(sqrt d)) into
+    # one raw tree and canonicalizes it once, which formats each irrational
+    # value once: a warm classify calls decimal_str 6 times at p = 5 and 12
+    # times at p = 1/5, where the network is also mapped back through inv
     import biquadrlc.ratpoly as ratpoly
 
     real = ratpoly.decimal_str
-    for p, calls in ((5, 19), (F(1, 5), 25)):
+    for p, calls in ((5, 6), (F(1, 5), 12)):
         b = B(1, 1, p)
         expected = classify(b).to_json()
         formatted = []

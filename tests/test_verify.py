@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -647,6 +648,54 @@ def test_falsify_small_rejects_the_zero_target():
     for zero in (RF((0,), (1,)), RationalFn(Poly([mpf(0)]), Poly([mpf(1), mpf(2)]))):
         with pytest.raises(ValueError, match="Z = 0"):
             falsify_small(zero, 3)
+
+
+@pytest.mark.parametrize("k, z, p, coefficient", [
+    (F(10**400), 1, 2, "num coefficient of s^0, 1.0e+400"),
+    (1, F(10**200), F(2 * 10**200), "num coefficient of s^0, 1.0e+400"),
+    (F(1, 10**400), 1, 2, "num coefficient of s^0, 1.0e-400"),
+    (mpf("1e-400"), 1, 2, "num coefficient of s^0, 9.99"),
+])
+def test_falsify_and_fit_reject_a_target_outside_float64(k, z, p, coefficient):
+    # the fitter works in float64: a coefficient that overflows, or rounds
+    # to 0 and would make the target Z = 0, is invalid input, named
+    target = to_rational_fn(CanonicalBiquad(k, z, p))
+    with pytest.raises(ValueError, match=re.escape(coefficient)):
+        falsify_small(target, 2)
+    with pytest.raises(ValueError, match="float64"):
+        fit_topology(series(Leaf("R"), Leaf("L")), target)
+
+
+def test_the_float64_range_of_the_target_is_decided_exactly():
+    # a coefficient fits where float() gives a finite nonzero float64
+    tiny, huge = F(1, 2**1075), F(2**1024 - 2**970)
+    for c in (tiny, tiny * (1 + F(1, 2**60)), huge, huge - 1, QuadraticRational(huge, -1, 2)):
+        try:
+            fits = float(c) != 0
+        except OverflowError:
+            fits = False
+        assert fits == (c not in (tiny, huge))
+        if fits:
+            assert _exact_target(RationalFn(Poly([c]), Poly([F(1)]))).num.coeffs == (c,)
+        else:
+            with pytest.raises(ValueError, match="float64"):
+                _exact_target(RationalFn(Poly([-c]), Poly([F(1)])))
+
+
+def test_a_quadratic_irrational_target_with_a_zero_coefficient_fits():
+    # (1 + sqrt2)(s^2 + 1) / (s + 1): its s^1 coefficient is a zero
+    # QuadraticRational, which lies inside float64's range like any zero
+    target = RationalFn(Poly([1, 0, 1]) * QuadraticRational(1, 1, 2), Poly([1, 1]))
+    assert _exact_target(target) == target
+    assert fit_topology(series(Leaf("R"), Leaf("L")), target).residual > 0
+    assert falsify_small(target, 2)["entries"]
+
+
+def test_falsify_takes_the_float64_range_of_the_reduced_target():
+    # num and den scaled by 10^400 alike: the reduced target is s + 1
+    scale = 10**400
+    report = falsify_small(RF((scale, scale), (scale,)), 2, stop_at_first_success=True)
+    assert report["any_success"]
 
 
 def test_falsify_small_rejects_large_n():
