@@ -4,7 +4,12 @@ oracles live in ``check``, which this module re-exports.
 
 Fitting is damped least squares on log-element values (positivity for free),
 multistarted with a deterministic seed; a failed fit means "not found within
-the budget", never "not realizable".  Each template is compiled into a
+the budget", never "not realizable".  A template's starts are N(0, 2^2)
+draws of ``random.Random(seed).gauss``, row by row (``_starts``): a seeded
+``random.Random`` depends on CPython alone, where NumPy lets a Generator's
+streams change between releases (NEP 19), and ``numpy.random`` would bring
+``secrets``, ``hmac`` and OpenSSL's ``_hashlib`` into the process, which
+``falsify`` loads none of.  Each template is compiled into a
 table of monomial terms by running the impedance builder that
 ``network.impedance`` uses on symbolic leaf values.  ``least_squares``,
 MINPACK ``lmder``'s Levenberg-Marquardt written in numpy, advances the
@@ -22,15 +27,17 @@ when the residuals are orthogonal to every Jacobian column to within a
 cosine of 1e-15 (``gtol``), at an exact fit or at its budget.  A start
 stopped that early may leave an element that runs off to 0 or infinity at
 some depth, from which ``_to_limit`` takes it to the clip, and the limit
-network can certify at residual 1 (a cross-multiplied coefficient vanished
-or flipped sign), a degenerate limit that the fit's scaled objective does
-not see.  So when the best start certifies at 1 or more, ``_fit`` also
-certifies the next distinct minima in fit-cost order, up to
-``CERTIFICATIONS`` in all, and reports the smallest certified residual.
-Against 1e-10 this takes a floor problem at n <= 3 about a fifth fewer
-rounds, moves no n <= 5 floor of (s+1)^2/(s+2)^2 or (s+1)^2/(s+3)^2 (seeds
-0 and 7) up by more than 0.1%, and lowers five of their floors of 1.0 to
-0.73-0.89.  1e-8 is the ceiling: at 3e-8 one of these floors rises by 12%,
+network can certify at residual 1 or just below (a cross-multiplied
+coefficient vanished or flipped sign), a degenerate limit that the fit's
+scaled objective does not see.  So while the smallest certified residual
+is within ``DEGENERATE`` = 1e-3 of 1 or above, ``_fit`` also certifies the
+next distinct minima in fit-cost order, up to ``CERTIFICATIONS`` in all,
+and reports the smallest certified residual.  Measured with the earlier
+starts from ``numpy.random`` and a fallback only at 1 or more: against
+1e-10 this took a floor problem at n <= 3 about a fifth fewer rounds,
+moved no n <= 5 floor of (s+1)^2/(s+2)^2 or (s+1)^2/(s+3)^2 (seeds 0 and
+7) up by more than 0.1%, and lowered five of their floors of 1.0 to
+0.73-0.89; 1e-8 was the ceiling: at 3e-8 one of these floors rose by 12%,
 at 1e-7 one by 32%.  Certification is exact, by the one rule of ``check``:
 the template's unreduced impedance coefficients at the fitted floats, taken
 as the values they store, against the target that ``_exact_target`` gives
@@ -43,14 +50,16 @@ size with their filter verdicts.  The first call in a process pays for them
 (a one-shot CLI call always does); the reports do not share the cached
 objects.
 
-Only this module loads numpy.  Nothing else in the package imports it at
-load time: the package root serves the fitting names on first access, and
-of the CLI commands only ``falsify`` imports it.
+Only this module loads numpy, and not ``numpy.random``.  Nothing else in
+the package imports it at load time: the package root serves the fitting
+names on first access, and of the CLI commands only ``falsify`` imports it.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+import random
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence
 
@@ -292,11 +301,27 @@ class _CompiledTemplate:
         return self.jacobian_at(self.evaluate(theta, rows)[1])
 
 
-def _check_budget(budget: int, starts: int) -> None:
+def _check_fit(budget: int, starts: int, seed: int) -> int:
+    """The seed as an int, once the arguments of a fit are checked."""
     # every start evaluates its initial point and at least one step
     if starts < 1 or budget < 2 * starts:
         raise ValueError("starts must be at least 1 and budget at least 2 * starts, "
                          "got starts=%s, budget=%s" % (starts, budget))
+    # random.Random would take abs() of a negative seed and hash a float
+    try:
+        index = operator.index(seed)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ValueError("seed must be a non-negative integer, got %r" % (seed,))
+    return index
+
+
+def _starts(seed: int, starts: int, n: int) -> List[List[float]]:
+    """The initial log-values of a template's starts, one list of n per
+    start: N(0, 2^2) draws of ``random.Random(seed)``, row by row."""
+    gauss = random.Random(seed).gauss
+    return [[gauss(0.0, 2.0) for _ in range(n)] for _ in range(starts)]
 
 
 # Starts that least_squares advances together at most.  A round costs about
@@ -310,6 +335,7 @@ def _check_budget(budget: int, starts: int) -> None:
 BATCH_ROWS = 144
 EXACT_FIT = 1e-14  # a start whose largest |residual| falls below this ends its template's fit
 SAME_COST = 1e-9  # relative band in which _to_limit takes two costs (largest |residual|) as equal
+DEGENERATE = 1e-3  # a certified residual within this of 1, or above, is a degenerate limit (_fit)
 SETTLED = 1e-8  # ftol and xtol of every start: the loosest that keeps the floors (module docstring)
 CERTIFICATIONS = 3  # minima that _fit certifies at most per template, past a degenerate best one
 
@@ -586,7 +612,7 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
 
     A fit certifies its starts in order of cost (largest |residual|), each
     at its limit (``_to_limit``): the first, and while the smallest
-    certified residual is 1 or more (to within ``SAME_COST``), the next
+    certified residual is within ``DEGENERATE`` of 1 or above, the next
     distinct minimum, up to ``CERTIFICATIONS`` in all.  A start is the same
     minimum as one certified before when its cost is within a relative
     ``SAME_COST`` of that one's, or when the same elements ran off to the
@@ -599,7 +625,7 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
     x0 = np.zeros((len(templates) * starts, compiled.exponents.shape[2]))
     for t, seed in enumerate(seeds):
         n = compiled.elements[t]
-        x0[t * starts:(t + 1) * starts, :n] = np.random.default_rng(seed).normal(0.0, 2.0, (starts, n))
+        x0[t * starts:(t + 1) * starts, :n] = _starts(seed, starts, n)
     fits: List[FitResult] = [None] * len(templates)  # every template up to the first success finishes
 
     def finish(t, x, f, evaluations):
@@ -618,9 +644,9 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
             ok, residual = _certify(templates[t], [Fraction(v) for v in values], target, tol)
             if fit is None or float(residual) < fit.residual:
                 fit = FitResult(bool(ok), dict(zip(_slot_names(templates[t]), values)), float(residual), 0)
-            # a residual of 1 or more is a degenerate limit, which the next
-            # distinct minimum may beat
-            if fit.residual < 1 - SAME_COST or len(certified) == CERTIFICATIONS:
+            # a residual near 1 or above is a degenerate limit, which the
+            # next distinct minimum may beat
+            if fit.residual < 1 - DEGENERATE or len(certified) == CERTIFICATIONS:
                 break
         fit.iterations = evaluations
         fits[t] = fit
@@ -649,8 +675,9 @@ def fit_topology(
     run as one batch and each has ``budget // starts`` residual evaluations
     (Jacobian evaluations, at most one fewer per start, come on top).  The
     best start's elements that run off to 0 or infinity go to the clip
-    (``_to_limit``); when that limit certifies at residual 1 or more, the
-    next distinct minima are certified too (``_fit``).  Success is certified
+    (``_to_limit``); when that limit certifies at a degenerate residual
+    (within ``DEGENERATE`` of 1 or above), the next distinct minima are
+    certified too (``_fit``).  Success is certified
     exactly within ``tol``, so a success here always re-verifies.  This is
     the one-template case of ``_fit``, in which ``falsify_small`` fits all
     its templates side by side; its entry for the template equals this fit
@@ -658,9 +685,10 @@ def fit_topology(
     the BLAS products that take a whole batch (``_CompiledTemplate``), and
     on its padding (every Jacobian is padded to the widest template of the
     batch, and LAPACK's SVD rounds a zero-padded matrix differently).
-    Raises ValueError when the budget is below two evaluations per start.
+    Raises ValueError when the budget is below two evaluations per start
+    and for a seed that is not a non-negative integer.
     """
-    _check_budget(budget, starts)
+    seed = _check_fit(budget, starts, seed)
     if not leaves(template):
         raise ValueError("template has no element slots")
     return _fit([template], _exact_target(target), budget, starts, [seed], tol)[0]
@@ -769,12 +797,13 @@ def falsify_small(
     evidence consistent with non-realizability, not a proof.  ``budget``
     bounds the residual evaluations of each fit (see ``fit_topology``).
     Raises ValueError for n_max outside 1..5, for a start count below 1, for a
-    budget below two evaluations per start and for the target Z = 0, which
-    no network of positive elements has.
+    budget below two evaluations per start, for a seed that is not a
+    non-negative integer and for the target Z = 0, which no network of
+    positive elements has.
     """
     if not 1 <= n_max <= 5:
         raise ValueError("n_max must be between 1 and 5 (the brute force's limit)")
-    _check_budget(budget, starts)
+    seed = _check_fit(budget, starts, seed)
     if target.num.is_zero:
         raise ValueError("the target Z = 0 is no network of positive elements")
     target = _exact_target(target)

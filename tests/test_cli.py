@@ -267,6 +267,15 @@ def test_falsify_of_a_target_outside_float64_is_invalid_input(capsys, target):
     assert "float64" in json.loads(captured.err)["error"]
 
 
+def test_falsify_with_a_negative_seed_is_invalid_input(capsys):
+    capsys.readouterr()
+    target = json.dumps({"k": "1", "z": "1", "p": "2"})
+    assert main(["falsify", "--target", target, "--nmax", "2", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "seed must be a non-negative integer" in json.loads(captured.err)["error"]
+
+
 def test_falsify_defaults_to_a_tolerance_a_fit_can_meet(capsys):
     # the fits are float64, certified at 128 bits: without --tol, falsify
     # takes falsify_small's 1e-8, not the 1e-20 of the other commands

@@ -1,7 +1,8 @@
 """Which modules the package, the CLI and each kind of command load:
 mpmath only once a value needs an mpf (never in the fitter, which certifies
 exactly), numpy only with the fitter in
-``verify``, scipy, a test oracle, never, and neither ``dataclasses`` nor
+``verify`` and ``numpy.random`` (with OpenSSL's ``_hashlib``) never,
+scipy, a test oracle, never, and neither ``dataclasses`` nor
 ``inspect`` beyond what a bare interpreter has.  Checked in a fresh
 interpreter, by the modules it has loaded, so the tests do not depend on
 timings.  Loading mpmath late changes no output: a command prints the same
@@ -136,18 +137,23 @@ def test_exact_fig3a_synthesis_of_rational_values_loads_no_mpmath():
     assert json.loads(_fresh(EXACT_FIG3A_PROBE)) == {"ok": True, "mpmath": False}
 
 
+# numpy.random and what it brings in: secrets, hmac and OpenSSL's _hashlib
+RANDOM_MODULES = ("numpy.random", "secrets", "hmac", "_hashlib")
+
 FALSIFY_PROBE = """
 import contextlib, io, json, sys
 import biquadrlc.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = biquadrlc.cli.main(["falsify", "--target", '{"k": "1", "z": "1", "p": "3"}', "--nmax", "2"])
-print(json.dumps({"code": code, "loaded": sorted(m for m in ("mpmath", "numpy", "scipy") if m in sys.modules)}))
+modules = ("mpmath", "numpy", "scipy") + tuple(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "loaded": sorted(m for m in modules if m in sys.modules)}))
 """
 
 
 def test_falsify_loads_numpy_but_not_scipy():
-    # nor mpmath: the fitter certifies a rational target exactly
-    assert json.loads(_fresh(FALSIFY_PROBE)) == {"code": 0, "loaded": ["numpy"]}
+    # nor mpmath: the fitter certifies a rational target exactly; nor
+    # numpy.random: the starts come from the standard library's random
+    assert json.loads(_fresh(FALSIFY_PROBE, json.dumps(RANDOM_MODULES))) == {"code": 0, "loaded": ["numpy"]}
 
 
 QUADRATIC_FALSIFY_PROBE = """
@@ -158,14 +164,16 @@ from biquadrlc.verify import falsify_small
 report = falsify_small(to_rational_fn(CanonicalBiquad(1, 1, QuadraticRational(2, 1, 2))), 3)
 fitted = [e["best_residual"] for e in report["entries"] if not e["filtered"]]
 print(json.dumps({"fitted": bool(fitted), "floats": all(type(r) is float for r in fitted),
-                  "mpmath": "mpmath" in sys.modules}))
+                  "mpmath": "mpmath" in sys.modules,
+                  "random": sorted(m for m in json.loads(sys.argv[1]) if m in sys.modules)}))
 """
 
 
 def test_falsify_of_a_quadratic_irrational_target_loads_no_mpmath():
     # eta = 2 + sqrt2: the target's floats and the certified residuals come
-    # from integer arithmetic in Q(sqrt2)
-    assert json.loads(_fresh(QUADRATIC_FALSIFY_PROBE)) == {"fitted": True, "floats": True, "mpmath": False}
+    # from integer arithmetic in Q(sqrt2); nor numpy.random
+    report = json.loads(_fresh(QUADRATIC_FALSIFY_PROBE, json.dumps(RANDOM_MODULES)))
+    assert report == {"fitted": True, "floats": True, "mpmath": False, "random": []}
 
 
 CLI_PROBE = """

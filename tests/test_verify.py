@@ -715,6 +715,31 @@ def test_falsify_and_fit_reject_nonsense_counts():
             fit_topology(series(Leaf("R"), Leaf("L")), target, **counts)
 
 
+@pytest.mark.parametrize("seed", [-1, -1000003, 1.0, 0.5, "0", None])
+def test_falsify_and_fit_reject_a_seed_that_is_not_a_non_negative_integer(seed):
+    # random.Random would take abs() of a negative seed and hash the others
+    target = RF((1,), (1,))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        falsify_small(target, 1, seed=seed)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        fit_topology(series(Leaf("R"), Leaf("L")), target, seed=seed)
+
+
+def test_a_numpy_integer_seed_fits_as_the_int():
+    target = RF((1, 2, 1), (4, 4, 1))
+    assert falsify_small(target, 2, seed=np.int64(3)) == falsify_small(target, 2, seed=3)
+
+
+def test_the_starts_are_the_standard_librarys_gaussian_stream():
+    # N(0, 2^2) from random.Random(seed), row by row: a change to CPython's
+    # gauss() or to the seeds that falsify_small gives its templates
+    # (seed * 1000003 + index) changes every fit, and fails here first
+    assert verify._starts(0, 1, 3) == [[1.8834308093613288, -2.7931562094022997, -1.3594288961568421]]
+    assert verify._starts(1000003, 1, 3) == [[-1.7482137049164292, -0.17500224725224328, 1.7690789752139358]]
+    rows = verify._starts(0, 2, 3)
+    assert rows[0] == verify._starts(0, 1, 3)[0] and len(rows[1]) == 3
+
+
 def test_verify_numeric_takes_the_field_of_net_and_target():
     net = series(Leaf("R", 1), Leaf("L", 1))
     # an exact net against an mpf target compares in mpf
@@ -851,6 +876,13 @@ def test_fits_repeat_across_processes_and_hash_seeds():
     # the path on which a certified success stops the templates after it
     eta_3 = json.dumps({"k": "1", "z": "1", "p": "3"})
     cli = ["-m", "biquadrlc.cli", "falsify", "--target", eta_3, "--nmax", "4", "--stop-at-first-success"]
+    assert _fresh_stdout(cli, 0) == _fresh_stdout(cli, 1)
+
+
+def test_a_full_falsify_run_prints_the_same_bytes_at_any_hash_seed():
+    # every template of up to four elements, no early exit
+    eta_3 = json.dumps({"k": "1", "z": "1", "p": "3"})
+    cli = ["-m", "biquadrlc.cli", "falsify", "--target", eta_3, "--nmax", "4"]
     assert _fresh_stdout(cli, 0) == _fresh_stdout(cli, 1)
 
 
