@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--filters",
         default=None,
         help="comma-separated labeling filters (cutset, reactive-path, "
-        "reactive-arm, reactive-branch, mergeable, min-resistors=N, "
+        "reactive-arm, reactive-branch, mergeable, twin, min-resistors=N, "
         "reactive-count=N); labeled output",
     )
     p.set_defaults(func=_cmd_enumerate)

@@ -18,7 +18,10 @@ all-C cut set and no all-L or all-C path between the terminals, no
 all-reactive arm of a top-level series connection and no all-reactive
 branch of a top-level parallel connection; a network that fails one puts a
 pole or a zero of Z(s) on the jw axis (s = 0 and s = inf included), so each
-rule is sound only for targets without one there.  Enumeration and the
+rule is sound only for targets without one there.  Two more rules hold
+for every target: ``mergeable`` drops a network with two like siblings,
+which merge into one element, and ``twin`` drops ``A | (A + B)``, which
+realizes what ``A + (A | B)`` does.  Enumeration and the
 cut-set and path rules all follow the series/parallel recursion by which
 Riordan & Shannon count these networks, so each canonical network is built
 once and no rule needs a search.  The catalog writes each configuration
@@ -68,6 +71,7 @@ __all__ = [
     "has_pure_reactive_series_arm",
     "has_pure_reactive_parallel_branch",
     "has_mergeable_siblings",
+    "has_twin",
     "parse_filters",
     "config_ids",
     "config_slots",
@@ -452,12 +456,39 @@ def has_mergeable_siblings(net: SPNet) -> bool:
     return any(has_mergeable_siblings(c) for c in net.children)
 
 
+def has_twin(net: SPNet) -> bool:
+    """True iff ``A | (A + B)`` is a sub-network for two kinds A != B: a
+    parallel node has a leaf of kind A and a series child of exactly two
+    leaves, A and B (``|`` is associative, so other branches may sit
+    beside them).
+
+    It is the twin of ``A + (A | B)``, the degree-one Foster and Cauer
+    forms: positive values of either give positive values of the other
+    with the same Z(s), so each pair realizes one set of impedances.  The
+    catalogues count networks only up to such equivalents (Ladenheim, MS
+    thesis, 1948; Jiang & Smith, IEEE TAC 56(6), 2011).  Up to five
+    elements, rewriting every ``A | (A + B)`` into ``A + (A | B)`` ends on
+    a network of the same size that has no twin or has mergeable siblings.
+    """
+    if isinstance(net, Leaf):
+        return False
+    if isinstance(net, Parallel):
+        kinds = {c.kind for c in net.children if isinstance(c, Leaf)}
+        for c in net.children:
+            if isinstance(c, Series) and len(c.children) == 2 and all(isinstance(x, Leaf) for x in c.children):
+                a, b = (x.kind for x in c.children)
+                if a != b and kinds & {a, b}:
+                    return True
+    return any(has_twin(c) for c in net.children)
+
+
 _FILTER_PREDICATES: Dict[str, Callable[[SPNet], bool]] = {
     "cutset": lambda n: not violates_cutset_rule(n),
     "reactive-arm": lambda n: not has_pure_reactive_series_arm(n),
     "mergeable": lambda n: not has_mergeable_siblings(n),
     "reactive-path": lambda n: not violates_path_rule(n),
     "reactive-branch": lambda n: not has_pure_reactive_parallel_branch(n),
+    "twin": lambda n: not has_twin(n),
 }
 
 
@@ -473,7 +504,7 @@ def parse_filters(specs: Iterable[str]) -> List[Tuple[str, Callable[[SPNet], boo
     """Parse filter names into (name, predicate) pairs.
 
     Supported: ``cutset``, ``reactive-arm``, ``mergeable``,
-    ``reactive-path``, ``reactive-branch``, ``min-resistors=N``,
+    ``reactive-path``, ``reactive-branch``, ``twin``, ``min-resistors=N``,
     ``reactive-count=N``, N in plain digits.
     """
     out: List[Tuple[str, Callable[[SPNet], bool]]] = []

@@ -327,8 +327,8 @@ def _starts(seed: int, starts: int, n: int) -> List[List[float]]:
 # Starts that least_squares advances together at most.  A round costs about
 # 200 numpy calls whatever its size, so fitting templates side by side saves
 # rounds; the arrays of a round, and the process's peak memory, grow with the
-# rows.  The 5 templates of up to three elements that the filters keep for a
-# double-root target (120 starts) run in one batch.  With more templates,
+# rows.  The 3 templates of up to three elements that the filters keep for a
+# double-root target (72 starts) run in one batch.  With more templates,
 # most starts stop within a few dozen rounds and the next templates take
 # their place, so 144 rows (6 templates of 24 starts) fitted 12 templates
 # about as fast as 288 rows at once.
@@ -681,10 +681,13 @@ def fit_topology(
     exactly within ``tol``, so a success here always re-verifies.  This is
     the one-template case of ``_fit``, in which ``falsify_small`` fits all
     its templates side by side; its entry for the template equals this fit
-    up to rounding that depends on the batch: on its composition, through
-    the BLAS products that take a whole batch (``_CompiledTemplate``), and
-    on its padding (every Jacobian is padded to the widest template of the
-    batch, and LAPACK's SVD rounds a zero-padded matrix differently).
+    called with its budget, starts and seed (by default 4000, 24 and
+    ``seed * 1000003 + index``, see ``falsify_small``, not this function's
+    defaults), up to rounding that depends on the batch: on its
+    composition, through the BLAS products that take a whole batch
+    (``_CompiledTemplate``), and on its padding (every Jacobian is padded
+    to the widest template of the batch, and LAPACK's SVD rounds a
+    zero-padded matrix differently).
     Raises ValueError when the budget is below two evaluations per start
     and for a seed that is not a non-negative integer.
     """
@@ -701,9 +704,11 @@ def fit_topology(
 # The falsify rules, in the order in which an entry names the first that it
 # fails, and what a network that fails each has: a pole or a zero of Z(s) at
 # s = 0 or s = inf ("ends"), or there or elsewhere on the jw axis ("axis").
-# A rule applies to a target that has no such pole or zero; merging two
-# like siblings keeps Z, so "mergeable" applies to every target.
-FALSIFY_FILTERS = ("cutset", "reactive-arm", "mergeable", "reactive-path", "reactive-branch")
+# A rule applies to a target that has no such pole or zero.  Merging two
+# like siblings keeps Z, and A | (A + B) realizes what its twin A + (A | B)
+# does (``network.has_twin``), so "mergeable" and "twin" apply to every
+# target.
+FALSIFY_FILTERS = ("cutset", "reactive-arm", "mergeable", "reactive-path", "reactive-branch", "twin")
 _PREMISES = {
     "cutset": ("pole", "ends"),
     "reactive-arm": ("pole", "axis"),
@@ -780,18 +785,27 @@ def falsify_small(
     as the dyadic rationals they are): ``cutset`` needs finite Z(0) and
     Z(inf), ``reactive-path`` nonzero Z(0) and Z(inf), ``reactive-arm`` no
     pole and ``reactive-branch`` no zero on the jw axis, s = 0 and s = inf
-    included; ``mergeable`` needs nothing.  A network that fails a rule
-    that applies cannot realize the target, so it is skipped and reported
-    as filtered, with the first such rule in ``filter``; the report's
-    ``filters`` lists the rules ``applied`` and those ``skipped`` because
-    the target fails their premise.  The other networks are fitted side by
-    side in one batch of templates x starts (``_fit``), so every entry is
-    what ``fit_topology`` gives for it, up to rounding that depends on the
-    batch: its BLAS products take the whole batch and round a row
-    differently among other rows, and the stack pads every Jacobian to its
-    widest template, which LAPACK's SVD rounds differently.  So an entry's
-    ``evaluations`` and the last digits of its ``best_residual`` also
-    depend on the templates fitted beside it and on ``n_max``.  With
+    included; ``mergeable`` and ``twin`` need nothing.  A network that
+    fails a rule that applies realizes nothing that a fitted network or a
+    smaller one does not: under a premise rule not the target, as its Z(s)
+    has a pole or zero on the jw axis that the target lacks; with two like
+    siblings only what the network with one of them does; as ``A | (A +
+    B)`` only what its twin ``A + (A | B)`` does, which is fitted or
+    filtered in turn.  So it is skipped and reported as filtered, with the
+    first such rule in ``filter``; the report's ``filters`` lists the rules
+    ``applied`` and those ``skipped`` because the target fails their
+    premise.  The other networks are fitted
+    side by side in one batch of templates x starts (``_fit``), the one at
+    ``index`` among them from seed ``seed * 1000003 + index`` (so a rule
+    that filters a network shifts the seeds of the networks after it).  So
+    every entry is what ``fit_topology(net, target, budget, starts, seed *
+    1000003 + index, tol)`` gives for it (not its defaults: budget 6000,
+    32 starts and seed 0), up to rounding that depends on the batch: its
+    BLAS products take the whole batch and round a row differently among
+    other rows, and the stack pads every Jacobian to its widest template,
+    which LAPACK's SVD rounds differently.  So an entry's ``evaluations``
+    and the last digits of its ``best_residual`` also depend on the
+    templates fitted beside it and on ``n_max``.  With
     ``stop_at_first_success`` a certified success stops the templates
     after it, and the report ends there.  A uniform residual floor is
     evidence consistent with non-realizability, not a proof.  ``budget``

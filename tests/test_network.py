@@ -27,6 +27,7 @@ from biquadrlc.network import (
     has_mergeable_siblings,
     has_pure_reactive_parallel_branch,
     has_pure_reactive_series_arm,
+    has_twin,
     impedance,
     impedance_coeffs,
     leaves,
@@ -543,11 +544,61 @@ def test_dual_rules_are_the_rules_of_the_dual_network():
             for rule, dual_rule in _DUAL_RULES:
                 assert dual_rule(net) == rule(dual), (rule.__name__, net)
                 assert rule(inv) == rule(net), (rule.__name__, net)
+            # inv keeps series and parallel, so it keeps twins too
+            assert has_twin(inv) == has_twin(net), net
 
 
 def test_mergeable_siblings():
     assert has_mergeable_siblings(parallel(R(1), series(L(1), L(2)))) is True
     assert has_mergeable_siblings(parallel(R(1), series(L(1), C(2)))) is False
+
+
+def test_twin_examples():
+    assert has_twin(parallel(R(1), series(R(2), L(1)))) is True
+    assert has_twin(parallel(L(1), series(R(2), L(2)))) is True  # A = L, B = R
+    assert has_twin(series(R(1), parallel(R(2), L(1)))) is False  # the twin that is kept
+    assert has_twin(parallel(C(1), series(R(2), L(1)))) is False  # no leaf of either kind beside it
+    assert has_twin(parallel(R(1), series(R(2), R(3)))) is False  # one kind: mergeable, no twin
+    assert has_twin(parallel(R(1), series(R(2), L(1), C(1)))) is False  # three elements in series
+    assert has_twin(parallel(R(1), series(R(2), parallel(R(3), L(1))))) is False
+    # | is associative: a branch beside the pair does not hide it, nor does
+    # a series node above it
+    assert has_twin(parallel(R(1), C(1), series(R(2), L(1)))) is True
+    assert has_twin(series(C(2), parallel(R(1), series(R(2), L(1))))) is True
+
+
+def _twin_impedances(sympy, a, b):
+    """Z(s) of A | (A + B) and of A + (A | B) in the scales of their
+    elements, the factor of 1, s or 1/s in an element's impedance: the
+    value of an R or an L, the reciprocal of the value of a C.  A scale is
+    positive exactly when its value is."""
+    s = sympy.Symbol("s")
+    unit = {"R": 1, "L": s, "C": 1 / s}
+
+    def foster(a1, a2, b1):
+        return 1 / (1 / (a1 * unit[a]) + 1 / (a2 * unit[a] + b1 * unit[b]))
+
+    def cauer(a3, a4, b2):
+        return a3 * unit[a] + 1 / (1 / (a4 * unit[a]) + 1 / (b2 * unit[b]))
+
+    return foster, cauer
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in "RLC" for b in "RLC" if a != b])
+def test_twin_forms_realize_the_same_impedances(a, b):
+    # positive values of A | (A + B) map to positive values of A + (A | B)
+    # with the same Z(s), and back: the two have one set of impedances
+    sympy = pytest.importorskip("sympy")
+    assert has_twin(parallel(Leaf(a), series(Leaf(a), Leaf(b))))
+    assert not has_twin(series(Leaf(a), parallel(Leaf(a), Leaf(b))))
+    foster, cauer = _twin_impedances(sympy, a, b)
+    x, y, w = sympy.symbols("x y w", positive=True)
+    to_cauer = (x * y / (x + y), x**2 / (x + y), w * x**2 / (x + y) ** 2)
+    to_foster = (x + y, x * (x + y) / y, w * (x + y) ** 2 / y**2)
+    for scale in to_cauer + to_foster:
+        assert scale.is_positive
+    for z, image in ((foster(x, y, w), cauer(*to_cauer)), (cauer(x, y, w), foster(*to_foster))):
+        assert sympy.expand(sympy.together(z - image).as_numer_denom()[0]) == 0
 
 
 # ---------------------------------------------------------------------------

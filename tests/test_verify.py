@@ -18,9 +18,14 @@ from biquadrlc import verify
 from biquadrlc.biquad import CanonicalBiquad, PoleSquaredForm, to_rational_fn
 from biquadrlc.network import (
     Leaf,
+    Parallel,
+    Series,
+    apply_transform,
     build_config,
+    canonical,
     enumerate_labeled,
     from_netlist_json,
+    has_twin,
     impedance_coeffs,
     leaves,
     parallel,
@@ -488,10 +493,14 @@ _ETA_3_OTHERS = [
 ]
 
 
+# the falsify rules but twin: they keep a set closed under inv, dual and gdu
+DUAL_PAIRED_FILTERS = ("cutset", "reactive-arm", "mergeable", "reactive-path", "reactive-branch")
+
+
 def test_evaluate_reads_a_rows_array_changed_in_place():
     # each call gathers the tables of the templates that its rows name now,
     # so a rows array changed between two calls gives what a copy gives
-    templates = [net for n in range(1, 4) for net in enumerate_labeled(n, FALSIFY_FILTERS)]
+    templates = [net for n in range(1, 4) for net in enumerate_labeled(n, DUAL_PAIRED_FILTERS)]
     stack = _CompiledTemplate(templates, TNUM_12, TDEN_12)
     theta = np.random.default_rng(14).normal(0.0, 2.0, (4, stack.exponents.shape[2]))
     rows = np.zeros(len(theta), dtype=np.intp)
@@ -595,8 +604,59 @@ def test_a_certified_success_spares_the_later_templates_their_jacobians():
 
 
 def test_falsify_filters_keep_the_labelings_no_image_rules_out():
-    # the rules and their duals, closed under inv, dual and gdu
-    assert [len(enumerate_labeled(n, FALSIFY_FILTERS)) for n in range(1, 6)] == [1, 0, 4, 14, 80]
+    # the rules and their duals keep a set closed under inv, dual and gdu;
+    # twin keeps A + (A | B) but not its dual and gdu images, which are
+    # twins A' | (A' + B'), so from three elements on the six rules keep a
+    # set closed under inv only
+    assert set(FALSIFY_FILTERS) == set(DUAL_PAIRED_FILTERS) | {"twin"}
+    for rules, counts, closed in ((DUAL_PAIRED_FILTERS, [1, 0, 4, 14, 80], ("inv", "dual", "gdu")),
+                                  (FALSIFY_FILTERS, [1, 0, 2, 12, 53], ("inv",))):
+        assert [len(enumerate_labeled(n, rules)) for n in range(1, 6)] == counts
+        for n in range(1, 6):
+            kept = set(enumerate_labeled(n, rules))
+            for op in ("inv", "dual", "gdu"):
+                images = {apply_transform(net, op) for net in kept}
+                assert (images == kept) == (op in closed or n < 3), (rules, n, op)
+
+
+def _rewrite_twin(net):
+    """``net`` with one sub-network A | (A + B) rewritten into its twin
+    A + (A | B), canonical; ``net`` itself if it has none."""
+    if isinstance(net, Leaf):
+        return net
+    kids = list(net.children)
+    if isinstance(net, Parallel):
+        for i, arm in enumerate(kids):
+            if isinstance(arm, Series) and len(arm.children) == 2 and all(isinstance(x, Leaf) for x in arm.children):
+                for a, b in (arm.children, arm.children[::-1]):
+                    if a.kind != b.kind and a in kids:
+                        rest = kids[:i] + kids[i + 1:]
+                        rest.remove(a)
+                        twin = Series((a, Parallel((a, b))))
+                        return canonical(Parallel(tuple(rest) + (twin,)) if rest else twin)
+    for i, kid in enumerate(kids):
+        rewritten = _rewrite_twin(kid)
+        if rewritten != kid:
+            kids[i] = rewritten
+            return canonical(type(net)(tuple(kids)))
+    return net
+
+
+def test_every_twin_rewrites_to_a_network_of_its_size_that_is_fitted_or_mergeable():
+    # so the twin rule skips no impedance that falsify would fit: each
+    # A | (A + B) rewritten into A + (A | B), repeatedly, ends on a
+    # labeling of the same size that the rules keep, or on one with like
+    # siblings, which realizes what a smaller network does
+    for n, filtered in zip(range(1, 6), [0, 0, 2, 2, 27]):
+        verdicts = dict(verify._labelings(n, FALSIFY_FILTERS))
+        twins = [net for net, rule in verdicts.items() if rule == "twin"]
+        assert len(twins) == filtered
+        for net in twins:
+            for _ in range(n):
+                if not has_twin(net):
+                    break
+                net = _rewrite_twin(net)
+            assert verdicts.get(net, "another size") in (None, "mergeable"), net
 
 
 def test_filter_premises_are_decided_exactly_on_the_reduced_target():
