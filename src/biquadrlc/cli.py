@@ -8,8 +8,10 @@ missing or unknown option, a value of the wrong type) among them, each
 reported as one ``{"error": ...}`` JSON line on stderr; 3 when the program
 fails its own checks, for example when a synthesized fig3a network does
 not re-verify; 141 when stdout is closed before the output is written, as
-by ``| head`` or ``>&-``.  ``--precision-bits`` runs from 64 to 14280:
-above that, a 50-digit print of an mpf can fail inside mpmath.
+by ``| head`` or ``>&-``.  A netlist or target nested too deeply for
+Python's recursion limit is invalid input too.  ``--precision-bits`` runs
+from 64 to 14280; every value prints through ``ratpoly`` at any precision,
+and whether the cap stays is left to the removal of mpmath (ROADMAP item 17).
 
 A command run as a process (``python -m biquadrlc.cli`` or the
 ``biquadrlc`` script) exits as soon as its atexit handlers have run and its
@@ -20,9 +22,10 @@ profile ``main(argv)`` in-process instead.
 
 Only ``falsify`` loads numpy (through ``verify``).  mpmath is loaded by
 ``ratpoly`` when a value needs an mpf: in ``classify`` and ``synth`` on an
-n4a/n5a locus.  The other commands, ``classify`` and ``synth`` on a rational
-fig3a target and ``falsify``, which certifies its fits exactly, among them,
-keep their values exact and never load it.
+n4a/n5a locus, whose element values are mpf although p1 is found exactly.
+The other commands, ``classify`` and ``synth`` on a rational fig3a target
+and ``falsify``, which certifies its fits exactly, among them, keep their
+values exact and never load it.
 
 Every number read from an option, a netlist, a target or a ``--poly`` array
 goes through ``ratpoly.scalar_from_str``: "3/2", "0.25" and "1e-6" are exact
@@ -90,8 +93,8 @@ EXIT_INTERNAL = 3
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 MIN_PRECISION_BITS = 64
-# a 50-digit print of an mpf with a mantissa of more bits can exceed
-# Python's 4300-digit limit on int-to-str conversion inside mpmath.nstr
+# the cap that a 50-digit print inside mpmath once needed; ratpoly prints
+# every value at any precision now, and ROADMAP item 17 decides the cap
 MAX_PRECISION_BITS = 14280
 
 
@@ -458,6 +461,9 @@ def main(argv=None) -> int:
         return EXIT_NEGATIVE
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         _report_error(str(exc))
+        return EXIT_INVALID
+    except RecursionError as exc:  # JSON nested too deeply to read or walk
+        _report_error("input nested too deeply: %s" % exc)
         return EXIT_INVALID
     except RuntimeError as exc:
         _report_error(str(exc))

@@ -19,8 +19,11 @@ does printing an exact value or rounding it to a float.  One integer routine
 value out of exact arithmetic, correctly rounded and at any magnitude:
 ``float()`` of a quadratic irrational, :func:`to_mpf` (to nearest, ties to
 even; a rational through mpmath's own ``from_rational``) and the decimal
-string :func:`decimal_str`, which also keys the canonical order of networks.
-``_exact_value`` is the reverse, an mpf as the rational it stores.
+string :func:`decimal_str`, which also keys the canonical order of networks
+and prints every value that has no rational text: a quadratic irrational,
+and an mpf or a float as the dyadic rational it stores, whatever the working
+precision.  ``_exact_value`` is the reverse, an mpf as the rational it
+stores.  Integers print at any size (``_int_str``).
 :func:`workprec` sets the working precision with or without mpmath.
 
 Conventions:
@@ -391,7 +394,8 @@ def is_exact_scalar(x) -> bool:
 
 def to_mpf(x):
     """Convert an exact or numeric scalar to an mpf at working precision; an
-    exact one is correctly rounded (to nearest, ties to even)."""
+    exact one, or a float as the rational it stores, is correctly rounded (to
+    nearest, ties to even)."""
     mpmath = load_mpmath()
     if isinstance(x, mpmath.mpf):
         return x
@@ -400,20 +404,23 @@ def to_mpf(x):
         sign, m, shift = _scaled(x, prec + 1, 2)  # m + 1/2 rounds as x does
         return mpmath.mp.make_mpf(libmp.from_man_exp(sign * (2 * m + 1), -shift - 1, prec, "n"))
     x = x.a if isinstance(x, QuadraticRational) else x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction, float)):
+        x = _exact_value(x)
         return mpmath.mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, prec, "n"))
-    if isinstance(x, (float, str)):
-        return mpmath.mpf(x)
     raise TypeError("cannot convert %r to mpf" % (x,))
 
 
 def _exact_value(x):
     """x exact, the reverse of :func:`to_mpf`: an int as Fraction, which never
-    divides to a float, an mpf or a float as the dyadic rational it stores."""
+    divides to a float, an mpf or a float as the dyadic rational it stores.
+    An infinite or nan mpf or float has none: ValueError."""
     if hasattr(x, "_mpf_"):
         sign, man, exp, _ = x._mpf_
-        return Fraction(-man if sign else man) * Fraction(2) ** exp
-    return x if isinstance(x, QuadraticRational) else Fraction(x)
+        if man or not exp:  # inf, -inf and nan store mantissa 0 with a special exponent
+            return Fraction(-man if sign else man) * Fraction(2) ** exp
+    elif not isinstance(x, float) or math.isfinite(x):
+        return x if isinstance(x, QuadraticRational) else Fraction(x)
+    raise ValueError("%s has no exact value" % (x,))
 
 
 def field_of(*xs):
@@ -466,11 +473,11 @@ DIGITS = 50
 
 
 def decimal_str(x) -> str:
-    """The string ``mpmath.nstr(x, 50)`` gives for an exact x (int, Fraction
-    or QuadraticRational), from integer arithmetic alone: 50 significant
-    digits, correctly rounded (half away from zero, a tie that only a
-    rational can make), in fixed notation for decimal exponents -15 to 49
-    and as d.ddd...e+N otherwise, trailing zeros stripped."""
+    """An exact x (int, Fraction or QuadraticRational) as a decimal string
+    laid out as mpmath prints 50 digits, from integer arithmetic alone: 50
+    significant digits, correctly rounded (half away from zero, a tie that
+    only a rational can make), in fixed notation for decimal exponents -15
+    to 49 and as d.ddd...e+N otherwise, trailing zeros stripped."""
     sign, m, shift = _scaled(x if isinstance(x, QuadraticRational) else QuadraticRational(x, 0, 1), DIGITS + 1, 10)
     if not sign:
         return "0.0"
@@ -497,19 +504,30 @@ def decimal_str(x) -> str:
     return "-" * (sign < 0) + text + suffix
 
 
+def _int_str(n: int) -> str:
+    """str(n) at any size and under any limit on int-to-str digits: an int
+    of more than 2100 bits (633 digits, within the least limit, 640, that
+    Python accepts) is split at a power of ten near half its digits, and
+    each part printed on its own."""
+    if n.bit_length() <= 2100:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # digits of the low part: log10(2) > 3/10
+    high, low = divmod(abs(n), 10**k)
+    return "-" * (n < 0) + _int_str(high) + _int_str(low).zfill(k)
+
+
 def scalar_to_str(x) -> str:
-    """Stable string form: 'n/d' for exact rationals, a decimal of
-    ``DIGITS`` significant digits otherwise (:func:`decimal_str` for a
-    quadratic irrational, ``mpmath.nstr`` for an mpf)."""
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+    """Stable string form: 'n/d' for exact rationals, at any size, and
+    :func:`decimal_str` of the value otherwise: of a quadratic irrational,
+    and of an mpf or a float as the dyadic rational it stores, whatever the
+    working precision."""
+    if isinstance(x, (int, Fraction)):
+        num = _int_str(x.numerator)
+        return num if x.denominator == 1 else num + "/" + _int_str(x.denominator)
     if isinstance(x, QuadraticRational):
         return scalar_to_str(x.a) if x.b == 0 else decimal_str(x)
-    mpmath = load_mpmath()
-    if isinstance(x, (mpmath.mpf, float)):
-        return mpmath.nstr(mpmath.mpf(x), DIGITS)
+    if isinstance(x, float) or hasattr(x, "_mpf_"):
+        return decimal_str(_exact_value(x))
     raise TypeError("cannot serialize %r" % (x,))
 
 

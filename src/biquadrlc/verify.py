@@ -34,7 +34,7 @@ is within ``DEGENERATE`` = 1e-3 of 1 or above, ``_fit`` also certifies the
 next distinct minima in fit-cost order, up to ``CERTIFICATIONS`` in all,
 and reports the smallest certified residual.  Measured with the earlier
 starts from ``numpy.random`` and a fallback only at 1 or more: against
-1e-10 this took a floor problem at n <= 3 about a fifth fewer rounds,
+10^-10 this took a floor problem at n <= 3 about a fifth fewer rounds,
 moved no n <= 5 floor of (s+1)^2/(s+2)^2 or (s+1)^2/(s+3)^2 (seeds 0 and
 7) up by more than 0.1%, and lowered five of their floors of 1.0 to
 0.73-0.89; 1e-8 was the ceiling: at 3e-8 one of these floors rose by 12%,

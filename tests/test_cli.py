@@ -572,6 +572,38 @@ def test_decimal_netlist_values_are_exact(capsys):
     assert data == {"num": ["1/2"], "den": ["1"]}
 
 
+def _nested_netlist(depth):
+    # a series chain ``depth`` levels deep, written out as text: json.dumps
+    # would itself exceed the recursion limit
+    return '{"type":"series","children":[' * depth + _leaf("1") + ("," + _leaf("1") + "]}") * depth
+
+
+@pytest.mark.parametrize("depth", [600, 2000])
+@pytest.mark.parametrize("command", ["impedance", "verify", "transform"])
+def test_a_netlist_nested_too_deeply_is_invalid_input(capsys, command, depth):
+    # too deep for json.loads, or for the library's own walk of the tree:
+    # invalid input, exit 2 with one JSON line, not an internal fault (3)
+    netlist = _nested_netlist(depth)
+    argv = {"impedance": ["impedance", netlist], "transform": ["transform", "--op", "inv", netlist],
+            "verify": ["verify", netlist, "--target", '{"k":"1","z":"1","p":"5"}']}[command]
+    code, out, err = in_process(capsys, argv)
+    assert (code, out) == (2, b"")
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"].startswith("input nested too deeply")
+
+
+def test_exact_values_above_the_int_to_str_limit_print(capsys):
+    # a 2001-digit p: the condition values have more than Python's 4300 digits
+    code, data = run_json(capsys, "classify", "--k", "1", "--z", "1", "--p", "1e2000")
+    assert (code, data["class"], len(data["conditions"])) == (1, "NotPositiveReal", 18)
+    assert data["target"]["p"] == "1" + "0" * 2000
+    assert max(len(c["value"]) for c in data["conditions"]) > 4300
+    code, data = run_json(capsys, "impedance", _leaf("1e5000"))
+    assert (code, data) == (0, {"num": ["1" + "0" * 5000], "den": ["1"]})
+    code, data = run_json(capsys, "synth", "--k", "1", "--z", "1", "--p", "1e5000", "--config", "fig3a")
+    assert (code, data) == (1, {"error": "fig3a condition fails for z=1, p=1" + "0" * 5000})
+
+
 # ---------------------------------------------------------------------------
 # the process: ``python -m biquadrlc.cli`` and the console script end in
 # ``run_and_exit``, which runs the atexit handlers, flushes and calls os._exit
@@ -761,8 +793,8 @@ def test_precision_bits_has_a_maximum(capsys, command):
 
 
 def test_a_full_mantissa_at_the_maximum_precision_prints():
-    # what the maximum guards: mpmath.nstr(x, 50) of an mpf whose mantissa
-    # has more bits builds a decimal integer above Python's 4300-digit limit
+    # an mpf prints as the dyadic rational it stores, from integers, at any
+    # precision: the cap no longer guards the print (ROADMAP item 17 decides it)
     import mpmath
 
     from biquadrlc.ratpoly import scalar_to_str, workprec

@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -25,6 +26,7 @@ from biquadrlc.ratpoly import (
     sturm_count,
     to_mpf,
 )
+from biquadrlc.ratpoly import _exact_value, _int_str
 from biquadrlc.realize import FIG3A_QUARTIC, N4A_QUARTIC
 from eliminations import ELIMINATIONS
 
@@ -707,6 +709,64 @@ def test_decimal_str_rounds_a_tie_away_from_zero():
     assert decimal_str(tie) == "1.0000000000000000000000000000000000000000000000001"
     assert decimal_str(-tie) == "-1.0000000000000000000000000000000000000000000000001"
     assert decimal_str(QuadraticRational(tie, 1, 4) - 2) == decimal_str(tie)
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's limit on int-to-str digits, put back after the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str limit")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_int_str_is_str_at_any_size(int_str_limit):
+    rng = random.Random(4300)
+    sizes = [1, 2099, 2100, 2101, 14284, 14285] + [rng.randint(1, 10**5) for _ in range(40)]
+    values = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in sizes] + [10**5000, 10**5000 - 1, 0]
+    printed = [_int_str(n) for n in values] + [_int_str(-n) for n in values]
+    int_str_limit(0)
+    assert printed == [str(n) for n in values] + [str(-n) for n in values]
+
+
+def test_exact_values_print_under_any_int_to_str_limit(int_str_limit):
+    # the least limit Python accepts, and the default one, are left as they are
+    huge = F(10**5000 + 1, 3 * 10**4400)
+    for limit in (640, 4300):
+        int_str_limit(limit)
+        num, den = scalar_to_str(huge).split("/")
+        assert (num, den) == ("1" + "0" * 4999 + "1", "3" + "0" * 4400)
+        assert scalar_to_str(huge.numerator) == num and scalar_to_str(-huge) == "-" + num + "/" + den
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_an_mpf_prints_the_value_it_stores_at_any_working_precision():
+    # 50 digits of the stored value, as mpmath.nstr(x, 50) gives them, with
+    # no rounding to the working precision: short (tie-prone) mantissas too
+    rng = random.Random(50)
+    for _ in range(300):
+        bits = rng.randint(53, 1000)
+        man = rng.getrandbits(rng.choice((2, 9, 60, bits))) | 1
+        with mpmath.workprec(bits):
+            x = mpmath.mpf((rng.choice((1, -1)) * man, rng.randint(-1500, 1300)))
+        text = mpmath.nstr(x, 50)
+        assert scalar_to_str(x) == text
+        for working in (53, 64, bits):
+            with mpmath.workprec(working):
+                assert scalar_to_str(x) == text
+    for y in (0.1, -1e-300, 2.0**1000, 5e-324, 0.0):
+        assert scalar_to_str(y) == mpmath.nstr(mpmath.mpf(y), 50)
+
+
+@pytest.mark.parametrize("special", ["inf", "-inf", "nan"])
+def test_an_infinite_or_nan_value_has_no_exact_value(special):
+    for x in (mpmath.mpf(special), float(special)):
+        with pytest.raises(ValueError, match="has no exact value"):
+            _exact_value(x)
+        with pytest.raises(ValueError, match="has no exact value"):
+            scalar_to_str(x)
+    assert _exact_value(mpmath.mpf(0)) == 0
 
 
 def test_poly_from_json_is_exact():

@@ -1,6 +1,7 @@
 """Tests for classification, the lemma evaluators, and the three
 seven-element synthesizers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mpmath import mp, mpf
 
 from biquadrlc.biquad import CanonicalBiquad, PoleSquaredForm, to_rational_fn, transform_params
 from biquadrlc.network import (
+    canonical_key,
     element_count,
     has_pure_reactive_series_arm,
     leaves,
@@ -539,6 +541,64 @@ def test_n4a_subnetwork_impedances_match_analysis_forms():
         )
         res2 = coefficient_residual(z2.num * expected2.den, expected2.num * z2.den)
         assert res2 < mpf("1e-25")
+
+
+_LOCUS = {"n4a": (n4a_root_interval, n4a_p1_system), "n5a": (n5a_root_interval, n5a_p1_system)}
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("tag", ["n4a", "n5a"])
+def test_p1_is_fs_root_where_g_is_least_certified_exactly(monkeypatch, tag, bits):
+    # the p1 that classify synthesizes with, direct and through inv, from
+    # Fraction and mpf inputs: f changes sign within p1 (1 -+ 2^(8 - bits)),
+    # decided exactly, at the positive root of f where |g| is least
+    import biquadrlc.realize as realize
+    from biquadrlc.ratpoly import _exact_value
+
+    interval, system = _LOCUS[tag]
+    lo, hi = interval()
+    mid = (lo + hi) / 2
+    seen = []
+    common_root = realize._common_root
+    monkeypatch.setattr(realize, "_common_root", lambda f, g: seen.append((f, g, common_root(f, g))) or seen[-1][2])
+    rng = random.Random(bits)
+    for exact in (True, False):
+        for transform in (None, "inv"):
+            k, z = (math.exp(rng.uniform(math.log(0.2), math.log(5))) for _ in range(2))
+            with mp.workprec(bits):
+                mid_mpf = mpf(mid.numerator) / mid.denominator
+                if exact:
+                    b = B(k, z, F(z) * mid if transform is None else F(z) / mid)
+                else:
+                    b = CanonicalBiquad(mpf(k), mpf(z), mpf(z) * mid_mpf if transform is None else mpf(z) / mid_mpf)
+            seen.clear()
+            report = classify(b, precision_bits=bits)
+            assert (report.klass, report.config, report.transform) == (RealizationClass.SEVEN_ELEMENT_CATALOG, tag,
+                                                                       transform)
+            (f, g, p1), = seen
+            x, eps = _exact_value(p1), F(2) ** (8 - bits)
+            assert f.eval(x * (1 - eps)) * f.eval(x * (1 + eps)) < 0
+            with mp.workprec(800):
+                # f's positive roots from mpmath: p1 is nearest the one of least |g|
+                as_mpf = lambda poly: [mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
+                roots = [mpmath.re(r) for r in mpmath.polyroots(as_mpf(f), maxsteps=200, extraprec=800)
+                         if abs(mpmath.im(r)) < mpf(2) ** -700 and mpmath.re(r) > 0]
+                least = min(roots, key=lambda r: abs(mpmath.polyval(as_mpf(g), r)))
+                assert min(roots, key=lambda r: abs(r - p1)) == least
+                assert abs(least - p1) <= eps * p1
+
+
+def test_a_report_prints_its_values_as_stored_at_any_working_precision():
+    # the 256-bit residual of an n4a synthesis, printed outside any workprec:
+    # 50 digits of the stored value, not of its rounding to 53 bits; the
+    # canonical key of its mpf network does not move with the precision either
+    lo, hi = n4a_root_interval()
+    report = classify(B(F(7, 5), F(3, 2), F(3, 2) * (lo + hi) / 2))
+    outside, key = report.to_json(), canonical_key(report.network)
+    with mp.workprec(256):
+        assert (report.to_json(), canonical_key(report.network)) == (outside, key)
+    assert outside["residual"] == mpmath.nstr(report.residual, 50)
+    assert outside["residual"].startswith("8.0561461058955948639")
 
 
 # ---------------------------------------------------------------------------

@@ -726,6 +726,17 @@ def test_falsify_and_fit_reject_a_target_outside_float64(k, z, p, coefficient):
         fit_topology(series(Leaf("R"), Leaf("L")), target)
 
 
+@pytest.mark.parametrize("special", ["inf", "-inf", "nan"])
+def test_falsify_and_fit_reject_an_infinite_or_nan_coefficient(special):
+    # an mpf inf or nan stores mantissa 0: read as the value 0, this target
+    # would be (1 + s^2)/(s + 2)^2, whose premises the filters would decide
+    target = RationalFn(Poly([1, mpf(special), 1]), Poly([4, 4, 1]))
+    with pytest.raises(ValueError, match="has no exact value"):
+        falsify_small(target, 2)
+    with pytest.raises(ValueError, match="has no exact value"):
+        fit_topology(series(Leaf("R"), Leaf("L")), target)
+
+
 def test_the_float64_range_of_the_target_is_decided_exactly():
     # a coefficient fits where float() gives a finite nonzero float64
     tiny, huge = F(1, 2**1075), F(2**1024 - 2**970)
