@@ -71,11 +71,10 @@ from .network import (
 from .ratpoly import (
     Poly,
     RationalFn,
+    _isolate,
     decimal_str,
-    isolate_root,
     scalar_from_str,
     scalar_to_str,
-    sturm_count,
     workprec,
 )
 from .realize import (
@@ -274,12 +273,11 @@ def _cmd_roots(args) -> int:
         raise CliError("--poly expects a JSON array of coefficients")
     poly = Poly.from_json(data)
     lo, hi, width = (scalar_from_str(v) for v in (args.lo, args.hi, args.width))
-    count = sturm_count(poly, lo, hi)
+    count, interval = _isolate(poly, lo, hi, width)
     payload = {"count": count}
-    if count == 1:
-        ilo, ihi = isolate_root(poly, lo, hi, width)
-        payload["interval"] = [scalar_to_str(ilo), scalar_to_str(ihi)]
-        payload["midpoint"] = decimal_str((ilo + ihi) / 2)
+    if interval is not None:
+        payload["interval"] = [scalar_to_str(v) for v in interval]
+        payload["midpoint"] = decimal_str(sum(interval) / 2)
     _emit(payload, args)
     return EXIT_OK
 

@@ -765,7 +765,7 @@ def _exact_scalar_div(a, b):
 
 
 # ---------------------------------------------------------------------------
-# gcd / resultant / root counting
+# gcd / resultant / root isolation
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -834,76 +834,133 @@ def squarefree_part(a: Poly) -> Poly:
     """a / gcd(a, a'), monic: same distinct roots, all simple."""
     if a.is_zero:
         raise ValueError("zero polynomial")
-    if a.degree == 0:
-        return a.monic()
-    g = gcd(a, a.derivative())
-    return (a // g).monic()
+    return (a // gcd(a, a.derivative())).monic()
 
 
 def sturm_sequence(a: Poly) -> List[Poly]:
     seq = [a, a.derivative()]
-    while not seq[-1].is_zero and seq[-1].degree > 0:
+    while not seq[-1].is_zero:
         seq.append(-(seq[-2] % seq[-1]))
-    if seq[-1].is_zero:
-        seq.pop()
-    return seq
+    return seq[:-1]
 
 
-def _sign_changes(values) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for x, y in zip(signs, signs[1:]) if (x > 0) != (y > 0))
+def _sturm_chain(a: Poly) -> List[Poly]:
+    """The Sturm sequence of a's squarefree part (its first entry) scaled to integer coefficients."""
+    sf = squarefree_part(a)
+    scale = math.lcm(*(c.denominator for c in sf.coeffs if isinstance(c, Fraction)))
+    return sturm_sequence(sf * scale)
 
 
-def sturm_count(a: Poly, lo, hi) -> int:
-    """Number of distinct real roots of ``a`` in (lo, hi], exactly.
+def _variations(chain: List[Poly], x) -> int:
+    """Sign variations at x: chain[0] has v(lo) - v(hi) distinct roots in (lo, hi]."""
+    signs = [v > 0 for v in (p.eval(x) for p in chain) if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
-    The square-free reduction is performed internally, so repeated roots are
-    counted once.  Exact coefficients and exact endpoints (rational or
-    ``QuadraticRational``) required.
-    """
+
+def _isolate(a: Poly, lo, hi, width=None):
+    """sturm_count(a, lo, hi) and, when it is 1 and a width is given,
+    isolate_root's interval (else None), from one Sturm chain."""
     lo, hi = (x if isinstance(x, QuadraticRational) else Fraction(x) for x in (lo, hi))
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if a.is_zero:
-        raise ValueError("zero polynomial")
-    sf = squarefree_part(a)
-    if sf.degree == 0:
-        return 0
-    seq = sturm_sequence(sf)
-    v_lo = _sign_changes([p.eval(lo) for p in seq])
-    v_hi = _sign_changes([p.eval(hi) for p in seq])
-    return v_lo - v_hi
+    chain = _sturm_chain(a)
+    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
+    if v_lo - v_hi != 1 or width is None:
+        return v_lo - v_hi, None
+    if width <= 0:
+        raise ValueError("width must be positive")
+    # a quadratic irrational end: the dyadic next inwards (up at a root hi), no root between
+    ends = []
+    for x, v, up in ((lo, v_lo, True), (hi, v_hi, chain[0].eval(hi) == 0)):
+        digits = 32
+        while isinstance(x, QuadraticRational):
+            sign, m, shift = _scaled(x, digits, 2)  # m 2^-shift <= |x| < (m + 1) 2^-shift
+            y = sign * (m + ((sign > 0) == up)) * Fraction(2) ** -shift
+            if _variations(chain, y) == v:
+                x = y
+            else:
+                digits *= 2
+        ends.append(x)
+    return 1, _refine(chain[0], *ends, width)
+
+
+def _positive_roots(chain: List[Poly]) -> List[Tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi], lo > 0, of chain[0]'s positive roots in
+    increasing order: the window from 1/B of its reversal to B, a power of 2
+    above the Cauchy bound, split at midpoints until no part holds two."""
+    def bound(p):
+        cauchy = QuadraticRational(1) + max([abs(c / p.leading) for c in p.coeffs[:-1]] + [0])
+        _, m, shift = _scaled(cauchy, 1, 2)  # m 2^-shift <= cauchy < (m + 1) 2^-shift
+        return Fraction(2) ** (m.bit_length() - shift)
+
+    lo = 1 / bound(chain[0].reversed())
+    hi = bound(chain[0])
+    pending = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
+    out = []
+    while pending:
+        lo, v_lo, hi, v_hi = pending.pop()
+        if v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = _variations(chain, mid)
+            pending += [(mid, v_mid, hi, v_hi), (lo, v_lo, mid, v_mid)]
+        elif v_lo - v_hi:
+            out.append((lo, hi))
+    return out
+
+
+def _refine(f: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[Fraction, Fraction]:
+    """[lo, hi] narrowed to at most ``width`` around f's one root r in
+    (lo, hi], a simple one: (r, r) if r is hi or a step lands on it, else
+    lo < r < hi with f(lo), f(hi) != 0: a root at lo is shut out.  A Newton step,
+    rounded down to a multiple of q/16 (q a power of 2 in (width/4, width)),
+    is taken if it stays inside the bracket and is at most half the step
+    before it, a bisection otherwise; a Newton step below 2q becomes a step
+    of q towards r, which closes a bracket of width q or moves it."""
+    df, f_lo, f_hi = f.derivative(), f.eval(lo), f.eval(hi)
+    q = Fraction(2) ** (width.numerator.bit_length() - width.denominator.bit_length() - 1)
+    x = (lo + hi) / 2
+    last = hi - lo
+    while f_hi != 0 and (hi - lo > width or f_lo == 0):
+        fx = f.eval(x)
+        if fx == 0:
+            return x, x
+        above = (fx > 0) != (f_hi > 0)  # the root lies above x
+        if above:
+            lo, f_lo = x, fx
+        else:
+            hi = x
+        dfx = df.eval(x)
+        step = fx / dfx if dfx != 0 and type(fx) is Fraction else hi - lo  # else bisect
+        near = abs(step) < 2 * q
+        if near:
+            newton = x + q if above else x - q
+        else:
+            newton = (x - step) * 16 // q * q / 16
+        if lo < newton < hi and (near or abs(newton - x) <= last / 2):
+            x, last = newton, abs(newton - x)
+        else:
+            x, last = (lo + hi) / 2, (hi - lo) / 2
+    return (lo, hi) if f_hi != 0 else (hi, hi)
+
+
+def sturm_count(a: Poly, lo, hi) -> int:
+    """Number of distinct real roots of ``a`` in (lo, hi], exactly: repeated
+    roots count once.  Exact coefficients and exact endpoints (rational or
+    ``QuadraticRational``) required."""
+    return _isolate(a, lo, hi)[0]
 
 
 def isolate_root(a: Poly, lo, hi, width) -> Tuple[Fraction, Fraction]:
-    """Shrink (lo, hi) around the unique root of ``a`` to the given width.
-
-    Requires sturm_count(a, lo, hi) == 1; pure rational bisection on the
-    square-free part, so the returned interval is an exact certificate.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError("width must be positive")
-    if sturm_count(a, lo, hi) != 1:
+    """A closed interval with Fraction endpoints, at most ``width`` wide,
+    around the one distinct root of ``a`` in (lo, hi] (rational or
+    ``QuadraticRational`` ends; ValueError unless sturm_count is 1) that
+    holds no other, so a root at lo is left out; (r, r) if a step lands on
+    r.  An exact certificate, from Newton steps on dyadic rationals with
+    bisection as the fallback."""
+    count, interval = _isolate(a, lo, hi, Fraction(width))
+    if count != 1:
         raise ValueError("interval does not isolate exactly one root")
-    sf = squarefree_part(a)
-    flo = sf.eval(lo)
-    if flo == 0:
-        # root at the open endpoint is excluded by the (lo, hi] convention
-        raise ValueError("left endpoint is a root; shrink the interval")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fmid = sf.eval(mid)
-        if fmid == 0:
-            # land exactly on the root: return a tight bracket around it
-            half = width / 2
-            return mid - half, mid + half
-        if (flo > 0) != (fmid > 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return lo, hi
+    return interval
 
 
 # ---------------------------------------------------------------------------

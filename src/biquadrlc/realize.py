@@ -39,9 +39,9 @@ The three synthesizers return fully valued seven-element networks:
 
 n4a and n5a share one body; both find p1 with ``_common_root`` in exact
 arithmetic, from the p1 polynomials at z and p as the working precision
-holds them: a Sturm sequence isolates the positive roots of the first, the
-one where the second is least in magnitude is refined by Newton steps
-rounded to dyadic rationals, and p1 is rounded once to an mpf, from which
+holds them, with ``ratpoly``'s root isolator, as ``n4a_root_interval`` and
+``n5a_root_interval`` find the locus roots: the positive root of the first
+where the second is least in magnitude, rounded once to an mpf, from which
 the element values follow.
 ``synthesize`` is the one synthesize-and-verify path, used by ``classify``
 and by the CLI's ``synth`` with and without ``--config``: it maps the target
@@ -78,17 +78,16 @@ from .ratpoly import (
     _Record,
     _exact_sqrt,
     _exact_value,
-    _sign_changes,
+    _positive_roots,
+    _refine,
     _setfield,
+    _sturm_chain,
     field_of,
-    gcd,
     is_exact_scalar,
     isolate_root,
     load_mpmath,
     scalar_to_str,
-    squarefree_part,
     sturm_count,
-    sturm_sequence,
     to_mpf,
     workprec,
     working_tol,
@@ -142,6 +141,7 @@ N5A_DEGREE10 = Poly(
 _LOCI = {"n4a": N4A_QUARTIC, "n5a": N5A_DEGREE10}
 # eta < 1/(2+sqrt5)  <=>  eta^2 + 4 eta - 1 < 0
 SQRT5_BOUND_POLY = Poly([Fraction(-1), Fraction(4), Fraction(1)])
+SQRT5_BOUND = QuadraticRational(-2, 1, 5)  # 1/(2+sqrt5) = sqrt5 - 2
 # eta = 2 + sqrt2  <=>  eta^2 - 4 eta + 2 = 0 (also vanishes at 2 - sqrt2,
 # which lies inside (1/3, 3) anyway)
 FIVE_SURROGATE_HI = Poly([Fraction(2), Fraction(-4), Fraction(1)])
@@ -365,29 +365,20 @@ def count_roots_below_sqrt5_bound(poly: Poly) -> int:
     Rejects polynomials sharing a root with the endpoint minimal polynomial,
     where the half-open convention would be ambiguous.
     """
-    if gcd(squarefree_part(poly), SQRT5_BOUND_POLY).degree > 0:
+    if poly.eval(SQRT5_BOUND) == 0:
         raise ValueError("polynomial vanishes at the interval endpoint")
-    return sturm_count(poly, Fraction(0), QuadraticRational(-2, 1, 5))
-
-
-def _isolating_interval_on_locus(poly: Poly, width) -> Tuple[Fraction, Fraction]:
-    if count_roots_below_sqrt5_bound(poly) != 1:
-        raise ValueError("condition polynomial does not have a unique root in range")
-    under, _ = isolate_root(SQRT5_BOUND_POLY, Fraction(0), Fraction(1), Fraction(1, 2**40))
-    if sturm_count(poly, Fraction(0), under) != 1:
-        raise RuntimeError("root lies between the endpoint approximations")
-    return isolate_root(poly, Fraction(0), under, width)
+    return sturm_count(poly, Fraction(0), SQRT5_BOUND)
 
 
 def n4a_root_interval(width=Fraction(1, 10**30)) -> Tuple[Fraction, Fraction]:
     """Isolating interval for the unique n4a condition root in
     (0, 1/(2+sqrt5)), refined to the requested width (z = 1)."""
-    return _isolating_interval_on_locus(N4A_QUARTIC, Fraction(width))
+    return isolate_root(N4A_QUARTIC, Fraction(0), SQRT5_BOUND, width)
 
 
 def n5a_root_interval(width=Fraction(1, 10**30)) -> Tuple[Fraction, Fraction]:
     """Isolating interval for the unique n5a condition root (z = 1)."""
-    return _isolating_interval_on_locus(N5A_DEGREE10, Fraction(width))
+    return isolate_root(N5A_DEGREE10, Fraction(0), SQRT5_BOUND, width)
 
 
 # ---------------------------------------------------------------------------
@@ -483,44 +474,15 @@ def synth_fig3a(b: CanonicalBiquad, precision_bits: int = 256) -> SPNet:
 
 def _common_root(f: Poly, g: Poly):
     """The positive root of f where |g| is least, for exact f and g, rounded
-    once to an mpf at the working precision.  f's Sturm sequence isolates
-    its positive roots below the Cauchy bound; each is refined to 32 bits,
-    and the one where |g| is least on to x 2^-(prec + 8).  Near both loci
-    f's roots are simple: the product of their squared differences (z = 1)
-    is about 0.096 in magnitude for n4a and 0.033 for n5a."""
-    f = f * max(c.denominator for c in f.coeffs)  # integer coefficients for mpf z and p
-    seq = sturm_sequence(f)
-    pending, roots = [(Fraction(0), 1 + max(abs(c / f.leading) for c in f.coeffs))], []
-    while pending:
-        lo, hi = pending.pop()
-        count = _sign_changes([q.eval(lo) for q in seq]) - _sign_changes([q.eval(hi) for q in seq])
-        if count > 1:
-            pending += [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
-        elif count:
-            roots.append((lo, hi, _refine_root(f, lo, hi, 32, (lo + hi) / 2)))
-    lo, hi, x = min(roots, key=lambda root: abs(g.eval(root[2])))
-    return to_mpf(_refine_root(f, lo, hi, load_mpmath().mp.prec + 8, x))
-
-
-def _refine_root(f: Poly, lo: Fraction, hi: Fraction, bits: int, x: Fraction) -> Fraction:
-    """x, a start inside (lo, hi], moved to within x 2^-bits of f's one
-    (simple) root there: f vanishes at x or changes sign between x and
-    x -+ ulp, a power of 2 in (x 2^-(bits + 2), x 2^-bits], which is tried
-    once Newton's step is shorter than 2 ulp.  A Newton step, rounded down
-    to a multiple of ulp/16, is taken if it stays strictly inside the
-    bracket and is at most half the step before it; a bisection otherwise."""
-    df, f_hi, last = f.derivative(), f.eval(hi), hi - lo
-    while f_hi:
-        fx, dfx = f.eval(x), df.eval(x)
-        ulp = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length() - 1 - bits)
-        above = (fx > 0) != (f_hi > 0)  # the root lies above x
-        if fx == 0 or abs(fx) < 2 * ulp * abs(dfx) and f.eval(x + ulp if above else x - ulp) * fx <= 0:
-            return x
-        lo, hi = (x, hi) if above else (lo, x)
-        newton = (x - fx / dfx) * 16 // ulp * ulp / 16 if dfx else lo
-        bisect = not (lo < newton < hi and abs(newton - x) <= last / 2)
-        x, last = ((lo + hi) / 2, (hi - lo) / 2) if bisect else (newton, abs(newton - x))
-    return hi
+    once to an mpf at the working precision: each positive root x of f is
+    refined to within x 2^-32, the one where |g| is least on to within
+    x 2^-(prec + 8).  Near both loci f's roots are simple: the product of
+    their squared differences (z = 1) is about 0.096 for n4a, 0.033 for n5a."""
+    chain = _sturm_chain(f)
+    roots = [_refine(chain[0], lo, hi, lo / 2**32) for lo, hi in _positive_roots(chain)]
+    lo, hi = min(roots, key=lambda root: abs(g.eval((root[0] + root[1]) / 2)))
+    lo, hi = _refine(chain[0], lo, hi, lo * Fraction(2) ** -(load_mpmath().mp.prec + 8))
+    return to_mpf((lo + hi) / 2)
 
 
 def _synth_on_root_locus(tag, p1_system, b: CanonicalBiquad, precision_bits) -> SPNet:

@@ -67,7 +67,7 @@ import numpy as np
 
 from .check import _certify, coefficient_residual, verify_exact, verify_numeric
 from .network import SPNet, enumerate_labeled, impedance_coeffs, leaves, parse_filters, to_netlist_json
-from .ratpoly import Poly, RationalFn, _Record, _exact_value, decimal_str, gcd, sturm_count
+from .ratpoly import Poly, RationalFn, _Record, _exact_value, _positive_roots, _sturm_chain, decimal_str, gcd
 
 __all__ = [
     "verify_exact",
@@ -739,12 +739,10 @@ def _has_imaginary_root(p: Poly) -> bool:
     """Whether p(jw) = 0 for some real w > 0, decided exactly.
 
     For p(s) = E(s^2) + s O(s^2) and x = w^2, p(jw) = E(-x) + jw O(-x): the
-    real and imaginary parts vanish together at the roots of the gcd of
-    E(-x) and O(-x), whose positive roots ``sturm_count`` counts up to the
-    Cauchy bound of the monic gcd."""
+    real and imaginary parts vanish together at the positive roots of the
+    gcd of E(-x) and O(-x)."""
     even, odd = (Poly(c if k % 2 == 0 else -c for k, c in enumerate(p.coeffs[i::2])) for i in (0, 1))
-    g = gcd(even, odd)
-    return g.degree > 0 and sturm_count(g, 0, 1 + max(abs(c) for c in g.coeffs[:-1])) > 0
+    return bool(_positive_roots(_sturm_chain(gcd(even, odd))))
 
 
 def _jw_axis_points(target: RationalFn) -> set:

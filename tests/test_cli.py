@@ -186,7 +186,15 @@ def test_roots_prints_the_readme_midpoint_at_every_precision(capsys, bits):
     code, data = run_json(capsys, "--precision-bits", bits, "roots", "--poly", '["1","-10","31","-40","16"]',
                           "--lo", "0.15", "--hi", "0.2")
     assert code == 0
-    assert data["midpoint"] == "0.17500251816359951415268532946279524095174451899433"
+    assert data["midpoint"] == "0.17500251816359951415268532946331786130145343931541"
+
+
+def test_roots_leaves_out_a_root_at_lo(capsys):
+    # x^2 - x: (0, 2] holds the one root 1, though 0 is a root too
+    code, data = run_json(capsys, "roots", "--poly", '["0","-1","1"]', "--lo", "0", "--hi", "2")
+    assert (code, data["count"]) == (0, 1)
+    lo, hi = (Fraction(v) for v in data["interval"])
+    assert 0 < lo <= 1 <= hi <= 2
 
 
 @pytest.mark.parametrize("lo, count", [("-3/2", 2), ("-1e-3", 1), ("-1", 1), ("-0.5", 1)])

@@ -349,6 +349,88 @@ def test_isolate_root_rejects_bad_count():
         isolate_root(P(-1, 1) * P(-2, 1), F(0), F(3), F(1, 100))
 
 
+def test_isolate_root_leaves_out_a_root_at_lo():
+    # x^2 - x: (0, 2] holds the one root 1, whatever lies at 0
+    for width in (F(1, 10**6), F(1), F(10)):
+        lo, hi = isolate_root(P(0, -1, 1), F(0), F(2), width)
+        assert 0 < lo <= 1 <= hi <= 2 and hi - lo <= width
+
+
+def test_isolate_root_takes_quadratic_rational_endpoints():
+    # Fraction endpoints inside the window; sqrt5 - 2 as a root at hi is kept
+    end = QuadraticRational(-2, 1, 5)
+    lo, hi = isolate_root(N4A_QUARTIC, F(0), end, F(1, 10**6))
+    assert type(lo) is type(hi) is F and 0 < lo < hi < end and hi - lo <= F(1, 10**6)
+    assert N4A_QUARTIC.eval(lo) * N4A_QUARTIC.eval(hi) < 0
+    lo, hi = isolate_root(N4A_QUARTIC, F(0), end, F(1))
+    assert type(hi) is F and 0 <= lo < hi < end
+    lo, hi = isolate_root(P(-1, 4, 1), F(0), end, F(1, 10**12))
+    assert type(lo) is type(hi) is F and lo < end < hi and hi - lo <= F(1, 10**12)
+    lo, hi = isolate_root(P(-1, 4, 1), end - 1, F(1), F(1, 10**12))
+    assert end - 1 < lo < end < hi
+
+
+_SQRT2 = QuadraticRational(0, 1, 2)
+
+
+@st.composite
+def _root_windows(draw):
+    """An integer polynomial with repeated rational roots, half of them
+    times an irreducible quadratic and half times x + sqrt2, a window (lo, hi]
+    around one of its real roots whose ends are often roots too, and a width."""
+    roots = draw(st.lists(st.fractions(-4, 4, max_denominator=5), min_size=1, max_size=4, unique=True))
+    p = Poly([F(1)])
+    for r in roots:
+        p = p * Poly([-r, F(1)]) ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        a, b, c = draw(st.integers(1, 4)), draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+        disc = b * b - 4 * a * c
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            p = p * P(c, b, a)
+    p = p * math.lcm(*(c.denominator for c in p.coeffs))
+    if draw(st.booleans()):
+        p = p * Poly([_SQRT2, QuadraticRational(1)])
+        roots = roots + [-_SQRT2]
+    points = draw(st.lists(st.sampled_from(roots) | st.fractions(-5, 5, max_denominator=7), min_size=2,
+                           max_size=2, unique=True))
+    width = F(1, 10 ** draw(st.integers(0, 40)))
+    return p, min(points), max(points), width
+
+
+def _to_sympy(sympy, v):
+    if isinstance(v, QuadraticRational):
+        return _to_sympy(sympy, v.a) + _to_sympy(sympy, v.b) * sympy.sqrt(_to_sympy(sympy, v.d))
+    return sympy.Rational(v.numerator, v.denominator)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_root_windows())
+# roots at lo and at hi, and the one root 2 in (0, 2]
+@example((P(0, 0, -4, 0, 1), F(0), F(2), F(1, 10**9)))
+# (x - 1)(x + sqrt2) < 0 on (0, 1): a root at hi with no sign change below it
+@example((Poly([-_SQRT2, _SQRT2 - 1, QuadraticRational(1)]), F(0), F(1), F(1, 100)))
+def test_isolate_root_matches_sympy(problem):
+    # the one distinct root that the Sturm count puts in (lo, hi], and no
+    # other, lies in the closed interval, at a root of lo or hi too
+    sympy = pytest.importorskip("sympy")
+    p, lo, hi, width = problem
+    x = sympy.Symbol("x")
+    q = lambda v: _to_sympy(sympy, v)
+    # sympy finds real roots over the rationals only: split off x + sqrt2
+    rational, extra = p, set()
+    if any(isinstance(c, QuadraticRational) and c.b for c in p.coeffs):
+        rational, extra = p // Poly([_SQRT2, QuadraticRational(1)]), {-sympy.sqrt(2)}
+    coeffs = [q(c) for c in reversed(rational.coeffs)]
+    distinct = set(sympy.real_roots(sympy.Poly(coeffs, x))) | extra
+    inside = [r for r in distinct if q(lo) < r <= q(hi)]
+    assert sturm_count(p, lo, hi) == len(inside)
+    if len(inside) != 1:
+        return
+    ilo, ihi = isolate_root(p, lo, hi, width)
+    assert type(ilo) is type(ihi) is F and ilo <= ihi and ihi - ilo <= width
+    assert [r for r in distinct if q(ilo) <= r <= q(ihi)] == inside
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from biquadrlc.biquad import CanonicalBiquad, PoleSquaredForm, to_rational_fn, transform_params
+from biquadrlc.cli import main
 from biquadrlc.network import (
     canonical_key,
     element_count,
@@ -32,6 +33,7 @@ from biquadrlc.ratpoly import (
 )
 from biquadrlc.realize import (
     _CATALOG,
+    _common_root,
     FIG3A_QUARTIC,
     N4A_QUARTIC,
     N5A_DEGREE10,
@@ -588,12 +590,31 @@ def test_p1_is_fs_root_where_g_is_least_certified_exactly(monkeypatch, tag, bits
                 assert abs(least - p1) <= eps * p1
 
 
+@pytest.mark.parametrize("call", [
+    lambda: isolate_root(N4A_QUARTIC, F(15, 100), F(2, 10), F(1, 10**30)),
+    n5a_root_interval,
+    lambda: _common_root(*n5a_p1_system(F(1), F("0.18540003985756203902795763551110015756707659752299"))),
+    lambda: main(["roots", "--poly", '["1","-10","31","-40","16"]', "--lo", "0.15", "--hi", "0.2"]),
+], ids=["isolate_root", "n5a_root_interval", "_common_root", "roots"])
+def test_one_squarefree_part_and_one_sturm_sequence_per_polynomial(monkeypatch, capsys, call):
+    # each count and isolation on a polynomial shares one Sturm chain
+    import biquadrlc.ratpoly as ratpoly
+
+    built = {"squarefree_part": [], "sturm_sequence": []}
+    for name, calls in built.items():
+        original = getattr(ratpoly, name)
+        monkeypatch.setattr(ratpoly, name, lambda a, calls=calls, original=original: calls.append(a) or original(a))
+    call()
+    assert len(built["squarefree_part"]) == len(built["sturm_sequence"]) == 1
+
+
 def test_a_report_prints_its_values_as_stored_at_any_working_precision():
     # the 256-bit residual of an n4a synthesis, printed outside any workprec:
     # 50 digits of the stored value, not of its rounding to 53 bits; the
-    # canonical key of its mpf network does not move with the precision either
-    lo, hi = n4a_root_interval()
-    report = classify(B(F(7, 5), F(3, 2), F(3, 2) * (lo + hi) / 2))
+    # canonical key of its mpf network does not move with the precision either;
+    # p is 3/2 times a fixed point within 1e-30 of the n4a root
+    root = F(60979477604182187962504080822493065462765, 348449143727040986586495598010130648530944)
+    report = classify(B(F(7, 5), F(3, 2), F(3, 2) * root))
     outside, key = report.to_json(), canonical_key(report.network)
     with mp.workprec(256):
         assert (report.to_json(), canonical_key(report.network)) == (outside, key)
