@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated labeling filters (cutset, reactive-path, "
         "reactive-arm, reactive-branch, mergeable, twin, min-resistors=N, "
-        "reactive-count=N); labeled output",
+        "reactive-count=N, ends-order=rising|flat|falling); labeled output",
     )
     p.set_defaults(func=_cmd_enumerate)
 

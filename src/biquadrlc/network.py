@@ -21,7 +21,10 @@ pole or a zero of Z(s) on the jw axis (s = 0 and s = inf included), so each
 rule is sound only for targets without one there.  Two more rules hold
 for every target: ``mergeable`` drops a network with two like siblings,
 which merge into one element, and ``twin`` drops ``A | (A + B)``, which
-realizes what ``A + (A | B)`` does.  Enumeration and the
+realizes what ``A + (A | B)`` does.  ``ends-order=rising|flat|falling``
+keeps a network whose Z(0) and Z(inf), resistor networks, are not ordered
+otherwise for every positive value (``ends_order``), which is sound for a
+target with finite nonzero ends in that order.  Enumeration and the
 cut-set and path rules all follow the series/parallel recursion by which
 Riordan & Shannon count these networks, so each canonical network is built
 once and no rule needs a search.  The catalog writes each configuration
@@ -32,6 +35,7 @@ transcribed independently from the paper).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -72,6 +76,7 @@ __all__ = [
     "has_pure_reactive_parallel_branch",
     "has_mergeable_siblings",
     "has_twin",
+    "ends_order",
     "parse_filters",
     "config_ids",
     "config_slots",
@@ -238,6 +243,50 @@ def impedance_coeffs(net: SPNet, values: Sequence) -> Tuple[list, list]:
         return num, den
 
     return build(net)
+
+
+class _Multilinear:
+    """Integer polynomial in the leaf values, multilinear because every leaf
+    of a series-parallel tree sits in one subtree: a dict from leaf bitmask
+    to count.  It supports what ``impedance_coeffs`` applies to a leaf value:
+    ``+``, ``*`` (of disjoint subtrees), ``0 * v`` and ``v / v``.  Every
+    count is a positive integer, so a coefficient with no terms is
+    identically 0 and every other one is positive at positive values."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[int, int]):
+        self.terms = terms
+
+    def __add__(self, other: "_Multilinear") -> "_Multilinear":
+        terms = dict(self.terms)
+        for mask, count in other.terms.items():
+            terms[mask] = terms.get(mask, 0) + count
+        return _Multilinear(terms)
+
+    def __mul__(self, other: "_Multilinear") -> "_Multilinear":
+        terms: Dict[int, int] = {}
+        for a, x in self.terms.items():
+            for b, y in other.terms.items():
+                terms[a | b] = terms.get(a | b, 0) + x * y
+        return _Multilinear(terms)
+
+    def __rmul__(self, k: int) -> "_Multilinear":
+        if k != 0:
+            return NotImplemented
+        return _Multilinear({})
+
+    def __truediv__(self, other: "_Multilinear") -> "_Multilinear":
+        if other is not self:
+            return NotImplemented
+        return _Multilinear({0: 1})
+
+
+def _symbolic_coeffs(net: SPNet) -> Tuple[List[_Multilinear], List[_Multilinear]]:
+    """``impedance_coeffs`` of net on ``_Multilinear`` leaf values, leaf i
+    the bit 1 << i in ``leaves(net)`` order: every coefficient of num and
+    den as integer-weighted monomials in the leaf values."""
+    return impedance_coeffs(net, [_Multilinear({1 << i: 1}) for i in range(len(leaves(net)))])
 
 
 def _leaf_values(net: SPNet) -> list:
@@ -482,6 +531,44 @@ def has_twin(net: SPNet) -> bool:
     return any(has_twin(c) for c in net.children)
 
 
+@functools.lru_cache(maxsize=4096)  # every labeling up to five elements fits
+def ends_order(net: SPNet) -> Optional[int]:
+    """The sign of Z(inf) - Z(0) at every positive value of the elements:
+    +1 (rising), -1 (falling) or 0 (flat, Z(0) = Z(inf) identically), or
+    None when it is not the same for all of them, as far as the
+    coefficients show, or an end is 0 or infinite.  Leaf values are
+    ignored: the verdict is the template's.
+
+    Z(0) and Z(inf) are the resistor networks with L shorted and C open,
+    and the reverse.  On ``_Multilinear`` leaves every coefficient of num
+    and den is identically 0 or positive, so Z(0) = num_lo / den_lo and
+    Z(inf) = num_hi / den_hi at the lowest and highest nonzero indices,
+    which must agree between num and den for finite nonzero ends.  The sign
+    is that of num_hi den_lo - num_lo den_hi, a polynomial with integer
+    coefficients in values that may now appear squared: decided when its
+    nonzero coefficients share one sign.  Cached per labeling."""
+    num, den = _symbolic_coeffs(net)
+    (num_lo, num_hi), (den_lo, den_hi) = ((nonzero[0], nonzero[-1]) for nonzero in (
+        [i for i, c in enumerate(poly) if c.terms] for poly in (num, den)))
+    if (num_lo, num_hi) != (den_lo, den_hi):
+        return None
+    # a product monomial of a and b is set by the leaves it holds (a | b)
+    # and those it holds squared (a & b)
+    delta: Counter = Counter()
+    for sign, p, q in ((1, num[num_hi], den[den_lo]), (-1, num[num_lo], den[den_hi])):
+        for a, x in p.terms.items():
+            for b, y in q.terms.items():
+                delta[a | b, a & b] += sign * x * y
+    signs = {c > 0 for c in delta.values() if c}
+    if not signs:
+        return 0
+    if len(signs) > 1:
+        return None
+    return 1 if True in signs else -1
+
+
+_ENDS_ORDERS = {"rising": 1, "flat": 0, "falling": -1}
+
 _FILTER_PREDICATES: Dict[str, Callable[[SPNet], bool]] = {
     "cutset": lambda n: not violates_cutset_rule(n),
     "reactive-arm": lambda n: not has_pure_reactive_series_arm(n),
@@ -505,7 +592,9 @@ def parse_filters(specs: Iterable[str]) -> List[Tuple[str, Callable[[SPNet], boo
 
     Supported: ``cutset``, ``reactive-arm``, ``mergeable``,
     ``reactive-path``, ``reactive-branch``, ``twin``, ``min-resistors=N``,
-    ``reactive-count=N``, N in plain digits.
+    ``reactive-count=N``, N in plain digits, and
+    ``ends-order=rising|flat|falling``, which keeps a network whose
+    ``ends_order`` is None or the named one.
     """
     out: List[Tuple[str, Callable[[SPNet], bool]]] = []
     for spec in specs:
@@ -518,6 +607,11 @@ def parse_filters(specs: Iterable[str]) -> List[Tuple[str, Callable[[SPNet], boo
         elif spec.startswith("reactive-count="):
             k = _filter_count(spec)
             out.append((spec, lambda n, k=k: reactive_count(n) == k))
+        elif spec.startswith("ends-order="):
+            order = _ENDS_ORDERS.get(spec.split("=", 1)[1])
+            if order is None:
+                raise ValueError("filter %r: expected ends-order=rising, flat or falling" % (spec,))
+            out.append((spec, lambda n, order=order: ends_order(n) in (None, order)))
         else:
             raise ValueError("unknown filter %r" % (spec,))
     return out

@@ -859,16 +859,17 @@ def _variations(chain: List[Poly], x) -> int:
 
 def _isolate(a: Poly, lo, hi, width=None):
     """sturm_count(a, lo, hi) and, when it is 1 and a width is given,
-    isolate_root's interval (else None), from one Sturm chain."""
+    isolate_root's interval (else None), from one Sturm chain.  A width
+    that is not positive raises ValueError whatever the count."""
     lo, hi = (x if isinstance(x, QuadraticRational) else Fraction(x) for x in (lo, hi))
     if not lo < hi:
         raise ValueError("need lo < hi")
+    if width is not None and not width > 0:  # whatever the count
+        raise ValueError("width must be positive")
     chain = _sturm_chain(a)
     v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
     if v_lo - v_hi != 1 or width is None:
         return v_lo - v_hi, None
-    if width <= 0:
-        raise ValueError("width must be positive")
     # a quadratic irrational end: the dyadic next inwards (up at a root hi), no root between
     ends = []
     for x, v, up in ((lo, v_lo, True), (hi, v_hi, chain[0].eval(hi) == 0)):
@@ -953,7 +954,8 @@ def sturm_count(a: Poly, lo, hi) -> int:
 def isolate_root(a: Poly, lo, hi, width) -> Tuple[Fraction, Fraction]:
     """A closed interval with Fraction endpoints, at most ``width`` wide,
     around the one distinct root of ``a`` in (lo, hi] (rational or
-    ``QuadraticRational`` ends; ValueError unless sturm_count is 1) that
+    ``QuadraticRational`` ends; ValueError unless sturm_count is 1 and the
+    width positive) that
     holds no other, so a root at lo is left out; (r, r) if a step lands on
     r.  An exact certificate, from Newton steps on dyadic rationals with
     bisection as the fallback."""

@@ -46,7 +46,8 @@ residual's nearest float is reported.
 
 What does not depend on the target is prepared once per process and cached:
 the terms of each template, and for ``falsify_small`` the labelings of each
-size with their filter verdicts.  The first call in a process pays for them
+size with their filter verdicts (``ends-order`` among them, spelled with the
+target's order).  The first call in a process pays for them
 (a one-shot CLI call always does); the reports do not share the cached
 objects.
 
@@ -66,7 +67,7 @@ from typing import Dict, List, NamedTuple, Sequence
 import numpy as np
 
 from .check import _certify, coefficient_residual, verify_exact, verify_numeric
-from .network import SPNet, enumerate_labeled, impedance_coeffs, leaves, parse_filters, to_netlist_json
+from .network import SPNet, _symbolic_coeffs, enumerate_labeled, leaves, parse_filters, to_netlist_json
 from .ratpoly import Poly, RationalFn, _Record, _exact_value, _positive_roots, _sturm_chain, decimal_str, gcd
 
 __all__ = [
@@ -105,50 +106,16 @@ def _slot_names(template: SPNet) -> List[str]:
 THETA_CLIP = 200.0  # |log value| bound, so one element value cannot overflow
 
 
-class _Multilinear:
-    """Integer polynomial in the leaf values, multilinear because every leaf
-    of a series-parallel tree sits in one subtree: a dict from leaf bitmask
-    to count.  It supports what ``impedance_coeffs`` applies to a leaf value:
-    ``+``, ``*`` (of disjoint subtrees), ``0 * v`` and ``v / v``."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[int, int]):
-        self.terms = terms
-
-    def __add__(self, other: "_Multilinear") -> "_Multilinear":
-        terms = dict(self.terms)
-        for mask, count in other.terms.items():
-            terms[mask] = terms.get(mask, 0) + count
-        return _Multilinear(terms)
-
-    def __mul__(self, other: "_Multilinear") -> "_Multilinear":
-        terms: Dict[int, int] = {}
-        for a, x in self.terms.items():
-            for b, y in other.terms.items():
-                terms[a | b] = terms.get(a | b, 0) + x * y
-        return _Multilinear(terms)
-
-    def __rmul__(self, k: int) -> "_Multilinear":
-        if k != 0:
-            return NotImplemented
-        return _Multilinear({})
-
-    def __truediv__(self, other: "_Multilinear") -> "_Multilinear":
-        if other is not self:
-            return NotImplemented
-        return _Multilinear({0: 1})
-
-
 @functools.lru_cache(maxsize=4096)  # every labeling up to five elements fits
 def _term_table(template: SPNet):
     """A template's coefficients of num and den as monomial terms in its leaf
-    values, from ``impedance_coeffs`` run once on ``_Multilinear`` leaves:
+    values, from ``impedance_coeffs`` run once on ``_Multilinear`` leaves
+    (``network._symbolic_coeffs``):
     the terms' exponents (0/1 per leaf), integer weights, coefficient
     numbers and whether they add to den, and the lengths of num and den.
     Cached per process, as it does not depend on the target."""
     n = len(leaves(template))
-    num, den = impedance_coeffs(template, [_Multilinear({1 << i: 1}) for i in range(n)])
+    num, den = _symbolic_coeffs(template)
     terms = [(side, i, mask, count) for side, poly in enumerate((num, den))
              for i, c in enumerate(poly) for mask, count in c.terms.items()]
     exponents = np.array([[(mask >> j) & 1 for j in range(n)] for _, _, mask, _ in terms], dtype=float)
@@ -619,7 +586,9 @@ def _fit(templates: Sequence[SPNet], target: RationalFn, budget: int, starts: in
     same ends (0 or infinity): such starts differ only in how deep they
     stopped, and certify alike.  The fit reports the smallest exactly
     certified residual, its values and every evaluation spent.  The target
-    comes as ``_exact_target`` gives it."""
+    comes as ``_exact_target`` gives it.  No templates give no fits."""
+    if not templates:
+        return []
     tnum, tden = (np.array([float(c) for c in poly.coeffs]) for poly in (target.num, target.den))
     compiled = _CompiledTemplate(templates, tnum, tden)
     x0 = np.zeros((len(templates) * starts, compiled.exponents.shape[2]))
@@ -682,8 +651,9 @@ def fit_topology(
     the one-template case of ``_fit``, in which ``falsify_small`` fits all
     its templates side by side; its entry for the template equals this fit
     called with its budget, starts and seed (by default 4000, 24 and
-    ``seed * 1000003 + index``, see ``falsify_small``, not this function's
-    defaults), up to rounding that depends on the batch: on its
+    ``seed * 1000003 + index``, where index counts the labelings before it
+    that the rules but ``ends-order`` keep, see ``falsify_small``; not this
+    function's defaults), up to rounding that depends on the batch: on its
     composition, through the BLAS products that take a whole batch
     (``_CompiledTemplate``), and on its padding (every Jacobian is padded
     to the widest template of the batch, and LAPACK's SVD rounds a
@@ -702,18 +672,21 @@ def fit_topology(
 
 
 # The falsify rules, in the order in which an entry names the first that it
-# fails, and what a network that fails each has: a pole or a zero of Z(s) at
-# s = 0 or s = inf ("ends"), or there or elsewhere on the jw axis ("axis").
-# A rule applies to a target that has no such pole or zero.  Merging two
-# like siblings keeps Z, and A | (A + B) realizes what its twin A + (A | B)
-# does (``network.has_twin``), so "mergeable" and "twin" apply to every
-# target.
-FALSIFY_FILTERS = ("cutset", "reactive-arm", "mergeable", "reactive-path", "reactive-branch", "twin")
+# fails, and what a target must lack for each to apply: a pole or a zero of
+# Z(s) at s = 0 or s = inf ("ends"), or there or elsewhere on the jw axis
+# ("axis").  A network that fails one of the first four has such a pole or
+# zero.  Merging two like siblings keeps Z, and A | (A + B) realizes what
+# its twin A + (A | B) does (``network.has_twin``), so "mergeable" and
+# "twin" apply to every target.  "ends-order" keeps the networks whose
+# Z(0)-versus-Z(inf) order may be the target's, which needs finite nonzero
+# ends; it comes last, so that the other rules alone set the seeds.
+FALSIFY_FILTERS = ("cutset", "reactive-arm", "mergeable", "reactive-path", "reactive-branch", "twin", "ends-order")
 _PREMISES = {
-    "cutset": ("pole", "ends"),
-    "reactive-arm": ("pole", "axis"),
-    "reactive-path": ("zero", "ends"),
-    "reactive-branch": ("zero", "axis"),
+    "cutset": {("pole", "ends")},
+    "reactive-arm": {("pole", "axis")},
+    "reactive-path": {("zero", "ends")},
+    "reactive-branch": {("zero", "axis")},
+    "ends-order": {("pole", "ends"), ("zero", "ends")},
 }
 
 
@@ -757,11 +730,20 @@ def _jw_axis_points(target: RationalFn) -> set:
     return out
 
 
-@functools.lru_cache(maxsize=None)  # n in 1..5, rules a subset of FALSIFY_FILTERS
+def _ends_order_spec(target: RationalFn) -> str:
+    """The ``ends-order`` filter spec of a target, as ``_exact_target``
+    gives it, with finite nonzero Z(0) and Z(inf): the sign of Z(inf) -
+    Z(0), decided exactly."""
+    num, den = target.num.coeffs, target.den.coeffs
+    gap = num[-1] / den[-1] - num[0] / den[0]
+    return "ends-order=" + ("rising" if gap > 0 else "falling" if gap < 0 else "flat")
+
+
+@functools.lru_cache(maxsize=None)  # n in 1..5, rules a subset of FALSIFY_FILTERS, ends-order spelled
 def _labelings(n: int, rules: tuple) -> tuple:
-    """The labelings of n elements, each with the first of ``rules`` that it
-    fails, or None.  Cached per process, as they do not depend on the
-    target."""
+    """The labelings of n elements, each with the first of ``rules`` (filter
+    specs, as ``parse_filters`` takes them) that it fails, or None.  Cached
+    per process, as they do not depend on the target beyond these specs."""
     preds = parse_filters(rules)
     return tuple((net, next((name for name, pred in preds if not pred(net)), None))
                  for net in enumerate_labeled(n))
@@ -783,22 +765,30 @@ def falsify_small(
     as the dyadic rationals they are): ``cutset`` needs finite Z(0) and
     Z(inf), ``reactive-path`` nonzero Z(0) and Z(inf), ``reactive-arm`` no
     pole and ``reactive-branch`` no zero on the jw axis, s = 0 and s = inf
-    included; ``mergeable`` and ``twin`` need nothing.  A network that
-    fails a rule that applies realizes nothing that a fitted network or a
-    smaller one does not: under a premise rule not the target, as its Z(s)
-    has a pole or zero on the jw axis that the target lacks; with two like
-    siblings only what the network with one of them does; as ``A | (A +
-    B)`` only what its twin ``A + (A | B)`` does, which is fitted or
-    filtered in turn.  So it is skipped and reported as filtered, with the
-    first such rule in ``filter``; the report's ``filters`` lists the rules
-    ``applied`` and those ``skipped`` because the target fails their
-    premise.  The other networks are fitted
-    side by side in one batch of templates x starts (``_fit``), the one at
-    ``index`` among them from seed ``seed * 1000003 + index`` (so a rule
-    that filters a network shifts the seeds of the networks after it).  So
-    every entry is what ``fit_topology(net, target, budget, starts, seed *
-    1000003 + index, tol)`` gives for it (not its defaults: budget 6000,
-    32 starts and seed 0), up to rounding that depends on the batch: its
+    included; ``mergeable`` and ``twin`` need nothing; ``ends-order``
+    needs finite nonzero Z(0) and Z(inf), and takes the sign of Z(inf) -
+    Z(0) from the target's coefficients.  A network that fails a rule that
+    applies realizes nothing that a fitted network or a smaller one does
+    not: under a jw-axis rule not the target, as its Z(s) has a pole or
+    zero on the jw axis that the target lacks; with two like siblings only
+    what the network with one of them does; as ``A | (A + B)`` only what
+    its twin ``A + (A | B)`` does, which is fitted or filtered in turn;
+    under ``ends-order`` not the target, as its Z(0) and Z(inf) are ordered
+    otherwise at every positive value (``network.ends_order``).  So it is
+    skipped and reported as filtered, with the first such rule in
+    ``filter``; the report's ``filters`` lists the rules ``applied`` and
+    those ``skipped`` because the target fails their premise.  The other
+    networks are fitted side by side in one batch of templates x starts
+    (``_fit``), each from seed ``seed * 1000003 + index``, where index
+    counts the labelings before it that the applied rules but
+    ``ends-order`` keep (so every rule but ``ends-order``, which is applied
+    after seeding, shifts the seeds of the networks after those it
+    filters).  When every labeling is filtered, nothing is fitted: the
+    report is complete, without a success, and its ``best_residual`` is
+    None, the exact answer that no network of at most ``n_max`` elements
+    realizes the target.  Every entry is what ``fit_topology(net, target,
+    budget, starts, seed * 1000003 + index, tol)`` gives for it (not its
+    defaults: budget 6000, 32 starts and seed 0), up to rounding that depends on the batch: its
     BLAS products take the whole batch and round a row differently among
     other rows, and the stack pads every Jacobian to its widest template,
     which LAPACK's SVD rounds differently.  So an entry's ``evaluations``
@@ -820,18 +810,23 @@ def falsify_small(
         raise ValueError("the target Z = 0 is no network of positive elements")
     target = _exact_target(target)
     has = _jw_axis_points(target)
-    applied = tuple(name for name in FALSIFY_FILTERS if _PREMISES.get(name) not in has)
-    labeled = [(n, net, skip) for n in range(1, n_max + 1) for net, skip in _labelings(n, applied)]
+    applied = [name for name in FALSIFY_FILTERS if not _PREMISES.get(name, set()) & has]
+    specs = {name: _ends_order_spec(target) if name == "ends-order" else name for name in applied}
+    labeled = [(n, net, skip) for n in range(1, n_max + 1) for net, skip in _labelings(n, tuple(specs.values()))]
+    # ends-order comes after seeding: a template's index counts what the other rules keep
+    order = specs.get("ends-order")
+    index = {net: i for i, net in enumerate(net for _, net, skip in labeled if skip in (None, order))}
     kept = [net for _, net, skip in labeled if skip is None]
-    fits = _fit(kept, target, budget, starts, [seed * 1000003 + index for index in range(len(kept))], tol,
+    fits = _fit(kept, target, budget, starts, [seed * 1000003 + index[net] for net in kept], tol,
                 stop_at_first_success)
+    names = {spec: name for name, spec in specs.items()}
     entries, fitted = [], iter(fits)
     for n, net, skip in labeled:
         entry = {
             "topology": to_netlist_json(net),
             "elements": n,
             "filtered": skip is not None,
-            "filter": skip,
+            "filter": names.get(skip),
             "best_residual": None,
             "success": False,
             "values": None,
@@ -848,10 +843,10 @@ def falsify_small(
     return {
         "entries": entries,
         "any_success": any_success,
-        "best_residual": min(fit.residual for fit in fits),
+        "best_residual": min((fit.residual for fit in fits), default=None),
         "complete": not (any_success and stop_at_first_success),
         "filters": {
-            "applied": list(applied),
-            "skipped": [name for name in FALSIFY_FILTERS if _PREMISES.get(name) in has],
+            "applied": applied,
+            "skipped": [name for name in FALSIFY_FILTERS if name not in specs],
         },
     }

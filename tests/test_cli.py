@@ -189,6 +189,18 @@ def test_roots_prints_the_readme_midpoint_at_every_precision(capsys, bits):
     assert data["midpoint"] == "0.17500251816359951415268532946331786130145343931541"
 
 
+@pytest.mark.parametrize("lo, count", [("1.5", 0), ("0", 1), ("-2", 2)])
+@pytest.mark.parametrize("width", ["0", "-1", "-1e-30"])
+def test_roots_with_a_width_that_is_not_positive_is_invalid_input(capsys, lo, count, width):
+    # whatever the window holds: x^2 - 2 has 0, 1 or 2 roots in (lo, 2]
+    capsys.readouterr()
+    poly = '["-2","0","1"]'
+    code, data = run_json(capsys, "roots", "--poly", poly, "--lo", lo, "--hi", "2")
+    assert (code, data["count"]) == (0, count)
+    assert main(["roots", "--poly", poly, "--lo", lo, "--hi", "2", "--width", width]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "width must be positive"}
+
+
 def test_roots_leaves_out_a_root_at_lo(capsys):
     # x^2 - x: (0, 2] holds the one root 1, though 0 is a root too
     code, data = run_json(capsys, "roots", "--poly", '["0","-1","1"]', "--lo", "0", "--hi", "2")
@@ -246,14 +258,32 @@ def test_falsify_cli_small(capsys):
 
 
 def test_falsify_runs_only_the_filters_whose_premise_holds(capsys):
-    # Z = s + 1 is R + L: its pole at s = inf switches off the two rules
+    # Z = s + 1 is R + L: its pole at s = inf switches off the three rules
     # that assume finite Z(0) and Z(inf), one of which dropped R + L
     target = json.dumps({"num": ["1", "1"], "den": ["1"]})
     code, data = run_json(capsys, "falsify", "--target", target, "--nmax", "2")
     assert code == 0 and data["any_success"] is True
-    assert data["filters"]["skipped"] == ["cutset", "reactive-arm"]
+    assert data["filters"]["skipped"] == ["cutset", "reactive-arm", "ends-order"]
     wins = [e for e in data["entries"] if e["success"]]
     assert [w["topology"]["type"] for w in wins] == ["series"]
+
+
+def test_falsify_with_every_labeling_filtered_exits_0_without_a_floor(capsys):
+    # at n <= 2 the rules leave only R for eta = 2, and ends-order drops it:
+    # that no network of at most two elements realizes the target is exact
+    target = json.dumps({"k": "1", "z": "1", "p": "2"})
+    code, data = run_json(capsys, "falsify", "--target", target, "--nmax", "2")
+    assert code == 0 and data["best_residual"] is None and data["any_success"] is False and data["complete"]
+    assert data["filters"]["applied"][-1] == "ends-order" and all(e["filtered"] for e in data["entries"])
+
+
+def test_enumerate_spells_the_ends_order_rule(capsys):
+    rules = "cutset,reactive-arm,mergeable,reactive-path,reactive-branch,twin"
+    counts = [run_json(capsys, "enumerate", "--n", "5", "--filters", rules + order)[1]["count"]
+              for order in ("", ",ends-order=rising", ",ends-order=flat", ",ends-order=falling")]
+    assert counts == [53, 27, 17, 27]
+    assert main(["enumerate", "--n", "3", "--filters", "ends-order=up"]) == 2
+    assert "ends-order=rising, flat or falling" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_falsify_rejects_the_zero_target(capsys):

@@ -435,6 +435,22 @@ def test_parse_filters_takes_counts_in_plain_digits_only():
         parse_filters(["max-resistors=1"])
 
 
+def test_parse_filters_takes_an_ends_order_by_name():
+    rising, flat, falling = (pred for _, pred in parse_filters(
+        ["ends-order=rising", " ends-order=flat", "ends-order=falling "]))
+    up, down = series(Leaf("R"), parallel(Leaf("R"), Leaf("L"))), series(Leaf("R"), parallel(Leaf("R"), Leaf("C")))
+    assert [(rising(net), flat(net), falling(net)) for net in (up, Leaf("R"), down)] == [
+        (True, False, False), (False, True, False), (False, False, True)]
+    # an undecided order (here an end at 0) is kept under every spelling
+    assert rising(Leaf("L")) and flat(Leaf("L")) and falling(Leaf("L"))
+    for spec in ("ends-order=up", "ends-order=", "ends-order=Rising", "ends-order=1"):
+        with pytest.raises(ValueError, match="rising, flat or falling") as info:
+            parse_filters([spec])
+        assert repr(spec) in str(info.value)
+    with pytest.raises(ValueError, match="unknown filter"):
+        parse_filters(["ends-order"])
+
+
 def test_enumerate_labeled_pins_two_reactive_three_element_catalog():
     got = enumerate_labeled(
         3,
