@@ -1,8 +1,10 @@
-"""Exact univariate polynomial and rational-function arithmetic.
+"""Exact univariate polynomials, and rational functions as reduced values.
 
 This is the algebra substrate for the rest of the package: impedances are
 reduced rational functions in s, and realizability conditions are polynomial
-sign/zero tests, some decided by exact real-root counting.
+sign/zero tests, some decided by exact real-root counting.  Every count and
+isolation reads one Sturm chain per polynomial (``_sturm_chain``), from one
+remainder sequence.
 
 Coefficients are duck-typed.  Exact work uses ``fractions.Fraction`` (or
 :class:`QuadraticRational` for values in a real quadratic extension such as
@@ -832,9 +834,7 @@ def resultant(a: Poly, b: Poly):
 
 def squarefree_part(a: Poly) -> Poly:
     """a / gcd(a, a'), monic: same distinct roots, all simple."""
-    if a.is_zero:
-        raise ValueError("zero polynomial")
-    return (a // gcd(a, a.derivative())).monic()
+    return _sturm_chain(a)[0].monic()
 
 
 def sturm_sequence(a: Poly) -> List[Poly]:
@@ -845,10 +845,18 @@ def sturm_sequence(a: Poly) -> List[Poly]:
 
 
 def _sturm_chain(a: Poly) -> List[Poly]:
-    """The Sturm sequence of a's squarefree part (its first entry) scaled to integer coefficients."""
-    sf = squarefree_part(a)
-    scale = math.lcm(*(c.denominator for c in sf.coeffs if isinstance(c, Fraction)))
-    return sturm_sequence(sf * scale)
+    """A Sturm sequence of a's squarefree part, whose first entry is a
+    constant times a / gcd(a, a'), from one remainder sequence: that of a
+    scaled to integer coefficients, each entry divided by the last, which is
+    gcd(a, a') up to a constant.  ValueError unless a is nonzero with exact
+    coefficients."""
+    if a.is_zero:
+        raise ValueError("zero polynomial")
+    if not a.is_exact():
+        raise ValueError("Sturm chains need exact coefficients (rational or QuadraticRational)")
+    chain = sturm_sequence(a * Fraction(math.lcm(*(c.denominator for c in a.coeffs if isinstance(c, Fraction)))))
+    g = chain[-1]
+    return [p // g for p in chain] if g.degree > 0 else chain
 
 
 def _variations(chain: List[Poly], x) -> int:
@@ -947,15 +955,16 @@ def _refine(f: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[Fract
 def sturm_count(a: Poly, lo, hi) -> int:
     """Number of distinct real roots of ``a`` in (lo, hi], exactly: repeated
     roots count once.  Exact coefficients and exact endpoints (rational or
-    ``QuadraticRational``) required."""
+    ``QuadraticRational``) required: mpf or float coefficients raise
+    ValueError."""
     return _isolate(a, lo, hi)[0]
 
 
 def isolate_root(a: Poly, lo, hi, width) -> Tuple[Fraction, Fraction]:
     """A closed interval with Fraction endpoints, at most ``width`` wide,
     around the one distinct root of ``a`` in (lo, hi] (rational or
-    ``QuadraticRational`` ends; ValueError unless sturm_count is 1 and the
-    width positive) that
+    ``QuadraticRational`` ends; ValueError unless sturm_count is 1, the
+    coefficients exact and the width positive) that
     holds no other, so a root at lo is left out; (r, r) if a step lands on
     r.  An exact certificate, from Newton steps on dyadic rationals with
     bisection as the fallback."""
@@ -970,25 +979,24 @@ def isolate_root(a: Poly, lo, hi, width) -> Tuple[Fraction, Fraction]:
 
 
 class RationalFn:
-    """Reduced rational function with a monic denominator.
+    """A rational function as a reduced value, with a monic denominator.
 
     For exact coefficients the gcd is divided out, so ``num`` and ``den`` are
     coprime; for inexact (mpf) coefficients reduction is skipped and only the
-    monic normalization is applied.
+    monic normalization is applied.  It defines no arithmetic: the package
+    builds each impedance from its coefficients (``network.impedance``).
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly, reduce: bool = None):
+    def __init__(self, num: Poly, den: Poly):
         if not isinstance(num, Poly):
             num = Poly.constant(num)
         if not isinstance(den, Poly):
             den = Poly.constant(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if reduce is None:
-            reduce = num.is_exact() and den.is_exact()
-        if reduce and not num.is_zero:
+        if num.is_exact() and den.is_exact() and not num.is_zero:
             g = gcd(num, den)
             if g.degree > 0:
                 num = num // g
@@ -1004,56 +1012,8 @@ class RationalFn:
     def is_exact(self) -> bool:
         return self.num.is_exact() and self.den.is_exact()
 
-    def __add__(self, other):
-        if not isinstance(other, RationalFn):
-            other = RationalFn.constant(other)
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        if not isinstance(other, RationalFn):
-            other = RationalFn.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalFn):
-            other = RationalFn.constant(other)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "RationalFn":
-        if self.num.is_zero:
-            raise ZeroDivisionError("reciprocal of zero")
-        return RationalFn(self.den, self.num)
-
-    def __truediv__(self, other):
-        if not isinstance(other, RationalFn):
-            other = RationalFn.constant(other)
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
     def eval(self, x):
         return self.num.eval(x) / self.den.eval(x)
-
-    def substitute_inverse(self) -> "RationalFn":
-        """Return R(1/s) with powers of s cleared, as a reduced rational fn."""
-        n, d = self.num.degree, self.den.degree
-        k = max(n, d)
-        num = self.num.reversed(k)
-        den = self.den.reversed(k)
-        return RationalFn(num, den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalFn):

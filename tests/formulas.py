@@ -131,9 +131,16 @@ _ASSEMBLIES = {
     "fig4a": ("fig8b", "fig9e"),
     "fig5a": ("fig8c", "fig9e"),
 }
+
+
+def _series(a: RationalFn, b: RationalFn) -> RationalFn:
+    """a + b over the common denominator, reduced as RationalFn reduces."""
+    return RationalFn(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
 _FORMULAS.update(
     {
-        name: lambda v, a=a, b=b: _FORMULAS[a](v) + _FORMULAS[b](v)
+        name: lambda v, a=a, b=b: _series(_FORMULAS[a](v), _FORMULAS[b](v))
         for name, (a, b) in _ASSEMBLIES.items()
     }
 )

@@ -24,9 +24,10 @@ from biquadrlc.ratpoly import (
     scalar_to_str,
     squarefree_part,
     sturm_count,
+    sturm_sequence,
     to_mpf,
 )
-from biquadrlc.ratpoly import _exact_value, _int_str
+from biquadrlc.ratpoly import _exact_value, _int_str, _sturm_chain, _variations
 from biquadrlc.realize import FIG3A_QUARTIC, N4A_QUARTIC
 from eliminations import ELIMINATIONS
 
@@ -300,6 +301,20 @@ def test_sturm_takes_quadratic_rational_endpoints():
 def test_sturm_repeated_roots_counted_once():
     p = P(-1, 1) ** 3 * P(-2, 1)
     assert sturm_count(p, F(0), F(3)) == 2
+    # -(x - 1)^2 (x - 3) with int coefficients, counted as the Fractions they are
+    assert sturm_count(Poly([3, -7, 5, -1]), 0, 5) == 2
+
+
+def test_sturm_chains_reject_inexact_coefficients():
+    # x^2 - 2, and -(x - 1)^2 (x - 3) with its 2 distinct roots in (0, 5]:
+    # a remainder sequence in mpf or float counts from rounded values, so
+    # every count, isolation and squarefree part refuses them
+    for number in (mpmath.mpf, float):
+        for p in (Poly([number(-2), number(0), number(1)]), Poly([number(c) for c in (3, -7, 5, -1)])):
+            for call in (lambda: sturm_count(p, 0, 5), lambda: isolate_root(p, 0, 2, F(1, 100)),
+                         lambda: squarefree_part(p)):
+                with pytest.raises(ValueError, match="exact coefficients"):
+                    call()
 
 
 def test_sturm_matches_brute_force_on_condition_polynomials():
@@ -409,11 +424,23 @@ def _to_sympy(sympy, v):
 @example((P(0, 0, -4, 0, 1), F(0), F(2), F(1, 10**9)))
 # (x - 1)(x + sqrt2) < 0 on (0, 1): a root at hi with no sign change below it
 @example((Poly([-_SQRT2, _SQRT2 - 1, QuadraticRational(1)]), F(0), F(1), F(1, 100)))
+# x^2 (3x^2 + 6x + 4): the one-pass chain has 4 entries, the two-pass one 3
+# (a degree gap), and each point has one variation more on the first
+@example((P(0, 0, 4, 6, 3), F(-1), F(1), F(1, 10**6)))
 def test_isolate_root_matches_sympy(problem):
     # the one distinct root that the Sturm count puts in (lo, hi], and no
     # other, lies in the closed interval, at a root of lo or hi too
-    sympy = pytest.importorskip("sympy")
     p, lo, hi, width = problem
+    # the one-pass chain: its first entry a constant times p / gcd(p, p'),
+    # and between lo, hi and their midpoint the variation differences, which
+    # every count and isolation reads, of the two-pass chain, the Sturm
+    # sequence of that squarefree part scaled to integer coefficients (the
+    # variations themselves may differ by a constant: see the last example)
+    chain, squarefree = _sturm_chain(p), (p // gcd(p, p.derivative())).monic()
+    assert chain[0].monic() == squarefree
+    two_pass = sturm_sequence(squarefree * math.lcm(*(c.denominator for c in squarefree.coeffs if isinstance(c, F))))
+    assert len({_variations(chain, v) - _variations(two_pass, v) for v in (lo, hi, (lo + hi) / 2)}) == 1
+    sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     q = lambda v: _to_sympy(sympy, v)
     # sympy finds real roots over the rationals only: split off x + sqrt2
@@ -470,12 +497,6 @@ def test_rationalfn_normalization_idempotent_and_eval_preserving(data):
             continue
         assert reduced.eval(x) == num.eval(x) / den.eval(x)
         checked += 1
-
-
-def test_rationalfn_substitute_inverse():
-    # (2s+1)/1 -> s -> 1/s gives (2 + s)/s
-    r = RationalFn(P(1, 2), P(1))
-    assert r.substitute_inverse() == RationalFn(P(2, 1), P(0, 1))
 
 
 def test_rationalfn_json_roundtrip():

@@ -597,15 +597,16 @@ def test_p1_is_fs_root_where_g_is_least_certified_exactly(monkeypatch, tag, bits
     lambda: main(["roots", "--poly", '["1","-10","31","-40","16"]', "--lo", "0.15", "--hi", "0.2"]),
 ], ids=["isolate_root", "n5a_root_interval", "_common_root", "roots"])
 def test_one_squarefree_part_and_one_sturm_sequence_per_polynomial(monkeypatch, capsys, call):
-    # each count and isolation on a polynomial shares one Sturm chain
+    # each count and isolation on a polynomial shares one Sturm chain, whose
+    # one remainder sequence also gives the squarefree part: no gcd is taken
     import biquadrlc.ratpoly as ratpoly
 
-    built = {"squarefree_part": [], "sturm_sequence": []}
+    built = {"gcd": [], "sturm_sequence": []}
     for name, calls in built.items():
         original = getattr(ratpoly, name)
-        monkeypatch.setattr(ratpoly, name, lambda a, calls=calls, original=original: calls.append(a) or original(a))
+        monkeypatch.setattr(ratpoly, name, lambda *a, calls=calls, original=original: calls.append(a) or original(*a))
     call()
-    assert len(built["squarefree_part"]) == len(built["sturm_sequence"]) == 1
+    assert (len(built["gcd"]), len(built["sturm_sequence"])) == (0, 1)
 
 
 def test_a_report_prints_its_values_as_stored_at_any_working_precision():

@@ -103,9 +103,7 @@ def test_verify_numeric_handles_unreduced_numeric_forms():
             parallel(Leaf("R", mpf(1)), Leaf("C", mpf(1))),
             parallel(Leaf("R", mpf(2)), Leaf("C", mpf("0.5"))),
         )
-        za = RF((1,), (1, 1))
-        zb = RF((2,), (1, 1))
-        target = za + zb
+        target = RF((3,), (1, 1))  # 1/(s + 1) + 2/(s + 1)
         ok, residual = verify_numeric(net, target, tol=F(1, 10**20), precision_bits=128)
         assert ok, residual
 
@@ -808,6 +806,11 @@ def test_filter_premises_are_decided_exactly_on_the_reduced_target():
     assert premises(RF((1, 1, 1, 1), (1, 3, 3, 1))) == {("zero", "axis")}
     # s^2 - 1 has real roots only, and (s + 2)^2 none on the axis
     assert premises(RF((-1, 0, 1), (4, 4, 1))) == set()
+    # double roots at s = +-j: gcd(E, O) = (x - 1)^2, a chain divided by its last entry
+    double_zeros = RF((1, 0, 2, 0, 1), (1, 4, 6, 4, 1))  # (s^2 + 1)^2 / (s + 1)^4
+    assert premises(double_zeros) == {("zero", "axis")}
+    assert falsify_small(double_zeros, 2)["filters"]["skipped"] == ["reactive-branch"]
+    assert premises(RF((1, 1), (1, 0, 2, 0, 1))) == {("pole", "axis"), ("zero", "ends"), ("zero", "axis")}
     # an mpf coefficient is the dyadic rational it stores: a damping of
     # 2^-100 takes the poles off the axis
     with mp.workprec(128):
